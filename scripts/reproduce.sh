@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds everything out of tree, runs the full test suite, regenerates
 # every paper experiment (EXPERIMENTS.md's tables) into bench_output.txt,
-# and runs the event-core performance gate.
+# runs the sanitizer gates (ASan/UBSan/LSan over the whole suite, TSan
+# over the threaded suites) and the event-core performance gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,8 @@ for b in "$BUILD_DIR"/bench/bench_*; do
   "$b" 2>&1 | tee -a bench_output.txt
 done
 
+scripts/check_asan.sh "$BUILD_DIR-asan"
+scripts/check_tsan.sh "$BUILD_DIR-tsan"
 scripts/check_perf.sh "$BUILD_DIR-perf"
 
 echo

@@ -37,10 +37,12 @@ class BlockDevice : public host::HostInterface {
   virtual void Submit(IoRequest request) = 0;
 
   /// Batched doorbell submission: all requests were made visible to the
-  /// device by one doorbell ring. The default lowers to per-request
-  /// Submit (a device with no doorbell model); the simulated SSD
-  /// overrides it to amortize admission across the batch.
-  virtual void SubmitBatch(std::vector<IoRequest> batch) {
+  /// device by one doorbell ring. The device moves every request out of
+  /// `batch`; the caller keeps the buffer (and its capacity) for its next
+  /// ring. The default lowers to per-request Submit (a device with no
+  /// doorbell model); the simulated SSD overrides it to amortize
+  /// admission across the batch.
+  virtual void SubmitBatch(std::vector<IoRequest>& batch) {
     for (IoRequest& r : batch) Submit(std::move(r));
   }
 

@@ -245,20 +245,24 @@ void BlockLayer::FlushCq(std::uint32_t q) {
   pair.cq_flush_armed = false;
   if (pair.cq_ring.empty()) return;
   counters_.Increment("cq_flushes");
-  std::vector<IoState*> batch;
-  batch.swap(pair.cq_ring);
+  std::vector<IoState*>* batch = cq_batches_.Acquire();
+  batch->swap(pair.cq_ring);
   // One completion-CPU charge (the coalesced interrupt, or one poll
   // reap) covers the whole batch; each IO then finishes individually.
   const SimTime cost = config_.interrupt_completion
                            ? config_.cpu.interrupt_ns
                            : config_.cpu.polled_ns;
-  cpu_.UseFor(cost, [this, q, batch = std::move(batch)] {
-    for (IoState* st : batch) FinishIo(st);
+  auto drain = [this, q, batch] {
+    for (IoState* st : *batch) FinishIo(st);
+    batch->clear();
+    cq_batches_.Release(batch);
     // The drained completions freed device slots (accounted at device
     // completion); now that the host has processed the ring, refill
     // them in one go — a deep refill is what fills a doorbell batch.
     DispatchEntry(q);
-  });
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(drain)>());
+  cpu_.UseFor(cost, drain);
 }
 
 void BlockLayer::FinishIo(IoState* st) {
@@ -429,10 +433,10 @@ void BlockLayer::Dispatch(std::uint32_t q) {
   // arriving during the doorbell CPU time cannot over-dispatch.
   while (pair.outstanding < config_.queue_depth &&
          !pair.scheduler->empty()) {
-    std::vector<IoRequest> batch;
+    std::vector<IoRequest>* batch = doorbell_batches_.Acquire();
     while (pair.outstanding < config_.queue_depth &&
            !pair.scheduler->empty() &&
-           batch.size() < config_.doorbell_batch) {
+           batch->size() < config_.doorbell_batch) {
       IoRequest r = pair.scheduler->Dequeue();
       if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
         tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
@@ -440,19 +444,24 @@ void BlockLayer::Dispatch(std::uint32_t q) {
                         r.lba);
       }
       ++pair.outstanding;
-      batch.push_back(WrapDispatchAccounting(q, std::move(r)));
+      batch->push_back(WrapDispatchAccounting(q, std::move(r)));
     }
     counters_.Increment("doorbells");
-    counters_.Add("doorbell_cmds", batch.size());
+    counters_.Add("doorbell_cmds", batch->size());
     if (config_.doorbell_ns > 0) {
-      cpu_.UseFor(config_.doorbell_ns,
-                  [this, batch = std::move(batch)]() mutable {
-                    lower_->SubmitBatch(std::move(batch));
-                  });
+      auto ring = [this, batch] { RingDoorbell(batch); };
+      static_assert(sim::InplaceCallback::fits<decltype(ring)>());
+      cpu_.UseFor(config_.doorbell_ns, ring);
     } else {
-      lower_->SubmitBatch(std::move(batch));
+      RingDoorbell(batch);
     }
   }
+}
+
+void BlockLayer::RingDoorbell(std::vector<IoRequest>* batch) {
+  lower_->SubmitBatch(*batch);
+  batch->clear();
+  doorbell_batches_.Release(batch);
 }
 
 std::uint32_t BlockLayer::WeightOf(std::uint32_t q) const {

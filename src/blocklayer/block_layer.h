@@ -14,6 +14,7 @@
 #include "common/stats.h"
 #include "host/tag_set.h"
 #include "metrics/metrics.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -232,6 +233,8 @@ class BlockLayer : public BlockDevice {
   IoRequest WrapDispatchAccounting(std::uint32_t q, IoRequest r);
   void DispatchEntry(std::uint32_t q);
   void Dispatch(std::uint32_t q);
+  /// Hands a doorbell batch to the device and recycles its buffer.
+  void RingDoorbell(std::vector<IoRequest>* batch);
   void DispatchShared();
   std::uint32_t WeightOf(std::uint32_t q) const;
 
@@ -242,6 +245,11 @@ class BlockLayer : public BlockDevice {
   BlockLayerConfig config_;
   sim::Resource cpu_;
   std::vector<QueuePair> queues_;
+  /// Recycled batch buffers: completion rings handed to their CPU charge
+  /// (FlushCq swaps a spare in, so the ring keeps a capacity) and
+  /// doorbell batches. Several may be waiting on the CPU at once.
+  sim::RecordPool<std::vector<IoState*>> cq_batches_;
+  sim::RecordPool<std::vector<IoRequest>> doorbell_batches_;
   std::uint64_t rr_ = 0;  // submission queue choice (models per-core)
   std::uint64_t epoch_ = 0;
   // Shared-depth DRR arbitration state (shared_depth > 0 only).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "blocklayer/block_device.h"
@@ -119,6 +120,12 @@ class HybridStore : public host::HostInterface {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One classic-log recovery pass: the scan owns its position, output
+  /// and callback; each read completion holds the scan and re-enters
+  /// RecoverStep, so the scan is freed with its last continuation.
+  struct RecoveryScan;
+  void RecoverStep(const std::shared_ptr<RecoveryScan>& scan);
+
   sim::Simulator* sim_;
   blocklayer::BlockDevice* data_path_;
   PcmLog* pcm_log_ = nullptr;

@@ -60,7 +60,7 @@ class AppendFtl : public Ftl {
   void RegisterMetrics(metrics::MetricRegistry* m) override;
 
   // --- The nameless vocabulary -------------------------------------
-  using NameCallback = std::function<void(StatusOr<std::uint64_t>)>;
+  using NameCallback = ReadCallback;
 
   /// Appends one page into `stream`'s region. The callback delivers the
   /// device-issued name. `owner`/`owner_epoch` are persisted in the

@@ -36,8 +36,7 @@ double BlockFtl::WriteAmplification() const {
          static_cast<double>(host);
 }
 
-void BlockFtl::EnqueueOp(std::uint32_t lun,
-                         std::function<void(std::function<void()>)> op) {
+void BlockFtl::EnqueueOp(std::uint32_t lun, LunOp op) {
   luns_[lun].ops.push_back(std::move(op));
   RunNext(lun);
 }
@@ -99,7 +98,7 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   const SequenceNumber seq = next_seq_++;
 
   EnqueueOp(lun, [this, vblock, off, token, seq, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     VBlockEntry& e = map_[vblock];
     const auto& g = controller_->config().geometry;
     const std::uint32_t write_point =
@@ -142,26 +141,25 @@ void BlockFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   });
 }
 
+struct BlockFtl::MergeJob {
+  std::uint32_t lun = 0;
+  std::uint64_t vblock = 0;
+  std::uint64_t new_off = 0;
+  std::uint64_t token = 0;
+  SequenceNumber seq = 0;
+  flash::BlockAddr old_phys;
+  bool had_old = false;
+  flash::BlockAddr new_phys;
+  std::uint32_t page = 0;
+  WriteCallback done;
+  trace::Ctx ctx;
+};
+
 void BlockFtl::Merge(std::uint32_t lun, std::uint64_t vblock,
                      std::uint64_t new_off_or_npos, std::uint64_t token,
-                     SequenceNumber seq, std::function<void(Status)> done,
+                     SequenceNumber seq, WriteCallback done,
                      trace::Ctx ctx) {
-  struct Job {
-    BlockFtl* ftl;
-    std::uint32_t lun;
-    std::uint64_t vblock;
-    std::uint64_t new_off;
-    std::uint64_t token;
-    SequenceNumber seq;
-    flash::BlockAddr old_phys;
-    bool had_old;
-    flash::BlockAddr new_phys;
-    std::uint32_t page = 0;
-    std::function<void(Status)> done;
-    trace::Ctx ctx;
-  };
-  auto job = std::make_shared<Job>();
-  job->ftl = this;
+  auto job = std::make_shared<MergeJob>();
   job->lun = lun;
   job->vblock = vblock;
   job->new_off = new_off_or_npos;
@@ -174,19 +172,28 @@ void BlockFtl::Merge(std::uint32_t lun, std::uint64_t vblock,
     // No destination block: the merge (and the write that forced it)
     // cannot proceed. Nothing has been copied or erased yet, so the old
     // mapping stays intact and readable.
-    controller_->sim()->Schedule(0, [done = std::move(done)]() mutable {
+    controller_->sim()->Schedule(0, [done = std::move(done)]() {
       done(Status::ResourceExhausted("no free blocks on lun"));
     });
     return;
   }
   job->done = std::move(done);
   job->ctx = ctx;
+  MergeStep(job);
+}
 
+void BlockFtl::MergeStep(const std::shared_ptr<MergeJob>& job) {
   // Walk pages 0..ppb-1 in ascending order (constraint C3), taking the
   // new payload at new_off and copying live pages elsewhere.
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, job, step]() {
-    const auto& g = controller_->config().geometry;
+  const auto& g = controller_->config().geometry;
+  auto programmed = [this, job](Status st) {
+    if (!st.ok()) {
+      job->done(std::move(st));
+      return;
+    }
+    MergeStep(job);
+  };
+  for (;;) {
     if (job->page >= g.pages_per_block) {
       // Remap, then erase the old block back into the free pool.
       map_[job->vblock] = VBlockEntry{job->new_phys, true};
@@ -212,53 +219,33 @@ void BlockFtl::Merge(std::uint32_t lun, std::uint64_t vblock,
                          job->new_phys.plane, job->new_phys.block, p};
     const Lba page_lba = job->vblock * g.pages_per_block + p;
     if (p == job->new_off) {
-      controller_->ProgramPage(dst,
-                               flash::PageData{page_lba, job->seq,
-                                               job->token, 0},
-                               [job, step](Status st) {
-                                 if (!st.ok()) {
-                                   job->done(std::move(st));
-                                   return;
-                                 }
-                                 (*step)();
-                               },
-                               job->ctx);
+      controller_->ProgramPage(
+          dst, flash::PageData{page_lba, job->seq, job->token, 0},
+          programmed, job->ctx);
       return;
     }
-    if (!job->had_old) {
-      (*step)();
-      return;
-    }
+    if (!job->had_old) continue;
     const flash::Ppa src{job->old_phys.channel, job->old_phys.lun,
                          job->old_phys.plane, job->old_phys.block, p};
     if (controller_->flash()->GetPageState(src) !=
         flash::PageState::kValid) {
-      (*step)();
-      return;
+      continue;
     }
     counters_.Increment("merge_page_copies");
     controller_->ReadPage(
         src,
-        [this, job, step, dst](StatusOr<flash::PageData> res) {
+        [this, job, dst, programmed](StatusOr<flash::PageData> res) {
           if (!res.ok()) {
             // Unreadable page: drop it (data loss surfaces on host read).
             counters_.Increment("merge_read_failures");
-            (*step)();
+            MergeStep(job);
             return;
           }
-          controller_->ProgramPage(dst, *res,
-                                   [job, step](Status st) {
-                                     if (!st.ok()) {
-                                       job->done(std::move(st));
-                                       return;
-                                     }
-                                     (*step)();
-                                   },
-                                   job->ctx);
+          controller_->ProgramPage(dst, *res, programmed, job->ctx);
         },
         job->ctx);
-  };
-  (*step)();
+    return;
+  }
 }
 
 void BlockFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
@@ -274,7 +261,7 @@ void BlockFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
   EnqueueOp(lun, [this, vblock, off, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     const VBlockEntry& e = map_[vblock];
     if (!e.mapped) {
       counters_.Increment("host_reads_unmapped");
@@ -320,7 +307,7 @@ void BlockFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
   EnqueueOp(lun, [this, vblock, off,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     const VBlockEntry& e = map_[vblock];
     if (e.mapped) {
       const flash::Ppa ppa{e.phys.channel, e.phys.lun, e.phys.plane,

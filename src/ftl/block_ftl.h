@@ -3,12 +3,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "ftl/wear_leveler.h"
+#include "sim/inplace_callback.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -45,15 +46,16 @@ class BlockFtl : public Ftl {
     flash::BlockAddr phys;
     bool mapped = false;
   };
+  /// A queued firmware op; it runs `op_done` when it releases the LUN.
+  using LunOp = sim::InplaceFunction<void(sim::InplaceCallback op_done)>;
   struct LunState {
-    std::deque<std::function<void(std::function<void()>)>> ops;
+    std::deque<LunOp> ops;
     bool busy = false;
     std::vector<flash::BlockAddr> free_blocks;
   };
 
   // Firmware op queue: one op at a time per LUN.
-  void EnqueueOp(std::uint32_t lun,
-                 std::function<void(std::function<void()>)> op);
+  void EnqueueOp(std::uint32_t lun, LunOp op);
   void RunNext(std::uint32_t lun);
 
   std::uint32_t LunOf(std::uint64_t vblock) const {
@@ -69,8 +71,14 @@ class BlockFtl : public Ftl {
   // block's live pages plus (optionally) one new page at `new_off`.
   void Merge(std::uint32_t lun, std::uint64_t vblock,
              std::uint64_t new_off_or_npos, std::uint64_t token,
-             SequenceNumber seq, std::function<void(Status)> done,
-             trace::Ctx ctx);
+             SequenceNumber seq, WriteCallback done, trace::Ctx ctx);
+  /// One merge in progress. Its flash completions hold only the job and
+  /// re-enter MergeStep, so the job dies with its last continuation.
+  struct MergeJob;
+  /// Walks the job's pages from `job->page` until one needs flash IO
+  /// (then returns; the IO's completion resumes the walk) or the block
+  /// is done (remap + erase the old block).
+  void MergeStep(const std::shared_ptr<MergeJob>& job);
 
   ssd::Controller* controller_;
   std::uint64_t user_vblocks_;

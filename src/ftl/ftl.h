@@ -2,8 +2,6 @@
 #define POSTBLOCK_FTL_FTL_H_
 
 #include <cstdint>
-#include <functional>
-
 #include <string>
 
 #include "common/stats.h"
@@ -11,6 +9,7 @@
 #include "common/statusor.h"
 #include "common/types.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
 #include "trace/trace.h"
 
 namespace postblock::ftl {
@@ -21,10 +20,13 @@ namespace postblock::ftl {
 ///
 /// All calls are asynchronous; callbacks fire in simulated time, exactly
 /// once. Page payloads are modeled as 64-bit tokens (flash::PageData).
+/// Callbacks are move-only sim::InplaceFunctions: a caller's {this,
+/// record*} capture rides inline down to the controller and back with no
+/// heap traffic.
 class Ftl {
  public:
-  using WriteCallback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(StatusOr<std::uint64_t>)>;
+  using WriteCallback = sim::InplaceFunction<void(Status)>;
+  using ReadCallback = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
 
   virtual ~Ftl() = default;
 

@@ -43,8 +43,7 @@ double HybridFtl::WriteAmplification() const {
          static_cast<double>(host);
 }
 
-void HybridFtl::EnqueueOp(std::uint32_t lun,
-                          std::function<void(std::function<void()>)> op) {
+void HybridFtl::EnqueueOp(std::uint32_t lun, LunOp op) {
   luns_[lun].ops.push_back(std::move(op));
   RunNext(lun);
 }
@@ -80,7 +79,7 @@ bool HybridFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
 }
 
 void HybridFtl::ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
-                             std::function<void()> done) {
+                             sim::InplaceCallback done) {
   controller_->EraseBlock(addr, [this, lun, addr,
                                  done = std::move(done)](Status st) {
     if (st.ok()) {
@@ -130,7 +129,7 @@ void HybridFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
   const SequenceNumber seq = next_seq_++;
 
   EnqueueOp(lun, [this, vblock, off, token, seq, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     VBlockEntry& e = map_[vblock];
     const auto& g = controller_->config().geometry;
     const std::uint32_t write_point =
@@ -166,8 +165,7 @@ void HybridFtl::Write(Lba lba, std::uint64_t token, WriteCallback cb,
 
 void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                            std::uint32_t off, std::uint64_t token,
-                           SequenceNumber seq,
-                           std::function<void(Status)> done,
+                           SequenceNumber seq, WriteCallback done,
                            trace::Ctx ctx) {
   LunState& st = luns_[lun];
   VBlockEntry& e = map_[vblock];
@@ -254,8 +252,22 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                            std::move(done), ctx);
 }
 
+struct HybridFtl::MergeJob {
+  std::uint32_t lun = 0;
+  std::uint64_t vblock = 0;
+  bool had_data = false;
+  flash::BlockAddr old_data;
+  bool had_log = false;
+  flash::BlockAddr old_log;
+  std::vector<std::uint32_t> offset_map;
+  flash::BlockAddr merged;
+  std::uint32_t page = 0;
+  std::uint32_t produced = 0;  // pages programmed into `merged`
+  WriteCallback done;
+};
+
 void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
-                            std::function<void(Status)> done) {
+                            WriteCallback done) {
   LunState& st = luns_[lun];
   VBlockEntry& e = map_[vblock];
   const auto& g = controller_->config().geometry;
@@ -286,26 +298,13 @@ void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
   }
 
   counters_.Increment("full_merges");
-  struct Job {
-    std::uint32_t lun;
-    std::uint64_t vblock;
-    bool had_data = false;
-    flash::BlockAddr old_data;
-    bool had_log = false;
-    flash::BlockAddr old_log;
-    std::vector<std::uint32_t> offset_map;
-    flash::BlockAddr merged;
-    std::uint32_t page = 0;
-    std::uint32_t produced = 0;  // pages programmed into `merged`
-    std::function<void(Status)> done;
-  };
-  auto job = std::make_shared<Job>();
+  auto job = std::make_shared<MergeJob>();
   job->lun = lun;
   job->vblock = vblock;
   // Claim the destination before touching the log slot: on exhaustion
   // the vblock's data+log mappings stay intact and readable.
   if (!TakeFreeBlock(lun, &job->merged)) {
-    controller_->sim()->Schedule(0, [done = std::move(done)]() mutable {
+    controller_->sim()->Schedule(0, [done = std::move(done)]() {
       done(Status::ResourceExhausted("no free blocks on lun"));
     });
     return;
@@ -320,10 +319,12 @@ void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
     e.log_index = -1;
   }
   job->done = std::move(done);
+  MergeStep(job);
+}
 
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, job, step]() {
-    const auto& g = controller_->config().geometry;
+void HybridFtl::MergeStep(const std::shared_ptr<MergeJob>& job) {
+  const auto& g = controller_->config().geometry;
+  for (;;) {
     if (job->page >= g.pages_per_block) {
       map_[job->vblock] = VBlockEntry{job->merged, true, -1};
       auto after_data = [this, job]() {
@@ -359,31 +360,28 @@ void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
       have_src = controller_->flash()->GetPageState(src) ==
                  flash::PageState::kValid;
     }
-    if (!have_src) {
-      (*step)();
-      return;
-    }
+    if (!have_src) continue;
     counters_.Increment("merge_page_copies");
     const flash::Ppa dst{job->merged.channel, job->merged.lun,
                          job->merged.plane, job->merged.block, p};
     controller_->ReadPage(
-        src, [this, job, step, dst](StatusOr<flash::PageData> res) {
+        src, [this, job, dst](StatusOr<flash::PageData> res) {
           if (!res.ok()) {
             counters_.Increment("merge_read_failures");
-            (*step)();
+            MergeStep(job);
             return;
           }
-          controller_->ProgramPage(dst, *res, [job, step](Status st) {
+          controller_->ProgramPage(dst, *res, [this, job](Status st) {
             if (!st.ok()) {
               job->done(std::move(st));
               return;
             }
             ++job->produced;
-            (*step)();
+            MergeStep(job);
           });
         });
-  };
-  (*step)();
+    return;
+  }
 }
 
 void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
@@ -399,7 +397,7 @@ void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
   EnqueueOp(lun, [this, vblock, off, lun, ctx,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     const VBlockEntry& e = map_[vblock];
     const LunState& st = luns_[lun];
     flash::Ppa src;
@@ -454,7 +452,7 @@ void HybridFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
   const std::uint32_t off = static_cast<std::uint32_t>(lba % g.pages_per_block);
   const std::uint32_t lun = LunOf(vblock);
   EnqueueOp(lun, [this, vblock, off, lun,
-                  cb = std::move(cb)](std::function<void()> op_done) mutable {
+                  cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     VBlockEntry& e = map_[vblock];
     LunState& st = luns_[lun];
     if (e.log_index >= 0) {

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "ftl/wear_leveler.h"
+#include "sim/inplace_callback.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -63,15 +63,16 @@ class HybridFtl : public Ftl {
     std::int32_t log_index = -1;  // into LunState::logs, -1 = none
   };
 
+  /// A queued firmware op; it runs `op_done` when it releases the LUN.
+  using LunOp = sim::InplaceFunction<void(sim::InplaceCallback op_done)>;
   struct LunState {
-    std::deque<std::function<void(std::function<void()>)>> ops;
+    std::deque<LunOp> ops;
     bool busy = false;
     std::vector<flash::BlockAddr> free_blocks;
     std::vector<LogBlock> logs;  // active log blocks (<= pool size)
   };
 
-  void EnqueueOp(std::uint32_t lun,
-                 std::function<void(std::function<void()>)> op);
+  void EnqueueOp(std::uint32_t lun, LunOp op);
   void RunNext(std::uint32_t lun);
   std::uint32_t LunOf(std::uint64_t vblock) const {
     return static_cast<std::uint32_t>(vblock % luns_.size());
@@ -82,16 +83,22 @@ class HybridFtl : public Ftl {
   /// into an empty vector.
   bool TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out);
   void ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
-                    std::function<void()> done);
+                    sim::InplaceCallback done);
 
   void WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                   std::uint32_t off, std::uint64_t token,
-                  SequenceNumber seq, std::function<void(Status)> done,
-                  trace::Ctx ctx);
+                  SequenceNumber seq, WriteCallback done, trace::Ctx ctx);
   /// Merges vblock's data+log into a fresh block; frees both originals.
   /// Performs a switch merge when the log is a perfect sequential image.
   void MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
-                   std::function<void(Status)> done);
+                   WriteCallback done);
+  /// One full merge in progress. Its flash completions hold only the job
+  /// and re-enter MergeStep, so the job dies with its last continuation.
+  struct MergeJob;
+  /// Copies the job's pages from `job->page` until one needs flash IO
+  /// (its completion resumes the walk) or the block is done (remap, then
+  /// release the old data and log blocks).
+  void MergeStep(const std::shared_ptr<MergeJob>& job);
   /// Picks the log block to evict when the pool is exhausted.
   std::size_t PickLogVictim(const LunState& st) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -225,8 +224,8 @@ bool PageFtl::TakeFreeBlock(std::uint32_t lun, bool for_gc) {
     // these blocks.
     return false;
   }
-  std::vector<std::uint32_t> wear;
-  wear.reserve(st.free_blocks.size());
+  std::vector<std::uint32_t>& wear = free_wear_;
+  wear.clear();
   for (const auto& b : st.free_blocks) {
     wear.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
   }
@@ -253,7 +252,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
   LunState& st = luns_[lun];
   for (;;) {
     const bool use_gc = !st.gc_queue.empty();
-    std::deque<PendingWrite>* queue =
+    sim::Ring<PendingWrite>* queue =
         use_gc ? &st.gc_queue : &st.host_queue;
     if (queue->empty()) break;
 
@@ -278,9 +277,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
               if (!LunWedged(cand)) {
                 counters_.Add("stall_reroutes", st.host_queue.size());
                 while (!st.host_queue.empty()) {
-                  luns_[cand].host_queue.push_back(
-                      std::move(st.host_queue.front()));
-                  st.host_queue.pop_front();
+                  luns_[cand].host_queue.push_back(st.host_queue.pop_front());
                 }
                 PumpLun(cand);
                 return;
@@ -298,8 +295,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
       st.stalled = false;
     }
 
-    PendingWrite w = std::move(queue->front());
-    queue->pop_front();
+    PendingWrite w = queue->pop_front();
     const flash::Ppa ppa{active->channel, active->lun, active->plane,
                          active->block, (*next_page)++};
     const std::uint64_t flat = FlatBlock(*active);
@@ -309,7 +305,7 @@ void PageFtl::PumpLun(std::uint32_t lun) {
 
     // Mapping/placement stage: from FTL enqueue to flash issue (covers
     // free-block waits and GC-reserve stalls). Copy the ctx out before
-    // the capture below moves `w`.
+    // the program record takes `w`.
     const trace::Ctx ctx = w.ctx;
     if (tracer_ != nullptr && tracer_->enabled() && ctx.span != 0 &&
         now > w.enq_t) {
@@ -322,15 +318,25 @@ void PageFtl::PumpLun(std::uint32_t lun) {
     data.seq = w.seq;
     data.token = w.token;
     data.group = w.group;
-    controller_->ProgramPage(
-        ppa, data,
-        [this, lun, flat, w = std::move(w), ppa](Status s) mutable {
-          --in_flight_[flat];
-          OnProgramDone(lun, std::move(w), ppa, std::move(s));
-        },
-        ctx);
+    ProgramOp* op = program_ops_.Acquire();
+    op->lun = lun;
+    op->flat = flat;
+    op->ppa = ppa;
+    op->w = std::move(w);
+    auto done = [this, op](Status s) { OnProgramComplete(op, std::move(s)); };
+    static_assert(ssd::Controller::OpCallback::fits<decltype(done)>());
+    controller_->ProgramPage(ppa, data, done, ctx);
   }
   MaybeStartGc(lun);
+}
+
+void PageFtl::OnProgramComplete(ProgramOp* op, Status st) {
+  --in_flight_[op->flat];
+  const std::uint32_t lun = op->lun;
+  const flash::Ppa ppa = op->ppa;
+  PendingWrite w = std::move(op->w);
+  program_ops_.Release(op);
+  OnProgramDone(lun, std::move(w), ppa, std::move(st));
 }
 
 void PageFtl::OnProgramDone(std::uint32_t lun, PendingWrite w,
@@ -506,57 +512,70 @@ void PageFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
     return;
   }
   counters_.Increment("host_reads");
-  ReadAttempt(lba, 0, std::move(cb), ctx);
+  ReadOp* op = read_ops_.Acquire();
+  op->lba = lba;
+  op->tries = 0;
+  op->ctx = ctx;
+  op->cb = std::move(cb);
+  ReadAttempt(op);
 }
 
-void PageFtl::ReadAttempt(Lba lba, int tries, ReadCallback cb,
-                          trace::Ctx ctx) {
-  const MapEntry& e = map_[lba];
+void PageFtl::ReadAttempt(ReadOp* op) {
+  const MapEntry& e = map_[op->lba];
   if (!e.mapped) {
     counters_.Increment("host_reads_unmapped");
-    PostGuarded(std::move(cb), StatusOr<std::uint64_t>(std::uint64_t{0}));
+    PostGuarded(std::move(op->cb), StatusOr<std::uint64_t>(std::uint64_t{0}));
+    read_ops_.Release(op);
     return;
   }
   if (e.poisoned) {
     // The data is known-lost and the physical page may be recycled:
     // answer DataLoss without touching flash (definite, repeatable).
     counters_.Increment("host_reads_poisoned");
-    PostGuarded(std::move(cb),
+    PostGuarded(std::move(op->cb),
                 StatusOr<std::uint64_t>(Status::DataLoss(
-                    "lba " + std::to_string(lba) + " lost to media")));
+                    "lba " + std::to_string(op->lba) + " lost to media")));
+    read_ops_.Release(op);
     return;
   }
-  const flash::Ppa ppa = e.ppa;
-  const SequenceNumber expected_seq = e.seq;
-  const std::uint64_t epoch = epoch_;
-  controller_->ReadPage(
-      ppa,
-      [this, lba, tries, ppa, expected_seq, epoch, ctx,
-       cb = std::move(cb)](StatusOr<flash::PageData> res) mutable {
-        if (epoch != epoch_) return;  // power-cycled away
-        if (res.ok() && res->lba == lba && res->seq == expected_seq) {
-          cb(res->token);
-          return;
-        }
-        if (!res.ok() && res.status().IsDataLoss()) {
-          // The whole retry ladder failed: the payload is gone for
-          // good. Poison so later reads answer without re-sensing.
-          counters_.Increment("read_failures");
-          PoisonMapping(lba, ppa, expected_seq);
-          cb(res.status());
-          return;
-        }
-        // The page moved (GC/WL) or was erased between the mapping
-        // lookup and the array read; chase the current mapping.
-        counters_.Increment("read_retries");
-        if (tries + 1 > kMaxReadRetries) {
-          cb(Status::Internal("read retry limit for lba " +
-                              std::to_string(lba)));
-          return;
-        }
-        ReadAttempt(lba, tries + 1, std::move(cb), ctx);
-      },
-      ctx);
+  op->ppa = e.ppa;
+  op->expected_seq = e.seq;
+  auto done = [this, op](StatusOr<flash::PageData> res) {
+    OnReadDone(op, std::move(res));
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(done)>());
+  controller_->ReadPage(op->ppa, done, op->ctx);
+}
+
+void PageFtl::OnReadDone(ReadOp* op, StatusOr<flash::PageData> res) {
+  if (res.ok() && res->lba == op->lba && res->seq == op->expected_seq) {
+    CompleteRead(op, res->token);
+    return;
+  }
+  if (!res.ok() && res.status().IsDataLoss()) {
+    // The whole retry ladder failed: the payload is gone for good.
+    // Poison so later reads answer without re-sensing.
+    counters_.Increment("read_failures");
+    PoisonMapping(op->lba, op->ppa, op->expected_seq);
+    CompleteRead(op, res.status());
+    return;
+  }
+  // The page moved (GC/WL) or was erased between the mapping lookup
+  // and the array read; chase the current mapping.
+  counters_.Increment("read_retries");
+  if (op->tries + 1 > kMaxReadRetries) {
+    CompleteRead(op, Status::Internal("read retry limit for lba " +
+                                      std::to_string(op->lba)));
+    return;
+  }
+  ++op->tries;
+  ReadAttempt(op);
+}
+
+void PageFtl::CompleteRead(ReadOp* op, StatusOr<std::uint64_t> result) {
+  const ReadCallback cb = std::move(op->cb);
+  read_ops_.Release(op);
+  cb(std::move(result));
 }
 
 // ---------------------------------------------------------------------
@@ -590,9 +609,10 @@ void PageFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
 // Garbage collection & wear leveling
 // ---------------------------------------------------------------------
 
-std::vector<BlockMeta> PageFtl::GcCandidates(std::uint32_t lun) const {
+const std::vector<BlockMeta>& PageFtl::GcCandidates(std::uint32_t lun) const {
   const auto& g = geom();
-  std::vector<BlockMeta> out;
+  std::vector<BlockMeta>& out = gc_candidates_;
+  out.clear();
   const std::uint32_t channel = lun / g.luns_per_channel;
   const std::uint32_t lun_in_channel = lun % g.luns_per_channel;
   for (std::uint32_t plane = 0; plane < g.planes_per_lun; ++plane) {
@@ -725,7 +745,7 @@ void PageFtl::MaybeStartStaticWl(std::uint32_t lun) {
   // Erase-count spread across this LUN's *data* blocks. Free blocks are
   // excluded: a young free block is available budget, not a problem —
   // only cold data pinning a young block wastes its cycles.
-  const auto candidates = GcCandidates(lun);
+  const auto& candidates = GcCandidates(lun);
   std::uint32_t min_e = ~0u;
   std::uint32_t max_e = 0;
   for (const auto& c : candidates) {
@@ -749,7 +769,8 @@ void PageFtl::MaybeStartStaticWl(std::uint32_t lun) {
 void PageFtl::CollectBlock(std::uint32_t lun, flash::BlockAddr victim,
                            bool is_wl) {
   const auto& bi = controller_->flash()->GetBlockInfo(victim);
-  std::vector<flash::Ppa> live;
+  std::vector<flash::Ppa>& live = live_pages_;
+  live.clear();
   for (std::uint32_t p = 0; p < bi.write_point; ++p) {
     const flash::Ppa ppa{victim.channel, victim.lun, victim.plane,
                          victim.block, p};
@@ -762,97 +783,101 @@ void PageFtl::CollectBlock(std::uint32_t lun, flash::BlockAddr victim,
     FinishCollect(lun, victim, is_wl);
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(live.size());
-  for (const auto& ppa : live) {
-    RelocatePage(lun, ppa, is_wl, [this, lun, victim, is_wl, remaining]() {
-      if (--*remaining == 0) FinishCollect(lun, victim, is_wl);
-    });
-  }
+  LunState& st = luns_[lun];
+  st.gc_victim = victim;
+  st.relocs_in_flight = live.size();
+  // Reads never complete synchronously, so nothing below re-enters a
+  // collection while `live` is being walked.
+  for (const flash::Ppa& ppa : live) RelocatePage(lun, ppa, is_wl);
 }
 
-void PageFtl::RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl,
-                           std::function<void()> done) {
-  const std::uint64_t epoch = epoch_;
+void PageFtl::RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl) {
   counters_.Increment(is_wl ? "wl_reads" : "gc_reads");
-  controller_->ReadPage(
-      ppa,
-      [this, lun, ppa, epoch, is_wl,
-       done = std::move(done)](StatusOr<flash::PageData> res) mutable {
-        if (epoch != epoch_) return;
-        if (!res.ok()) {
-          // ECC death during GC: the copy is lost. Poison the mapping
-          // *before* the victim erase is allowed to proceed — leaving
-          // it pointing into the about-to-be-recycled block would let
-          // a later host read return a different LBA's data.
-          counters_.Increment("gc_read_failures");
-          PoisonLostPage(ppa);
-          done();
-          return;
-        }
-        const flash::PageData d = *res;
-        PendingWrite w;
-        w.is_relocate = true;
-        w.seq = d.seq;
-        w.token = d.token;
-        w.group = d.group;
-        w.epoch = epoch_;
-        w.expected_old = ppa;
-        w.ctx = luns_[lun].gc_ctx;
-        w.enq_t = controller_->sim()->Now();
-        if (d.lba == flash::kAtomicCommitLba) {
-          w.is_commit_marker = true;
-          w.lba = 0;
-        } else {
-          w.lba = d.lba;
-        }
-        w.cb = [done = std::move(done)](Status) { done(); };
-        // Relocations stay on the victim's LUN and jump the host queue.
-        luns_[lun].gc_queue.push_back(std::move(w));
-        PumpLun(lun);
-      },
-      luns_[lun].gc_ctx);
+  auto done = [this, lun, ppa](StatusOr<flash::PageData> res) {
+    OnRelocationRead(lun, ppa, std::move(res));
+  };
+  static_assert(ssd::Controller::ReadCallback::fits<decltype(done)>());
+  controller_->ReadPage(ppa, done, luns_[lun].gc_ctx);
+}
+
+void PageFtl::OnRelocationRead(std::uint32_t lun, flash::Ppa ppa,
+                               StatusOr<flash::PageData> res) {
+  if (!res.ok()) {
+    // ECC death during GC: the copy is lost. Poison the mapping *before*
+    // the victim erase is allowed to proceed — leaving it pointing into
+    // the about-to-be-recycled block would let a later host read return
+    // a different LBA's data.
+    counters_.Increment("gc_read_failures");
+    PoisonLostPage(ppa);
+    OnRelocated(lun);
+    return;
+  }
+  const flash::PageData d = *res;
+  PendingWrite w;
+  w.is_relocate = true;
+  w.seq = d.seq;
+  w.token = d.token;
+  w.group = d.group;
+  w.epoch = epoch_;
+  w.expected_old = ppa;
+  w.ctx = luns_[lun].gc_ctx;
+  w.enq_t = controller_->sim()->Now();
+  if (d.lba == flash::kAtomicCommitLba) {
+    w.is_commit_marker = true;
+    w.lba = 0;
+  } else {
+    w.lba = d.lba;
+  }
+  w.cb = [this, lun](Status) { OnRelocated(lun); };
+  // Relocations stay on the victim's LUN and jump the host queue.
+  luns_[lun].gc_queue.push_back(std::move(w));
+  PumpLun(lun);
+}
+
+void PageFtl::OnRelocated(std::uint32_t lun) {
+  LunState& st = luns_[lun];
+  if (--st.relocs_in_flight == 0) {
+    FinishCollect(lun, st.gc_victim, st.collecting_wl);
+  }
 }
 
 void PageFtl::FinishCollect(std::uint32_t lun, flash::BlockAddr victim,
                             bool is_wl) {
-  const std::uint64_t epoch = epoch_;
-  controller_->EraseBlock(
-      victim,
-      [this, lun, victim, epoch, is_wl](Status st) {
-        if (epoch != epoch_) return;
-        counters_.Increment(is_wl ? "wl_erases" : "gc_erases");
-        LunState& lst = luns_[lun];
-        if (is_wl) {
-          lst.erases_since_wl = 0;
-        } else {
-          ++lst.erases_since_wl;
-        }
-        if (st.ok()) {
-          lst.free_blocks.push_back(victim);
-          is_free_[FlatBlock(victim)] = true;
-        } else {
-          // Erase failure retired the block (already marked bad).
-          counters_.Increment("blocks_retired");
-        }
-        // The collection as one interval on the LUN's FTL track: pick
-        // to erase-done, relocation traffic included.
-        if (tracer_ != nullptr && tracer_->enabled() &&
-            lst.gc_ctx.span != 0) {
-          tracer_->Record(trace::Stage::kGc, lst.gc_ctx.origin,
-                          lst.gc_ctx.span, 0, ftl_tracks_[lun],
-                          lst.gc_start, controller_->sim()->Now(),
-                          victim.block);
-        }
-        lst.gc_ctx = trace::Ctx{};
-        lst.gc_running = false;
-        lst.collecting_wl = false;
-        // Give static wear leveling a turn between collections — under
-        // sustained churn the free pool never recovers above the GC
-        // watermark, and WL would otherwise starve.
-        MaybeStartStaticWl(lun);
-        PumpLun(lun);
-      },
-      luns_[lun].gc_ctx);
+  auto erased = [this, lun, victim, is_wl](Status st) {
+    counters_.Increment(is_wl ? "wl_erases" : "gc_erases");
+    LunState& lst = luns_[lun];
+    if (is_wl) {
+      lst.erases_since_wl = 0;
+    } else {
+      ++lst.erases_since_wl;
+    }
+    if (st.ok()) {
+      lst.free_blocks.push_back(victim);
+      is_free_[FlatBlock(victim)] = true;
+    } else {
+      // Erase failure retired the block (already marked bad).
+      counters_.Increment("blocks_retired");
+    }
+    // The collection as one interval on the LUN's FTL track: pick
+    // to erase-done, relocation traffic included.
+    if (tracer_ != nullptr && tracer_->enabled() &&
+        lst.gc_ctx.span != 0) {
+      tracer_->Record(trace::Stage::kGc, lst.gc_ctx.origin,
+                      lst.gc_ctx.span, 0, ftl_tracks_[lun],
+                      lst.gc_start, controller_->sim()->Now(),
+                      victim.block);
+    }
+    lst.gc_ctx = trace::Ctx{};
+    lst.gc_running = false;
+    lst.collecting_wl = false;
+    // Give static wear leveling a turn between collections — under
+    // sustained churn the free pool never recovers above the GC
+    // watermark, and WL would otherwise starve.
+    MaybeStartStaticWl(lun);
+    PumpLun(lun);
+  };
+  static_assert(ssd::Controller::OpCallback::fits<decltype(erased)>());
+  controller_->EraseBlock(victim, erased, luns_[lun].gc_ctx);
 }
 
 // ---------------------------------------------------------------------
@@ -878,8 +903,13 @@ Status PageFtl::PowerCycle() {
     st.free_blocks.clear();
     st.gc_ctx = trace::Ctx{};
     st.gc_start = 0;
+    st.relocs_in_flight = 0;
     st.refresh_queue.clear();
   }
+  // The controller drops every in-flight op without calling back, so
+  // every pooled record is free again.
+  read_ops_.ReleaseAll([](ReadOp& op) { op.cb = nullptr; });
+  program_ops_.ReleaseAll([](ProgramOp& op) { op.w = PendingWrite{}; });
   atomic_groups_.clear();
   atomic_live_.clear();
   std::fill(in_flight_.begin(), in_flight_.end(), 0);

@@ -15,6 +15,8 @@
 #include "ftl/mapping_types.h"
 #include "ftl/placement.h"
 #include "ftl/wear_leveler.h"
+#include "sim/pool.h"
+#include "sim/ring.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -107,8 +109,8 @@ class PageFtl : public Ftl {
   };
 
   struct LunState {
-    std::deque<PendingWrite> host_queue;
-    std::deque<PendingWrite> gc_queue;  // relocations, serviced first
+    sim::Ring<PendingWrite> host_queue;
+    sim::Ring<PendingWrite> gc_queue;  // relocations, serviced first
     // Host and GC streams append into *separate* active blocks: GC's
     // relocation budget is then bounded by its own block and can never
     // be eaten by interleaved host writes (deadlock-free by
@@ -136,6 +138,28 @@ class PageFtl : public Ftl {
     /// is recorded as one kGc span [gc_start, erase done).
     trace::Ctx gc_ctx;
     SimTime gc_start = 0;
+    /// The collection's victim and its relocations still in flight: the
+    /// last one to land (or to fail its read) starts the victim erase.
+    flash::BlockAddr gc_victim;
+    std::size_t relocs_in_flight = 0;
+  };
+
+  /// A host read in flight, pooled; a retry reissues the same record.
+  struct ReadOp {
+    Lba lba = 0;
+    int tries = 0;
+    flash::Ppa ppa;
+    SequenceNumber expected_seq = 0;
+    trace::Ctx ctx;
+    ReadCallback cb;
+  };
+
+  /// A page program in flight, pooled.
+  struct ProgramOp {
+    std::uint32_t lun = 0;
+    std::uint64_t flat = 0;
+    flash::Ppa ppa;
+    PendingWrite w;
   };
 
   struct AtomicGroup {
@@ -160,6 +184,7 @@ class PageFtl : public Ftl {
   bool LunWedged(std::uint32_t lun) const;
   void PumpLun(std::uint32_t lun);
   bool TakeFreeBlock(std::uint32_t lun, bool for_gc);
+  void OnProgramComplete(ProgramOp* op, Status st);
   void OnProgramDone(std::uint32_t lun, PendingWrite w, flash::Ppa ppa,
                      Status st);
   void ApplyMapping(const PendingWrite& w, const flash::Ppa& ppa);
@@ -177,8 +202,12 @@ class PageFtl : public Ftl {
   /// Pops eligible refresh requests; true if a collection was started.
   bool MaybeStartRefresh(std::uint32_t lun);
 
-  // Read pipeline.
-  void ReadAttempt(Lba lba, int tries, ReadCallback cb, trace::Ctx ctx);
+  // Read pipeline. Controller::PowerCycle (called by PowerCycle) drops
+  // in-flight ops without calling back, so a completion always finds its
+  // record live and PowerCycle may reclaim every record.
+  void ReadAttempt(ReadOp* op);
+  void OnReadDone(ReadOp* op, StatusOr<flash::PageData> res);
+  void CompleteRead(ReadOp* op, StatusOr<std::uint64_t> result);
 
   /// Schedules an immediate completion that dies with the current epoch
   /// (so a power cut truly silences every pending callback).
@@ -196,10 +225,15 @@ class PageFtl : public Ftl {
   void MaybeStartGc(std::uint32_t lun);
   void MaybeStartStaticWl(std::uint32_t lun);
   void CollectBlock(std::uint32_t lun, flash::BlockAddr victim, bool is_wl);
-  void RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl,
-                    std::function<void()> done);
+  void RelocatePage(std::uint32_t lun, flash::Ppa ppa, bool is_wl);
+  void OnRelocationRead(std::uint32_t lun, flash::Ppa ppa,
+                        StatusOr<flash::PageData> res);
+  /// One relocation of the LUN's collection is over (moved or lost).
+  void OnRelocated(std::uint32_t lun);
   void FinishCollect(std::uint32_t lun, flash::BlockAddr victim, bool is_wl);
-  std::vector<BlockMeta> GcCandidates(std::uint32_t lun) const;
+  /// The LUN's collectable blocks, in a scratch vector reused by every
+  /// call (valid until the next call).
+  const std::vector<BlockMeta>& GcCandidates(std::uint32_t lun) const;
   bool GcFeasible(std::uint32_t lun) const;
 
   // Atomic groups.
@@ -245,6 +279,13 @@ class PageFtl : public Ftl {
 
   trace::Tracer* tracer_ = nullptr;          // == controller's tracer
   std::vector<std::uint32_t> ftl_tracks_;    // "ftl-lun-N" per LUN
+
+  sim::RecordPool<ReadOp> read_ops_;
+  sim::RecordPool<ProgramOp> program_ops_;
+  // Scratch reused by GC victim scans, free-block picks and collections.
+  mutable std::vector<BlockMeta> gc_candidates_;
+  std::vector<std::uint32_t> free_wear_;
+  std::vector<flash::Ppa> live_pages_;
 };
 
 }  // namespace postblock::ftl

@@ -5,30 +5,6 @@
 
 namespace postblock::sim {
 
-void Resource::WaiterRing::push_back(Waiter w) {
-  if (count_ == buf_.size()) Grow();
-  buf_[(head_ + count_) & (buf_.size() - 1)] = std::move(w);
-  ++count_;
-}
-
-Resource::Waiter Resource::WaiterRing::pop_front() {
-  assert(count_ > 0);
-  Waiter w = std::move(buf_[head_]);
-  head_ = (head_ + 1) & (buf_.size() - 1);
-  --count_;
-  return w;
-}
-
-void Resource::WaiterRing::Grow() {
-  const std::size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
-  std::vector<Waiter> next(new_cap);
-  for (std::size_t i = 0; i < count_; ++i) {
-    next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-  }
-  buf_ = std::move(next);
-  head_ = 0;
-}
-
 Resource::Resource(Simulator* sim, std::string name, int capacity)
     : sim_(sim), name_(std::move(name)), capacity_(capacity) {
   assert(capacity_ >= 1);
@@ -86,31 +62,16 @@ void Resource::GrantTo(Waiter w) {
   w.grant();
 }
 
-Resource::UseOp* Resource::AcquireUseOp() {
-  if (!use_op_free_.empty()) {
-    UseOp* op = use_op_free_.back();
-    use_op_free_.pop_back();
-    return op;
-  }
-  use_ops_.push_back(std::make_unique<UseOp>());
-  use_ops_.back()->res = this;
-  return use_ops_.back().get();
-}
-
-void Resource::ReleaseUseOp(UseOp* op) {
-  op->done = InplaceCallback();
-  use_op_free_.push_back(op);
-}
-
 void Resource::UseFor(SimTime duration, InplaceCallback done) {
-  UseOp* op = AcquireUseOp();
+  UseOp* op = use_ops_.Acquire();
+  op->res = this;
   op->duration = duration;
   op->done = std::move(done);
   auto grant = [op] {
     op->res->sim_->Schedule(op->duration, [op] {
       Resource* res = op->res;
       InplaceCallback cb = std::move(op->done);
-      res->ReleaseUseOp(op);
+      res->use_ops_.Release(op);
       res->Release();
       cb();
     });

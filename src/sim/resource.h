@@ -2,13 +2,14 @@
 #define POSTBLOCK_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/types.h"
 #include "sim/inplace_callback.h"
+#include "sim/pool.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace postblock::sim {
@@ -67,23 +68,6 @@ class Resource {
     SimTime enqueued_at = 0;
   };
 
-  /// Recycled FIFO of waiters: a power-of-two ring over a vector, so the
-  /// contended steady state never touches the allocator (std::deque
-  /// churns blocks as elements cycle through).
-  class WaiterRing {
-   public:
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
-    void push_back(Waiter w);
-    Waiter pop_front();
-
-   private:
-    void Grow();
-    std::vector<Waiter> buf_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-  };
-
   struct UseOp {
     Resource* res = nullptr;
     SimTime duration = 0;
@@ -92,21 +76,18 @@ class Resource {
 
   void GrantTo(Waiter w);
   void GrantNextReady();
-  UseOp* AcquireUseOp();
-  void ReleaseUseOp(UseOp* op);
 
   Simulator* sim_;
   std::string name_;
   int capacity_;
   int in_use_ = 0;
-  WaiterRing waiters_;
+  Ring<Waiter> waiters_;
   /// Waiters whose slot has been carried over by Release(), each
   /// awaiting its own grant event. Granted strictly in release order
   /// (one event per entry, scheduled by the release that carried it).
-  WaiterRing ready_;
+  Ring<Waiter> ready_;
 
-  std::vector<std::unique_ptr<UseOp>> use_ops_;  // owns every UseOp
-  std::vector<UseOp*> use_op_free_;              // recycled records
+  RecordPool<UseOp> use_ops_;
 
   mutable std::uint64_t busy_ns_ = 0;
   mutable SimTime busy_since_ = 0;  // last time in_use_ changed

@@ -18,25 +18,10 @@ void Channel::set_tracer(trace::Tracer* tracer) {
   }
 }
 
-Channel::BusOp* Channel::AcquireBusOp() {
-  if (!bus_op_free_.empty()) {
-    BusOp* op = bus_op_free_.back();
-    bus_op_free_.pop_back();
-    return op;
-  }
-  bus_ops_.push_back(std::make_unique<BusOp>());
-  bus_ops_.back()->ch = this;
-  return bus_ops_.back().get();
-}
-
-void Channel::ReleaseBusOp(BusOp* op) {
-  op->done = sim::InplaceCallback();
-  bus_op_free_.push_back(op);
-}
-
 void Channel::TimedUse(SimTime duration, trace::Ctx ctx,
                        sim::InplaceCallback done) {
-  BusOp* op = AcquireBusOp();
+  BusOp* op = bus_ops_.Acquire();
+  op->ch = this;
   op->duration = duration;
   op->ctx = ctx;
   op->done = std::move(done);
@@ -87,7 +72,7 @@ void Channel::FinishBusOp(BusOp* op) {
   }
   if (trace::IsGcOrigin(op->ctx.origin)) gc_busy_.Exit(now);
   sim::InplaceCallback cb = std::move(op->done);
-  ReleaseBusOp(op);
+  bus_ops_.Release(op);
   bus_.Release();
   cb();
 }

@@ -2,13 +2,13 @@
 #define POSTBLOCK_SSD_CHANNEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "flash/timing.h"
 #include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -86,8 +86,6 @@ class Channel {
                 sim::InplaceCallback done);
   void OnBusGrant(BusOp* op);
   void FinishBusOp(BusOp* op);
-  BusOp* AcquireBusOp();
-  void ReleaseBusOp(BusOp* op);
 
   std::uint32_t index_;
   SimTime transfer_ns_;
@@ -101,8 +99,7 @@ class Channel {
   std::uint64_t gc_stall_read_ns_ = 0;
   std::uint64_t gc_stall_write_ns_ = 0;
 
-  std::vector<std::unique_ptr<BusOp>> bus_ops_;  // owns every BusOp
-  std::vector<BusOp*> bus_op_free_;              // recycled records
+  sim::RecordPool<BusOp> bus_ops_;
 };
 
 }  // namespace postblock::ssd

@@ -180,21 +180,11 @@ void Controller::RegisterMetrics() {
   });
 }
 
-Controller::Op* Controller::AcquireOp() {
-  if (!op_free_.empty()) {
-    Op* op = op_free_.back();
-    op_free_.pop_back();
-    return op;
-  }
-  ops_.push_back(std::make_unique<Op>());
-  return ops_.back().get();
-}
-
 void Controller::ReleaseOp(Op* op) {
   op->read_cb = nullptr;
   op->op_cb = nullptr;
   op->ctx = trace::Ctx{};
-  op_free_.push_back(op);
+  ops_.Release(op);
 }
 
 // --- Unit wait attribution ---------------------------------------------
@@ -313,7 +303,7 @@ std::uint64_t Controller::GcStallWriteNs() const {
 
 void Controller::ReadPage(const flash::Ppa& ppa, ReadCallback on_done,
                           trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = ppa;
   op->unit = UnitIndexFor(ppa);
   op->read_cb = std::move(on_done);
@@ -430,7 +420,7 @@ SimTime Controller::StuckPenalty(const Op* op) {
 void Controller::ProgramPage(const flash::Ppa& ppa,
                              const flash::PageData& data,
                              OpCallback on_done, trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = ppa;
   op->data = data;
   op->unit = UnitIndexFor(ppa);
@@ -488,7 +478,7 @@ void Controller::CopybackPage(const flash::Ppa& src, const flash::Ppa& dst,
     });
     return;
   }
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = src;
   op->dst = dst;
   op->unit = UnitIndexFor(src);
@@ -540,7 +530,7 @@ void Controller::FinishCopyback(Op* op) {
 
 void Controller::EraseBlock(const flash::BlockAddr& addr,
                             OpCallback on_done, trace::Ctx ctx) {
-  Op* op = AcquireOp();
+  Op* op = ops_.Acquire();
   op->src = flash::Ppa{addr.channel, addr.lun, addr.plane, addr.block, 0};
   op->unit = UnitIndexFor(op->src);
   op->op_cb = std::move(on_done);

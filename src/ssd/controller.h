@@ -13,6 +13,8 @@
 #include "common/statusor.h"
 #include "flash/chip.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "ssd/channel.h"
@@ -66,8 +68,10 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  using ReadCallback = std::function<void(StatusOr<flash::PageData>)>;
-  using OpCallback = std::function<void(Status)>;
+  /// Move-only; FTL captures are {this, record*} pairs and stay inline.
+  using ReadCallback =
+      sim::InplaceFunction<void(StatusOr<flash::PageData>)>;
+  using OpCallback = sim::InplaceFunction<void(Status)>;
 
   /// Timed page read through LUN + channel. `ctx` ties the op to a
   /// trace span and names its originator (host read vs GC vs ...), the
@@ -213,7 +217,6 @@ class Controller {
     std::uint32_t retry = 0;     // read-retry ladder rung (0 = first try)
   };
 
-  Op* AcquireOp();
   void ReleaseOp(Op* op);
 
   /// Common entry for an op: stamps identity/wait state and requests
@@ -332,8 +335,7 @@ class Controller {
   // are dropped when the refresh fires (at most one per block).
   std::unordered_map<std::uint64_t, std::uint32_t> correctable_counts_;
 
-  std::vector<std::unique_ptr<Op>> ops_;  // owns every Op ever created
-  std::vector<Op*> op_free_;              // recycled records
+  sim::RecordPool<Op> ops_;
 
   Histogram read_latency_;
   Histogram program_latency_;

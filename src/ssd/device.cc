@@ -85,7 +85,7 @@ void Device::Submit(blocklayer::IoRequest request) {
   Admit(std::move(request), 0);
 }
 
-void Device::SubmitBatch(std::vector<blocklayer::IoRequest> batch) {
+void Device::SubmitBatch(std::vector<blocklayer::IoRequest>& batch) {
   // One doorbell ring: the firmware fetches the batch's SQ entries in
   // order, so the i-th command's admission is offset by i fetch costs —
   // but the fixed controller overhead is paid once for the whole ring.
@@ -99,10 +99,11 @@ void Device::SubmitBatch(std::vector<blocklayer::IoRequest> batch) {
 }
 
 void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
+  static constexpr const char* kRequestCounter[] = {
+      "requests_read", "requests_write", "requests_trim", "requests_flush"};
   counters_.Increment("requests");
   if (metrics_ != nullptr) metrics_->Increment(m_requests_);
-  counters_.Increment(std::string("requests_") +
-                      blocklayer::IoOpName(request.op));
+  counters_.Increment(kRequestCounter[static_cast<int>(request.op)]);
   if (request.op == blocklayer::IoOp::kWrite &&
       request.tokens.size() != request.nblocks) {
     sim_->Schedule(0, [request = std::move(request)]() {
@@ -142,161 +143,174 @@ void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
 
   // Firmware admission cost, then fan out page ops. Requests still in
   // admission when power is cut are dropped whole.
-  auto req = std::make_shared<blocklayer::IoRequest>(std::move(request));
-  const std::uint64_t epoch = epoch_;
-  sim_->Schedule(admit_cost,
-                 [this, epoch, root, submit_t, req = std::move(req)]() {
-                   if (epoch != epoch_) return;
-                   SubmitPageOps(req, root, submit_t);
-                 });
+  IoRecord* rec = io_records_.Acquire();
+  rec->request = std::move(request);
+  rec->root = root;
+  rec->submit_t = submit_t;
+  const std::uint32_t gen = rec->gen;
+  auto admitted = [this, rec, gen] {
+    if (rec->gen == gen) SubmitPageOps(rec);
+  };
+  static_assert(sim::InplaceCallback::fits<decltype(admitted)>());
+  sim_->Schedule(admit_cost, admitted);
 }
 
-void Device::SubmitPageOps(
-    const std::shared_ptr<blocklayer::IoRequest>& req, bool root,
-    SimTime submit_t) {
-  const blocklayer::IoRequest& request = *req;
-  const SimTime start = sim_->Now();
-  struct Tracker {
-    std::uint32_t remaining;
-    Status first_error;
-    std::vector<std::uint64_t> tokens;
-  };
-  auto tracker = std::make_shared<Tracker>();
-  tracker->remaining = request.nblocks;
-  tracker->tokens.assign(
-      request.op == blocklayer::IoOp::kRead ? request.nblocks : 0, 0);
+void Device::SubmitPageOps(IoRecord* rec) {
+  const blocklayer::IoRequest& request = rec->request;
+  // A page op may complete synchronously (the legacy FTLs answer some
+  // reads inline), and the last completion recycles the record: the
+  // loops below read only these copies once their final op is issued.
+  const blocklayer::IoOp op = request.op;
+  const Lba base = request.lba;
+  const std::uint32_t n = request.nblocks;
+  const std::uint32_t gen = rec->gen;
+  rec->start = sim_->Now();
+  rec->remaining = op == blocklayer::IoOp::kFlush ? 1 : n;
+  rec->result.status = Status::Ok();
+  rec->result.tokens.assign(op == blocklayer::IoOp::kRead ? n : 0, 0);
 
-  auto on_page = [this, tracker, req, start, root,
-                  submit_t](std::uint32_t index, Status st,
-                            std::uint64_t token) {
-    const blocklayer::IoRequest& request = *req;
-    if (!st.ok() && tracker->first_error.ok()) tracker->first_error = st;
-    if (request.op == blocklayer::IoOp::kRead &&
-        index < tracker->tokens.size()) {
-      tracker->tokens[index] = token;
-    }
-    if (--tracker->remaining > 0) return;
-    const SimTime latency = sim_->Now() - start;
-    switch (request.op) {
-      case blocklayer::IoOp::kRead:
-        read_latency_.Record(latency);
-        if (metrics_ != nullptr) metrics_->Record(m_read_lat_, latency);
-        break;
-      case blocklayer::IoOp::kWrite:
-        write_latency_.Record(latency);
-        if (metrics_ != nullptr) metrics_->Record(m_write_lat_, latency);
-        break;
-      default:
-        break;
-    }
-    counters_.Increment("completions");
-    if (metrics_ != nullptr) metrics_->Increment(m_completions_);
-    // Completion routing: a multi-queue submitter stamps its software
-    // queue id on the callback; attribute the CQ post to that queue.
-    const std::uint16_t qid = request.on_complete.queue_id;
-    if (qid != blocklayer::IoCallback::kNoQueue) {
-      if (cq_posts_.size() <= qid) cq_posts_.resize(qid + 1, 0);
-      ++cq_posts_[qid];
-    }
-    if (root && tracer_ != nullptr) {
-      tracer_->Record(trace::Stage::kIo,
-                      blocklayer::OriginOf(request.op), request.span, 0,
-                      dev_track_, submit_t, sim_->Now(), request.lba);
-    }
-    request.on_complete(
-        blocklayer::IoResult{tracker->first_error,
-                             std::move(tracker->tokens)});
+  // Per-page completions. Every shape is {this, record*, index, gen}.
+  auto done = [this, rec, gen](std::uint32_t i) {
+    auto cb = [this, rec, i, gen](Status st) {
+      OnPageDone(rec, gen, i, std::move(st), 0);
+    };
+    static_assert(ftl::Ftl::WriteCallback::fits<decltype(cb)>());
+    return cb;
+  };
+  auto read_done = [this, rec, gen](std::uint32_t i) {
+    auto cb = [this, rec, i, gen](StatusOr<std::uint64_t> res) {
+      if (res.ok()) {
+        OnPageDone(rec, gen, i, Status::Ok(), *res);
+      } else {
+        OnPageDone(rec, gen, i, res.status(), 0);
+      }
+    };
+    static_assert(ftl::Ftl::ReadCallback::fits<decltype(cb)>());
+    return cb;
   };
 
   // Per-page trace context: origin always rides along (it feeds the
   // always-on GC-stall counters); spans only exist while tracing is
   // enabled. Multi-page requests get child spans so per-page flash work
   // still nests under the request in the trace.
-  const trace::Origin origin = blocklayer::OriginOf(request.op);
-  const bool fanout = Traced() && request.span != 0 && request.nblocks > 1;
-  auto page_ctx = [this, &request, origin, fanout]() {
-    trace::Ctx ctx{request.span, 0, origin};
+  const trace::Origin origin = blocklayer::OriginOf(op);
+  const trace::SpanId span = request.span;
+  const bool fanout = Traced() && span != 0 && n > 1;
+  auto page_ctx = [this, span, origin, fanout]() {
+    trace::Ctx ctx{span, 0, origin};
     if (fanout) {
       ctx.span = tracer_->NewSpan();
-      ctx.parent = request.span;
+      ctx.parent = span;
     }
     return ctx;
   };
 
-  switch (request.op) {
+  switch (op) {
     case blocklayer::IoOp::kRead:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = base + i;
         std::uint64_t buffered = 0;
         if (write_buffer_ != nullptr &&
             write_buffer_->Lookup(lba, &buffered)) {
           counters_.Increment("buffer_read_hits");
-          if (Traced() && request.span != 0) {
+          if (Traced() && span != 0) {
             // Served from the write cache: a kMap blip, no flash work.
-            tracer_->Record(trace::Stage::kMap, origin, request.span, 0,
+            tracer_->Record(trace::Stage::kMap, origin, span, 0,
                             dev_track_, sim_->Now(),
                             sim_->Now() + config_.write_buffer.insert_ns,
                             lba);
           }
-          sim_->Schedule(config_.write_buffer.insert_ns,
-                         [on_page, i, buffered]() {
-                           on_page(i, Status::Ok(), buffered);
-                         });
+          auto hit = [this, rec, i, gen, buffered] {
+            OnPageDone(rec, gen, i, Status::Ok(), buffered);
+          };
+          static_assert(sim::InplaceCallback::fits<decltype(hit)>());
+          sim_->Schedule(config_.write_buffer.insert_ns, hit);
           continue;
         }
-        ftl_->Read(
-            lba,
-            [on_page, i](StatusOr<std::uint64_t> res) {
-              if (res.ok()) {
-                on_page(i, Status::Ok(), *res);
-              } else {
-                on_page(i, res.status(), 0);
-              }
-            },
-            page_ctx());
+        ftl_->Read(lba, read_done(i), page_ctx());
       }
       break;
     case blocklayer::IoOp::kWrite:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = base + i;
         const std::uint64_t token = request.tokens[i];
         if (write_buffer_ != nullptr) {
           // Buffered writes complete at insert; the deferred drain is
           // background work no single host IO can claim, so spans stop
           // here and the drain's flash ops run under the default
           // (kMeta) context.
-          write_buffer_->SubmitWrite(lba, token, [on_page, i](Status st) {
-            on_page(i, std::move(st), 0);
-          });
+          write_buffer_->SubmitWrite(lba, token, done(i));
         } else {
-          ftl_->Write(
-              lba, token,
-              [on_page, i](Status st) { on_page(i, std::move(st), 0); },
-              page_ctx());
+          ftl_->Write(lba, token, done(i), page_ctx());
         }
       }
       break;
     case blocklayer::IoOp::kTrim:
-      for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        const Lba lba = request.lba + i;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const Lba lba = base + i;
         if (write_buffer_ != nullptr) write_buffer_->Drop(lba);
-        ftl_->Trim(
-            lba,
-            [on_page, i](Status st) { on_page(i, std::move(st), 0); },
-            page_ctx());
+        ftl_->Trim(lba, done(i), page_ctx());
       }
       break;
-    case blocklayer::IoOp::kFlush: {
+    case blocklayer::IoOp::kFlush:
       // Single logical page op regardless of nblocks.
-      tracker->remaining = 1;
       if (write_buffer_ != nullptr) {
-        write_buffer_->Flush(
-            [on_page](Status st) { on_page(0, std::move(st), 0); });
+        write_buffer_->Flush(done(0));
       } else {
-        sim_->Schedule(0, [on_page]() { on_page(0, Status::Ok(), 0); });
+        auto flushed = [this, rec, gen] {
+          OnPageDone(rec, gen, 0, Status::Ok(), 0);
+        };
+        static_assert(sim::InplaceCallback::fits<decltype(flushed)>());
+        sim_->Schedule(0, flushed);
       }
       break;
-    }
+  }
+}
+
+void Device::OnPageDone(IoRecord* rec, std::uint32_t gen,
+                        std::uint32_t index, Status st,
+                        std::uint64_t token) {
+  if (rec->gen != gen) return;  // the request died in a power cut
+  blocklayer::IoResult& result = rec->result;
+  if (!st.ok() && result.status.ok()) result.status = std::move(st);
+  if (index < result.tokens.size()) result.tokens[index] = token;
+  if (--rec->remaining > 0) return;
+  const blocklayer::IoRequest& request = rec->request;
+  const SimTime latency = sim_->Now() - rec->start;
+  switch (request.op) {
+    case blocklayer::IoOp::kRead:
+      read_latency_.Record(latency);
+      if (metrics_ != nullptr) metrics_->Record(m_read_lat_, latency);
+      break;
+    case blocklayer::IoOp::kWrite:
+      write_latency_.Record(latency);
+      if (metrics_ != nullptr) metrics_->Record(m_write_lat_, latency);
+      break;
+    default:
+      break;
+  }
+  counters_.Increment("completions");
+  if (metrics_ != nullptr) metrics_->Increment(m_completions_);
+  // Completion routing: a multi-queue submitter stamps its software
+  // queue id on the callback; attribute the CQ post to that queue.
+  const std::uint16_t qid = request.on_complete.queue_id;
+  if (qid != blocklayer::IoCallback::kNoQueue) {
+    if (cq_posts_.size() <= qid) cq_posts_.resize(qid + 1, 0);
+    ++cq_posts_[qid];
+  }
+  if (rec->root && tracer_ != nullptr) {
+    tracer_->Record(trace::Stage::kIo, blocklayer::OriginOf(request.op),
+                    request.span, 0, dev_track_, rec->submit_t,
+                    sim_->Now(), request.lba);
+  }
+  // The callback may submit more IO (it gets another record: this one
+  // is released only afterwards) or even cut the power (which reclaims
+  // this record itself — hence the generation check).
+  const blocklayer::IoCallback cb = std::move(rec->request.on_complete);
+  cb(result);
+  if (rec->gen == gen) {
+    ++rec->gen;
+    io_records_.Release(rec);
   }
 }
 
@@ -423,14 +437,10 @@ void Device::ExecuteAtomicGroup(host::Command cmd) {
     return;
   }
   counters_.Increment("atomic_groups");
-  // The FTL callback is a copyable std::function; box the move-only
-  // completion so the bridge stays copyable.
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
   page_ftl_->WriteAtomic(
       std::move(cmd.group),
-      [done](Status st) {
-        if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
+      [done = std::move(cmd.on_complete)](Status st) {
+        if (done) done(blocklayer::IoResult{std::move(st), {}});
       },
       trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
 }
@@ -445,16 +455,14 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
     const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
     const Lba owner =
         cmd.nblocks == 0 ? flash::kNamelessLba : cmd.lba;
-    auto done = std::make_shared<blocklayer::IoCallback>(
-        std::move(cmd.on_complete));
     append_ftl_->NamelessWrite(
         token, owner, cmd.nblocks, cmd.stream,
-        [done](StatusOr<std::uint64_t> res) {
-          if (!*done) return;
+        [done = std::move(cmd.on_complete)](StatusOr<std::uint64_t> res) {
+          if (!done) return;
           if (res.ok()) {
-            (*done)(blocklayer::IoResult{Status::Ok(), {*res}});
+            done(blocklayer::IoResult{Status::Ok(), {*res}});
           } else {
-            (*done)(blocklayer::IoResult{res.status(), {}});
+            done(blocklayer::IoResult{res.status(), {}});
           }
         },
         trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
@@ -490,14 +498,12 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
   }
   counters_.Increment("nameless_writes");
   const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
   page_ftl_->Write(
       lba, token,
-      [this, done, lba](Status st) {
+      [this, done = std::move(cmd.on_complete), lba](Status st) {
         if (!st.ok()) {
           nameless_free_.push_back(lba);
-          if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
+          if (done) done(blocklayer::IoResult{std::move(st), {}});
           return;
         }
         std::uint64_t name = 0;
@@ -508,33 +514,30 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
           name_to_slot_[name] = lba;
           slot_to_name_[lba] = name;
         }
-        if (*done) {
-          (*done)(blocklayer::IoResult{Status::Ok(), {name}});
-        }
+        if (done) done(blocklayer::IoResult{Status::Ok(), {name}});
       },
       trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
 }
 
 void Device::ExecuteNamelessRead(host::Command cmd) {
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  auto complete = [done](StatusOr<std::uint64_t> res) {
-    if (!*done) return;
+  auto complete = [done = std::move(cmd.on_complete)](
+                      StatusOr<std::uint64_t> res) {
+    if (!done) return;
     if (res.ok()) {
-      (*done)(blocklayer::IoResult{Status::Ok(), {*res}});
+      done(blocklayer::IoResult{Status::Ok(), {*res}});
     } else {
-      (*done)(blocklayer::IoResult{res.status(), {}});
+      done(blocklayer::IoResult{res.status(), {}});
     }
   };
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_reads");
     append_ftl_->NamelessRead(
-        cmd.lba, complete,
+        cmd.lba, std::move(complete),
         trace::Ctx{cmd.span, 0, trace::Origin::kHostRead});
     return;
   }
   if (page_ftl_ == nullptr) {
-    sim_->Schedule(0, [complete]() {
+    sim_->Schedule(0, [complete = std::move(complete)]() {
       complete(Status::Unimplemented(
           "nameless reads require the page-mapping or vision-append "
           "FTL"));
@@ -545,31 +548,29 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
   auto it = name_to_slot_.find(cmd.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete]() {
+    sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
       if (epoch != epoch_) return;
       complete(Status::NotFound("stale name: page freed or migrated"));
     });
     return;
   }
-  page_ftl_->Read(it->second, complete,
+  page_ftl_->Read(it->second, std::move(complete),
                   trace::Ctx{cmd.span, 0, trace::Origin::kHostRead});
 }
 
 void Device::ExecuteNamelessFree(host::Command cmd) {
-  auto done = std::make_shared<blocklayer::IoCallback>(
-      std::move(cmd.on_complete));
-  auto complete = [done](Status st) {
-    if (*done) (*done)(blocklayer::IoResult{std::move(st), {}});
+  auto complete = [done = std::move(cmd.on_complete)](Status st) {
+    if (done) done(blocklayer::IoResult{std::move(st), {}});
   };
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_frees");
     append_ftl_->NamelessFree(
-        cmd.lba, complete,
+        cmd.lba, std::move(complete),
         trace::Ctx{cmd.span, 0, trace::Origin::kHostTrim});
     return;
   }
   if (page_ftl_ == nullptr) {
-    sim_->Schedule(0, [complete]() {
+    sim_->Schedule(0, [complete = std::move(complete)]() {
       complete(Status::Unimplemented(
           "nameless frees require the page-mapping or vision-append "
           "FTL"));
@@ -580,7 +581,7 @@ void Device::ExecuteNamelessFree(host::Command cmd) {
   auto it = name_to_slot_.find(cmd.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete]() {
+    sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
       if (epoch != epoch_) return;
       complete(Status::NotFound("stale name: page freed or migrated"));
     });
@@ -591,7 +592,7 @@ void Device::ExecuteNamelessFree(host::Command cmd) {
   slot_to_name_.erase(slot);
   page_ftl_->Trim(
       slot,
-      [this, complete, slot](Status st) {
+      [this, complete = std::move(complete), slot](Status st) {
         if (st.ok()) nameless_free_.push_back(slot);
         complete(std::move(st));
       },
@@ -606,6 +607,10 @@ Status Device::PowerCycle() {
   }
   counters_.Increment("power_cycles");
   ++epoch_;
+  io_records_.ReleaseAll([](IoRecord& r) {
+    r.request.on_complete = nullptr;
+    ++r.gen;
+  });
   if (write_buffer_ != nullptr && !config_.write_buffer.battery_backed) {
     write_buffer_->DiscardAll();
   }

@@ -14,6 +14,7 @@
 #include "ftl/ftl.h"
 #include "ftl/page_ftl.h"
 #include "metrics/metrics.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/controller.h"
@@ -56,7 +57,7 @@ class Device : public blocklayer::BlockDevice {
   /// One doorbell ring admitting the whole batch: the fixed controller
   /// overhead is paid once, then commands are fetched from the SQ at
   /// doorbell_cmd_ns intervals — admission is pipelined, not serial.
-  void SubmitBatch(std::vector<blocklayer::IoRequest> batch) override;
+  void SubmitBatch(std::vector<blocklayer::IoRequest>& batch) override;
   const Counters& counters() const override { return counters_; }
 
   /// Typed host commands (host::HostInterface). Beyond the block
@@ -113,16 +114,43 @@ class Device : public blocklayer::BlockDevice {
 
   /// Simulates power loss + reboot. Un-drained buffered writes vanish
   /// unless the buffer is battery-backed; the FTL rebuilds its mapping
-  /// from OOB metadata. Supported for the page-mapping and
-  /// vision-append FTLs.
+  /// from OOB metadata. Requests in admission or in flight die with the
+  /// power: their callbacks never fire. Supported for the page-mapping
+  /// and vision-append FTLs.
   Status PowerCycle();
 
+  /// Per-IO record accounting (tests): records ever allocated and
+  /// records currently free. Equal whenever no request is in flight, and
+  /// right after PowerCycle, which reclaims every record.
+  std::size_t io_records_allocated() const {
+    return io_records_.allocated();
+  }
+  std::size_t io_records_free() const { return io_records_.free(); }
+
  private:
-  /// `root` = this device minted the request's span (no layer above is
-  /// tracing), so it records the end-to-end kIo span; `submit_t` is when
-  /// Submit() saw the request (kIo start, before admission cost).
-  void SubmitPageOps(const std::shared_ptr<blocklayer::IoRequest>& req,
-                     bool root, SimTime submit_t);
+  /// One host request from admission to completion, pooled. Every
+  /// callback on the path captures {this, record*} plus the page index
+  /// and the generation the page op was issued under: PowerCycle
+  /// reclaims every record and bumps its generation, so a completion
+  /// that outlives the cut can never complete a recycled record.
+  struct IoRecord {
+    blocklayer::IoRequest request;
+    /// status is the first page error; tokens keeps its capacity.
+    blocklayer::IoResult result;
+    std::uint32_t remaining = 0;  // page ops still outstanding
+    std::uint32_t gen = 0;
+    /// This device minted the request's span (no layer above is
+    /// tracing), so it records the end-to-end kIo span.
+    bool root = false;
+    SimTime submit_t = 0;  // when Submit() saw it (kIo start)
+    SimTime start = 0;     // admission done: latency starts here
+  };
+
+  /// Fans the admitted request out into page ops.
+  void SubmitPageOps(IoRecord* rec);
+  /// One page op of `rec` finished; the last one completes the request.
+  void OnPageDone(IoRecord* rec, std::uint32_t gen, std::uint32_t index,
+                  Status st, std::uint64_t token);
 
   /// Common admission path: validation, trace, then page-op fanout
   /// after controller_overhead_ns + admit_delay (the extra delay is the
@@ -158,6 +186,8 @@ class Device : public blocklayer::BlockDevice {
   Histogram read_latency_;
   Histogram write_latency_;
   Counters counters_;
+
+  sim::RecordPool<IoRecord> io_records_;
 
   /// Per-software-queue completion counts (indexed by the submitting
   /// queue's IoCallback::queue_id; grows on demand). Deliberately not a

@@ -20,7 +20,7 @@ bool WriteBuffer::Lookup(Lba lba, std::uint64_t* token) const {
 }
 
 void WriteBuffer::SubmitWrite(Lba lba, std::uint64_t token,
-                              std::function<void(Status)> cb) {
+                              ftl::Ftl::WriteCallback cb) {
   auto it = entries_.find(lba);
   if (it != entries_.end()) {
     // Absorb: replace the buffered copy in place.
@@ -120,7 +120,7 @@ void WriteBuffer::Drop(Lba lba) {
   CheckFlushWaiters();
 }
 
-void WriteBuffer::Flush(std::function<void(Status)> cb) {
+void WriteBuffer::Flush(ftl::Ftl::WriteCallback cb) {
   if (empty() && inflight_drains_ == 0) {
     const Status st = drain_error_;
     drain_error_ = Status::Ok();

@@ -274,6 +274,106 @@ TEST_F(DeviceTest, VolatileBufferLosesUndrainedWrites) {
       << "acknowledged-but-volatile write must vanish (no battery)";
 }
 
+// --- Pooled per-IO records across power cuts -------------------------------
+
+// Submits one single-page request whose completion bumps `*completed`.
+void SubmitCounted(Device* dev, IoOp op, Lba lba, int* completed) {
+  IoRequest r;
+  r.op = op;
+  r.lba = lba;
+  r.nblocks = 1;
+  if (op == IoOp::kWrite) r.tokens = {lba + 100};
+  r.on_complete = [completed](const IoResult&) { ++*completed; };
+  dev->Submit(std::move(r));
+}
+
+TEST_F(DeviceTest, PowerCycleReclaimsPooledIoRecords) {
+  // Requests in admission and in flight at the cut die without
+  // completing, but every pooled record must return to the free list.
+  int completed = 0;
+  for (Lba lba = 0; lba < 8; ++lba) {
+    SubmitCounted(device_.get(), IoOp::kWrite, lba, &completed);
+  }
+  // Past admission, short of any flash program finishing.
+  simulator_->RunUntil(simulator_->Now() + 20 * kMicrosecond);
+  for (Lba lba = 8; lba < 12; ++lba) {
+    SubmitCounted(device_.get(), IoOp::kRead, lba, &completed);
+  }
+  EXPECT_EQ(device_->io_records_allocated(), 12u);
+  EXPECT_EQ(device_->io_records_free(), 0u);
+  ASSERT_TRUE(device_->PowerCycle().ok());
+  EXPECT_EQ(device_->io_records_free(), device_->io_records_allocated());
+  simulator_->Run();
+  EXPECT_EQ(completed, 0);  // dropped IOs never reach the caller
+  EXPECT_EQ(device_->io_records_free(), device_->io_records_allocated());
+  // The recycled records serve new IO.
+  ASSERT_TRUE(Write(3, {9}).status.ok());
+  EXPECT_EQ(Read(3, 1).tokens[0], 9u);
+  EXPECT_EQ(device_->io_records_allocated(), 12u);
+}
+
+TEST_F(DeviceTest, StaleCompletionNeverCompletesRecycledRecord) {
+  // A buffered write's insert completion is a plain timer that outlives
+  // a power cut. Once the cut recycled its record for a new read, that
+  // stale completion must not count as one of the read's pages.
+  Config c = BufferedConfig(64);
+  c.write_buffer.battery_backed = true;
+  Build(c);
+  ASSERT_TRUE(Write(5, {77}).status.ok());
+  ASSERT_TRUE(Flush().status.ok());  // LBA 5 now lives on flash only
+  ASSERT_EQ(device_->io_records_allocated(), 1u);
+
+  int stale_completions = 0;
+  SubmitCounted(device_.get(), IoOp::kWrite, 9, &stale_completions);
+  // Admitted (insert timer pending), then the power dies.
+  simulator_->RunUntil(simulator_->Now() +
+                       c.controller_overhead_ns + kMicrosecond);
+  ASSERT_TRUE(device_->PowerCycle().ok());
+
+  // The only record serves this read; its admission finishes before
+  // the stale insert timer fires, its flash read long after.
+  IoResult got;
+  int read_completions = 0;
+  IoRequest r;
+  r.op = IoOp::kRead;
+  r.lba = 5;
+  r.nblocks = 1;
+  r.on_complete = [&](const IoResult& res) {
+    got = res;
+    ++read_completions;
+  };
+  device_->Submit(std::move(r));
+  ASSERT_LT(c.controller_overhead_ns, c.write_buffer.insert_ns);
+  simulator_->Run();
+  EXPECT_EQ(device_->io_records_allocated(), 1u);
+  EXPECT_EQ(stale_completions, 0);
+  EXPECT_EQ(read_completions, 1);
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(got.tokens, (std::vector<std::uint64_t>{77}));
+}
+
+TEST_F(DeviceTest, RepeatedPowerCyclesDoNotGrowTheRecordPool) {
+  int completed = 0;
+  std::size_t pool = 0;
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    for (Lba lba = 0; lba < 8; ++lba) {
+      SubmitCounted(device_.get(), IoOp::kWrite, lba, &completed);
+    }
+    simulator_->RunUntil(simulator_->Now() + 10 * kMicrosecond);
+    for (Lba lba = 0; lba < 4; ++lba) {
+      SubmitCounted(device_.get(), IoOp::kRead, lba, &completed);
+    }
+    ASSERT_TRUE(device_->PowerCycle().ok()) << "cycle " << cycle;
+    ASSERT_EQ(device_->io_records_free(), device_->io_records_allocated())
+        << "cycle " << cycle;
+    if (cycle == 0) pool = device_->io_records_allocated();
+    ASSERT_EQ(device_->io_records_allocated(), pool) << "cycle " << cycle;
+  }
+  simulator_->Run();
+  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(device_->io_records_free(), device_->io_records_allocated());
+}
+
 // --- Whole-device integrity sweep across FTLs -----------------------------
 
 class DeviceIntegrityTest : public ::testing::TestWithParam<FtlKind> {};

@@ -1,7 +1,8 @@
-// Unit tests for InplaceCallback and its CallbackSlab fallback: inline
-// storage for small captures, move-only semantics, slab boxing for
-// oversized captures, and compile-time guards that the event core's
-// hot-path capture sizes keep fitting.
+// Unit tests for InplaceFunction (InplaceCallback is its void()
+// instance) and its CallbackSlab fallback: inline storage for small
+// captures, move-only semantics, slab boxing for oversized captures,
+// argument-taking signatures, IoCallback's routing context, and
+// compile-time guards that the hot-path capture sizes keep fitting.
 
 #include <array>
 #include <cstdint>
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "blocklayer/request.h"
+#include "common/status.h"
 #include "sim/inplace_callback.h"
 #include "sim/simulator.h"
 
@@ -182,6 +185,73 @@ TEST(InplaceCallbackTest, SimulatorHotLoopStaysOffTheSlab) {
   EXPECT_EQ(after.chunk_allocs, before.chunk_allocs);
   EXPECT_EQ(after.chunk_reuses, before.chunk_reuses);
   EXPECT_EQ(after.oversize_allocs, before.oversize_allocs);
+}
+
+using StatusCallback = InplaceFunction<void(Status)>;
+
+TEST(InplaceFunctionTest, StatusSignatureForwardsTheArgument) {
+  Status seen = Status::Internal("unset");
+  StatusCallback cb = [&seen](Status st) { seen = std::move(st); };
+  EXPECT_TRUE(cb.stored_inline());
+  cb(Status::NotFound("gone"));
+  EXPECT_TRUE(seen.IsNotFound());
+  EXPECT_EQ(seen.message(), "gone");
+}
+
+TEST(InplaceFunctionTest, ConstInvocationRunsAMutableTarget) {
+  int last = 0;
+  StatusCallback cb = [&last, n = 0](const Status&) mutable { last = ++n; };
+  const StatusCallback& view = cb;  // completions are invoked via const&
+  view(Status::Ok());
+  view(Status::Ok());
+  EXPECT_EQ(last, 2);
+}
+
+TEST(InplaceFunctionTest, BoxedStatusCallbacksRecycleSlabChunks) {
+  std::array<std::uint64_t, 16> big{};  // 128 bytes: boxed
+  big[3] = 1;
+  int hits = 0;
+  auto make = [&big, &hits] {
+    return StatusCallback([big, h = &hits](Status st) {
+      if (st.ok()) *h += static_cast<int>(big[3]);
+    });
+  };
+  { StatusCallback warm = make(); }  // leaves one chunk on the free list
+  const auto before = CallbackSlab::stats();
+  for (int i = 0; i < 100; ++i) {
+    StatusCallback cb = make();
+    EXPECT_FALSE(cb.stored_inline());
+    StatusCallback moved = std::move(cb);
+    moved(Status::Ok());
+  }
+  const auto after = CallbackSlab::stats();
+  EXPECT_EQ(hits, 100);
+  EXPECT_EQ(after.chunk_allocs, before.chunk_allocs);  // all reuses
+  EXPECT_EQ(after.chunk_reuses, before.chunk_reuses + 100);
+}
+
+TEST(InplaceFunctionTest, IoCallbackKeepsRoutingContextAcrossMoves) {
+  using blocklayer::IoCallback;
+  int fired = 0;
+  IoCallback cb = [&fired](const blocklayer::IoResult&) { ++fired; };
+  EXPECT_EQ(cb.queue_id, IoCallback::kNoQueue);
+  EXPECT_EQ(cb.tag, IoCallback::kNoTag);
+  cb.queue_id = 3;
+  cb.tag = 17;
+  IoCallback moved = std::move(cb);
+  EXPECT_EQ(moved.queue_id, 3);
+  EXPECT_EQ(moved.tag, 17);
+  IoCallback assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.queue_id, 3);
+  EXPECT_EQ(assigned.tag, 17);
+  ASSERT_TRUE(static_cast<bool>(assigned));
+  assigned(blocklayer::IoResult{});
+  EXPECT_EQ(fired, 1);
+  assigned = nullptr;
+  EXPECT_FALSE(static_cast<bool>(assigned));
+  EXPECT_EQ(assigned.queue_id, IoCallback::kNoQueue);
+  EXPECT_EQ(assigned.tag, IoCallback::kNoTag);
 }
 
 }  // namespace
