@@ -1,14 +1,15 @@
 // Observability-overhead benchmark: what do the src/obs instruments
 // cost, and do they stay schedule-neutral?
 //
-// Part A — obs::EngineProfiler on the sharded engine. The 4-channel
-// fig2-class workload (the gate-7 workload) runs detached and with the
-// profiler attached, best-of-N with rotating in-rep order, at
-// workers = 0 (the sequential reference — wall-clock-stable on any
-// machine). The attached run must cost <= 2% and its committed
-// schedule fingerprint must be byte-identical to detached; an extra
-// attached run at workers = 2 must also match (the observer may not
-// perturb the parallel schedule either).
+// Part A — obs::EngineProfiler on the sharded engine. The gate-10
+// workload (the full ssd::Device, aged, on one shard per channel plus
+// the controller shard) runs detached and with the profiler attached,
+// best-of-N with rotating in-rep order, at workers = 0 (the sequential
+// reference — wall-clock-stable on any machine). The attached run must
+// cost <= 2% and its committed schedule fingerprint must be
+// byte-identical to detached; an extra attached run at workers = 2 must
+// also match (the observer may not perturb the parallel schedule
+// either).
 //
 // Part B — obs::SloWatchdog determinism. A deterministic device
 // workload runs twice with the watchdog attached to the sampler under
@@ -32,7 +33,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "workload/patterns.h"
 
 namespace postblock {
@@ -40,27 +41,17 @@ namespace {
 
 // --- Part A: profiler overhead + neutrality -------------------------------
 
-ssd::Config EngineConfig() {
-  ssd::Config config = ssd::Config::Small();
-  config.geometry.channels = 4;
-  config.geometry.luns_per_channel = 4;
-  return config;
-}
-
 struct EngineOut {
   double seconds = 0;
   std::uint64_t events = 0;
   std::uint64_t fingerprint = 0;
 };
 
-EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios_per_channel,
+EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios,
                     obs::EngineProfiler* profiler) {
-  ssd::ShardedRunConfig run;
-  run.workers = workers;
-  run.ios_per_channel = ios_per_channel;
-  run.queue_depth_per_channel = 16;
-  run.observer = profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), run);
+  ssd::ShardedDeviceSim sim(
+      bench::ShardedDeviceConfig(),
+      bench::ShardedDeviceWorkload(workers, ios, profiler));
   const auto t0 = std::chrono::steady_clock::now();
   sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -125,11 +116,11 @@ WatchOut RunWatchdog() {
 int main() {
   using namespace postblock;
   bench::Banner("obs",
-                "observability cost over the gate-7 sharded workload",
+                "observability cost over the gate-10 sharded device",
                 "profiler attached <= 2% wall clock and schedule "
                 "byte-identical; watchdog breach stream deterministic");
 
-  constexpr std::uint64_t kIosPerChannel = 30'000;
+  constexpr std::uint64_t kIos = 60'000;
   constexpr int kReps = 5;
 
   // Part A: best-of-N detached vs attached, rotating in-rep order so
@@ -142,8 +133,7 @@ int main() {
       const int m = (i + rep) % 2;
       if (m == 1) profiler.Reset();
       const EngineOut out =
-          RunEngine(/*workers=*/0, kIosPerChannel,
-                    m == 1 ? &profiler : nullptr);
+          RunEngine(/*workers=*/0, kIos, m == 1 ? &profiler : nullptr);
       best[m] = std::min(best[m], out.seconds);
       last[m] = out;
     }
@@ -153,8 +143,7 @@ int main() {
   // Neutrality: attached fingerprints (sequential and parallel) must
   // equal the detached sequential reference.
   obs::EngineProfiler par_profiler;
-  const EngineOut par =
-      RunEngine(/*workers=*/2, kIosPerChannel, &par_profiler);
+  const EngineOut par = RunEngine(/*workers=*/2, kIos, &par_profiler);
   const bool neutral = last[1].fingerprint == last[0].fingerprint &&
                        last[1].events == last[0].events &&
                        par.fingerprint == last[0].fingerprint &&
@@ -201,7 +190,7 @@ int main() {
 
   std::FILE* f = std::fopen("BENCH_obs.json", "w");
   if (f != nullptr) {
-    const ssd::Config config = EngineConfig();
+    const ssd::Config config = bench::ShardedDeviceConfig();
     std::fprintf(f, "{\n");
     bench::WriteJsonMeta(f, &config);
     std::fprintf(f,

@@ -7,12 +7,17 @@
 // workers = 0 (sequential reference), 1, 2 and 4. Reports events/sec,
 // speedup, and the determinism bit: every worker count must produce a
 // combined fingerprint (model observables + committed schedule)
-// byte-identical to the sequential reference.
+// byte-identical to the sequential reference. A last run at 4 workers
+// attaches obs::EngineProfiler: its fingerprint joins the determinism
+// bit (observing may not move the schedule), and its per-shard
+// busy/idle/barrier table and lookahead-slack histogram say where the
+// wall time went.
 //
-// Emits BENCH_sharded_device.json; scripts/check_perf.sh gate 10
-// enforces the determinism bit unconditionally and the >= 1.5x
-// events/sec floor at 4 workers when the machine actually has >= 4
-// hardware threads.
+// Emits BENCH_sharded_device.json and BENCH_sharded_device.profile.json;
+// scripts/check_perf.sh gate 10 enforces the determinism bit
+// unconditionally and the >= 1.5x events/sec floor at 4 workers when
+// the machine actually has >= 4 hardware threads (the meta stamp
+// records both counts).
 
 #include <chrono>
 #include <cinttypes>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "obs/engine_profiler.h"
 #include "ssd/config.h"
 #include "ssd/sharded_device.h"
 
@@ -41,30 +47,10 @@ struct Row {
   double eps() const { return seconds > 0 ? events / seconds : 0; }
 };
 
-Config BenchConfig() {
-  Config config;
-  config.geometry.channels = 4;
-  config.geometry.luns_per_channel = 4;
-  config.geometry.planes_per_lun = 1;
-  config.geometry.blocks_per_plane = 64;
-  config.geometry.pages_per_block = 32;
-  config.geometry.page_size_bytes = 4096;
-  return config;
-}
-
-ShardedDeviceRun BenchRun(std::uint32_t workers, std::uint64_t ios) {
-  ShardedDeviceRun run;
-  run.workers = workers;
-  run.queue_depth = 32;
-  run.total_ios = ios;
-  run.write_percent = 40;
-  run.fill_fraction = 0.7;
-  run.seed = 0xdead5eed;
-  return run;
-}
-
-Row RunOnce(std::uint32_t workers, std::uint64_t ios) {
-  ShardedDeviceSim sim(BenchConfig(), BenchRun(workers, ios));
+Row RunOnce(std::uint32_t workers, std::uint64_t ios,
+            obs::EngineProfiler* profiler = nullptr) {
+  ShardedDeviceSim sim(bench::ShardedDeviceConfig(),
+                       bench::ShardedDeviceWorkload(workers, ios, profiler));
   const auto t0 = std::chrono::steady_clock::now();
   const SimTime end = sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -92,37 +78,65 @@ int Main() {
               "hardware_concurrency=%u\n\n",
               kIos, hw);
 
+  const auto print_row = [](const Row& row) {
+    std::printf("  workers=%u: %8.2fM ev/s  (%" PRIu64 " events, %" PRIu64
+                " seam msgs, %" PRIu64 " rounds, WA %.2f, %.3fs)\n",
+                row.workers, row.eps() / 1e6, row.events, row.messages,
+                row.rounds, row.wa, row.seconds);
+  };
   const std::vector<std::uint32_t> worker_counts = {0, 1, 2, 4};
   std::vector<Row> rows;
   for (const std::uint32_t w : worker_counts) {
     // Warm-up at a fraction of the size, then the measured run.
     RunOnce(w, kIos / 10);
-    Row row = RunOnce(w, kIos);
-    std::printf("  workers=%u: %8.2fM ev/s  (%" PRIu64 " events, %" PRIu64
-                " seam msgs, %" PRIu64 " rounds, WA %.2f, %.3fs)\n",
-                w, row.eps() / 1e6, row.events, row.messages, row.rounds,
-                row.wa, row.seconds);
-    rows.push_back(row);
+    rows.push_back(RunOnce(w, kIos));
+    print_row(rows.back());
   }
 
+  // Profiled run: the profiler attached (default window sampling) at
+  // the highest worker count, then the per-shard wall attribution.
+  obs::EngineProfiler profiler;
+  const Row profiled = RunOnce(worker_counts.back(), kIos, &profiler);
+  std::printf("\nprofiled run (obs::EngineProfiler attached):\n");
+  print_row(profiled);
+  const Config config = bench::ShardedDeviceConfig();
+  const ShardPlan plan = ShardPlan::FromConfig(config);
+  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
+    const obs::ShardProfile& p = profiler.shard_profiles()[s];
+    std::printf("  shard %zu (%-10s): util %5.1f%%  busy %7.1fms  idle "
+                "%7.1fms  barrier %7.1fms  %" PRIu64 " events\n",
+                s, s == plan.controller_shard ? "controller" : "channel",
+                p.Utilization() * 100, p.busy_wall_ns / 1e6,
+                p.idle_wall_ns / 1e6, p.barrier_wall_ns / 1e6, p.events);
+  }
+  const Histogram& slack = profiler.slack_hist();
+  std::printf("  lookahead slack: p50=%" PRIu64 "ns p99=%" PRIu64
+              "ns max=%" PRIu64 "ns over %" PRIu64 " shard-windows\n",
+              slack.P50(), slack.P99(), slack.max(), slack.count());
+
+  // Every row, the profiled one included, must commit the sequential
+  // reference's schedule.
   const Row& seq = rows[0];
   bool determinism_ok = true;
-  for (const Row& r : rows) {
+  const auto check = [&](const Row& r) {
     if (r.fingerprint != seq.fingerprint || r.events != seq.events) {
       std::printf("DETERMINISM MISMATCH at workers=%u: fingerprint "
                   "%016" PRIx64 " vs reference %016" PRIx64 "\n",
                   r.workers, r.fingerprint, seq.fingerprint);
       determinism_ok = false;
     }
-  }
+  };
+  for (const Row& r : rows) check(r);
+  check(profiled);
 
   const double speedup_4w =
       seq.seconds > 0 && rows.back().seconds > 0
           ? seq.seconds / rows.back().seconds
           : 0;
   std::printf("\ndeterminism: %s\n",
-              determinism_ok ? "all worker counts byte-identical"
-                             : "MISMATCH");
+              determinism_ok
+                  ? "all worker counts byte-identical, profiled run included"
+                  : "MISMATCH");
   std::printf("speedup at 4 workers vs sequential: %.2fx%s\n", speedup_4w,
               hw < 4 ? "  (machine has <4 hardware threads; floor not "
                        "meaningful here)"
@@ -134,7 +148,6 @@ int Main() {
     return 1;
   }
   std::fprintf(f, "{\n");
-  const Config config = BenchConfig();
   bench::WriteJsonMeta(f, &config, /*workers=*/4);
   for (const Row& r : rows) {
     std::fprintf(f,
@@ -147,12 +160,42 @@ int Main() {
                  r.rounds, r.wa, r.fingerprint,
                  static_cast<std::uint64_t>(r.sim_end_ns));
   }
+  std::fprintf(f,
+               "  \"profiler\": {\"workers\": %u, \"fingerprint\": "
+               "\"%016" PRIx64 "\", \"windows\": %" PRIu64
+               ", \"shards\": [\n",
+               profiled.workers, profiled.fingerprint,
+               profiler.windows_observed());
+  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
+    const obs::ShardProfile& p = profiler.shard_profiles()[s];
+    std::fprintf(f,
+                 "    {\"shard\": %zu, \"utilization\": %.4f, "
+                 "\"busy_ns\": %" PRIu64 ", \"idle_ns\": %" PRIu64
+                 ", \"barrier_ns\": %" PRIu64 ", \"events\": %" PRIu64
+                 "}%s\n",
+                 s, p.Utilization(), p.busy_wall_ns, p.idle_wall_ns,
+                 p.barrier_wall_ns, p.events,
+                 s + 1 < profiler.shard_profiles().size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ], \"lookahead_slack_ns\": {\"count\": %" PRIu64
+               ", \"p50\": %" PRIu64 ", \"p99\": %" PRIu64
+               ", \"max\": %" PRIu64 "}},\n",
+               slack.count(), slack.P50(), slack.P99(), slack.max());
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
   std::fprintf(f, "  \"speedup_4w\": %.3f\n", speedup_4w);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_sharded_device.json\n");
+
+  // The full git-SHA-stamped profile report rides alongside.
+  if (profiler
+          .WriteReport("BENCH_sharded_device.profile.json",
+                       bench::MetaJsonFields(&config, worker_counts.back()))
+          .ok()) {
+    std::printf("wrote BENCH_sharded_device.profile.json\n");
+  }
   return determinism_ok ? 0 : 1;
 }
 

@@ -11,7 +11,10 @@
 #include "common/table.h"
 #include "common/types.h"
 #include "sim/simulator.h"
+#include "sim/sharded_engine.h"
+#include "ssd/config.h"
 #include "ssd/device.h"
+#include "ssd/sharded_device.h"
 #include "workload/patterns.h"
 
 namespace postblock::bench {
@@ -114,6 +117,36 @@ inline void FillSequential(sim::Simulator* sim,
                            std::uint64_t blocks) {
   workload::SequentialPattern fill(0, blocks, /*is_write=*/true);
   Precondition(sim, device, &fill, blocks);
+}
+
+/// The gate-10 workload (E21): the full ssd::Device on the sharded
+/// engine, one shard per channel (4 channels x 4 LUNs) plus the
+/// controller shard, sequentially aged to 70%, then `ios` IOs of a
+/// 40%-write random mix at QD 32. bench_sharded_device measures it at
+/// every worker count; bench_obs prices profiling it.
+inline ssd::Config ShardedDeviceConfig() {
+  ssd::Config config;
+  config.geometry.channels = 4;
+  config.geometry.luns_per_channel = 4;
+  config.geometry.planes_per_lun = 1;
+  config.geometry.blocks_per_plane = 64;
+  config.geometry.pages_per_block = 32;
+  config.geometry.page_size_bytes = 4096;
+  return config;
+}
+
+inline ssd::ShardedDeviceRun ShardedDeviceWorkload(
+    std::uint32_t workers, std::uint64_t ios,
+    sim::EngineObserver* observer = nullptr) {
+  ssd::ShardedDeviceRun run;
+  run.workers = workers;
+  run.queue_depth = 32;
+  run.total_ios = ios;
+  run.write_percent = 40;
+  run.fill_fraction = 0.7;
+  run.seed = 0xdead5eed;
+  run.observer = observer;
+  return run;
 }
 
 }  // namespace postblock::bench

@@ -16,9 +16,10 @@
 //      the sampling grid, with breach counts and the first breaches;
 //   5. the cross-check: final sampled cumulative rows must equal the
 //      stack's always-on Counters (exit 1 otherwise);
-//   6. an engine-profiler section: the fig2-class workload again on
-//      sim::ShardedEngine with obs::EngineProfiler attached —
-//      per-shard busy/idle/barrier attribution and lookahead slack.
+//   6. an engine-profiler section: the full ssd::Device again, aged
+//      and under a random read/write mix, on sim::ShardedEngine with
+//      obs::EngineProfiler attached — per-shard busy/idle/barrier
+//      attribution and lookahead slack.
 //
 // The sampled time series is written to <prefix>.csv and <prefix>.json
 // (git-SHA stamped); the profiler report goes to <prefix>.profile.json
@@ -44,7 +45,7 @@
 #include "obs/slo_watchdog.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "trace/tracer.h"
 #include "vbd/backend.h"
 #include "vbd/frontend.h"
@@ -349,18 +350,18 @@ int main(int argc, char** argv) {
         std::size(checks));
   }
 
-  // --- 6. Engine profiler: the same workload class on sharded cores ---------
-  std::printf("\nengine profiler (fig2-class workload on "
+  // --- 6. Engine profiler: the full device again, on sharded cores ----------
+  std::printf("\nengine profiler (aged full ssd::Device on "
               "sim::ShardedEngine, 4 channels):\n\n");
   obs::EngineProfiler profiler;
+  ssd::Config pcfg = ssd::Config::Small();
+  pcfg.geometry.channels = 4;
   {
-    ssd::Config pcfg = ssd::Config::Small();
-    pcfg.geometry.channels = 4;
-    ssd::ShardedRunConfig prun;
+    ssd::ShardedDeviceRun prun;
     prun.workers = 2;
-    prun.ios_per_channel = 5000;
+    prun.total_ios = 20000;
     prun.observer = &profiler;
-    ssd::ShardedFlashSim shsim(pcfg, prun);
+    ssd::ShardedDeviceSim shsim(pcfg, prun);
     shsim.Run();
 
     Table shards({"shard", "role", "utilization", "busy", "idle",
@@ -402,7 +403,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string profile = prefix + ".profile.json";
-  if (!profiler.WriteReport(profile, bench::MetaJsonFields(&cfg, 2)).ok()) {
+  if (!profiler.WriteReport(profile, bench::MetaJsonFields(&pcfg, 2)).ok()) {
     std::fprintf(stderr, "cannot write %s\n", profile.c_str());
     return 1;
   }

@@ -8,8 +8,9 @@
 //   $ ./sweep [threads] [ops_per_point] [report-path]
 //   sweep report -> sweep_report.json
 //
-// See EXPERIMENTS.md E18 for the scaling-curve recipe built on the
-// same harness.
+// EXPERIMENTS.md E18 is the recipe. This is Tier B parallelism, whole
+// runs as the unit; E21 (bench_sharded_device) is Tier A, one run
+// sharded across the controller/channel seam.
 
 #include <cstdint>
 #include <cstdio>

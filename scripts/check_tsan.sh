@@ -4,16 +4,17 @@
 # Builds with -DSIM_TSAN=ON (mutually exclusive with -DSIM_ASAN=ON; see
 # the top-level CMakeLists.txt) and runs the test binaries that
 # exercise threads — the sharded engine's worker pool, the
-# multi-instance sweep harness, the vbd suite (whose sharded test
-# drives multi-tenant DRR attribution through the engine's worker
-# pool), the obs suite (EngineProfiler shard scratch is written
-# from worker threads and folded by the coordinator under the engine's
-# ack release/acquire pair), and the sharded-device suite (the full
-# controller/FTL/channel stack split across the controller/channel
-# seam), and the vision-recovery suite (the post-block append device,
-# host map, and epoch-checkpoint recovery — single-threaded by
-# construction, but ran here so the nameless path can never regress
-# into hidden sharing) — plus bench_parallel, bench_sharded_device and
+# multi-instance sweep harness, the vbd suite (whose sharded test runs
+# a real vbd::Backend's DRR arbiter on the sharded device's controller
+# shard while the engine's workers run the channel shards), the obs
+# suite (EngineProfiler shard scratch is written from worker threads
+# and folded by the coordinator under the engine's ack release/acquire
+# pair), and the sharded-device suite (the full controller/FTL/channel
+# stack split across the controller/channel seam), and the
+# vision-recovery suite (the post-block append device, host map, and
+# epoch-checkpoint recovery — single-threaded by construction, but ran
+# here so the nameless path can never regress into hidden sharing) —
+# plus bench_sharded_device (its profiled run included) and
 # bench_crossover. Any data race TSan
 # finds fails the script: the determinism story is only as good as the
 # absence of unsynchronized sharing at the seam.
@@ -28,7 +29,7 @@ cmake -B "$BUILD_DIR" -S . -DSIM_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   >/dev/null
 cmake --build "$BUILD_DIR" --target sharded_sim_test parallel_test \
   vbd_test obs_test sharded_device_test vision_recovery_test \
-  bench_parallel bench_sharded_device bench_crossover \
+  bench_sharded_device bench_crossover \
   -j "$(nproc)" >/dev/null
 
 # halt_on_error makes the first race fatal instead of a log line the
@@ -41,7 +42,7 @@ echo "check_tsan: sharded engine tests (worker pool, barriers, seam)"
 echo "check_tsan: sweep harness tests (thread-confined full stacks)"
 "$BUILD_DIR/tests/parallel_test"
 
-echo "check_tsan: vbd suite (multi-tenant attribution on engine workers)"
+echo "check_tsan: vbd suite (a Backend on the sharded device, engine workers)"
 "$BUILD_DIR/tests/vbd_test"
 
 echo "check_tsan: obs suite (profiler scratch written from worker threads)"
@@ -52,9 +53,6 @@ echo "check_tsan: sharded device suite (full Device across the seam)"
 
 echo "check_tsan: vision recovery suite (post-block append device + host map)"
 "$BUILD_DIR/tests/vision_recovery_test"
-
-echo "check_tsan: bench_parallel (all worker counts, bench-scale load)"
-( cd "$BUILD_DIR" && ./bench/bench_parallel >/dev/null )
 
 echo "check_tsan: bench_sharded_device (full Device, bench-scale load)"
 ( cd "$BUILD_DIR" && ./bench/bench_sharded_device >/dev/null )

@@ -2,12 +2,12 @@
 #define POSTBLOCK_SIM_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "sim/inplace_callback.h"
 #include "sim/simulator.h"
@@ -109,11 +109,6 @@ struct ShardedConfig {
   /// event before they must merge.
   SimTime lookahead = 1000;
 
-  /// Fold every executed event into per-shard schedule fingerprints
-  /// (Simulator::EnableFingerprint). Cheap; on by default so the
-  /// determinism gates always have something to compare.
-  bool fingerprint = true;
-
   /// Optional execution observer (obs::EngineProfiler). Not owned;
   /// must outlive the engine. nullptr (the default) keeps the engine
   /// free of wall-clock reads entirely.
@@ -138,10 +133,11 @@ struct ShardedConfig {
 /// Determinism: window boundaries are a pure function of committed
 /// state, shards share nothing inside a window, and the merge order is
 /// total — so the committed global schedule is byte-identical at any
-/// worker count, including the workers=0 sequential reference. The
-/// per-shard Simulator fingerprints (plus model observables) are the
-/// checkable witness; gate 7 in scripts/check_perf.sh holds runs at
-/// 1/2/4 workers to the workers=0 fingerprint.
+/// worker count, including the workers=0 sequential reference. Every
+/// shard always fingerprints its executed events; those fingerprints
+/// (plus model observables) are the checkable witness, and gate 10 in
+/// scripts/check_perf.sh holds the full ssd::Device at 1/2/4 workers
+/// to the workers=0 fingerprint.
 class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedConfig& config);
@@ -167,14 +163,16 @@ class ShardedEngine {
   /// Cross-shard event: schedules `f` on shard `to` at absolute time
   /// `when`. Must be called either before Run()/RunUntil() (setup), or
   /// from an event currently executing on shard `from` with
-  /// `when >= shard(from)->Now() + lookahead` — asserted. Messages are
-  /// delivered at the next rendezvous, merged in (when, from, seq)
-  /// order.
+  /// `when >= shard(from)->Now() + lookahead` — checked in every build
+  /// (PB_CHECK). Messages are delivered at the next rendezvous, merged
+  /// in (when, from, seq) order.
   template <typename F>
   void Post(std::uint32_t from, std::uint32_t to, SimTime when, F&& f) {
-    assert(to < num_shards());
+    PB_CHECK(from < num_shards() && to < num_shards(),
+             "Post: shard id out of range");
     Shard& src = *shards_[from];
-    assert(!running_ || when >= src.sim.Now() + config_.lookahead);
+    PB_CHECK(!running_ || when >= src.sim.Now() + config_.lookahead,
+             "Post: message lands inside the lookahead window");
     src.outbox.push_back(
         Message{when, from, to, src.next_msg_seq++, std::forward<F>(f)});
   }
@@ -193,7 +191,7 @@ class ShardedEngine {
   /// fingerprints folded in shard order (worker-count invariant).
   std::uint64_t Fingerprint() const;
   /// Barrier rendezvous count (rounds) and cross-shard message count —
-  /// the seam-traffic observability bench_parallel reports.
+  /// the seam-traffic observability bench_sharded_device reports.
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 

@@ -1,9 +1,9 @@
 #include "ssd/controller.h"
 
-#include <cassert>
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "sim/inplace_callback.h"
 #include "ssd/shard_router.h"
 
@@ -28,9 +28,10 @@ Controller::Controller(ShardRouter* router, const Config& config,
   // The registry's polled gauges (units busy, channel busy, GC clocks)
   // read channel-shard state from the sampler's shard — unsupported
   // until metrics grow a fold-at-rendezvous path.
-  assert(config.metrics == nullptr &&
-         "metrics sampling is not supported on the sharded device");
-  assert(router->plan().channel_shard.size() == config.geometry.channels);
+  PB_CHECK(config.metrics == nullptr,
+           "metrics sampling is not supported on the sharded device");
+  PB_CHECK(router->plan().channel_shard.size() == config.geometry.channels,
+           "shard plan does not cover every channel of the config");
   Init(router, channel_tracers);
 }
 

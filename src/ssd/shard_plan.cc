@@ -1,38 +1,16 @@
 #include "ssd/shard_plan.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace postblock::ssd {
 
-SimTime ShardPlan::Lookahead() const {
-  assert(!edges.empty());
-  SimTime min = ~SimTime{0};
-  for (const ShardEdge& e : edges) {
-    min = std::min(min, e.min_latency_ns);
-  }
-  return min;
-}
-
-ShardPlan ShardPlan::FromConfig(const Config& config,
-                                SimTime seam_coalesce_ns) {
+ShardPlan ShardPlan::FromConfig(const Config& config) {
   ShardPlan plan;
   const std::uint32_t channels = config.geometry.channels;
   plan.num_shards = channels + 1;
   plan.controller_shard = channels;
   plan.channel_shard.resize(channels);
   for (std::uint32_t c = 0; c < channels; ++c) plan.channel_shard[c] = c;
-  plan.dispatch_ns = config.controller_overhead_ns + seam_coalesce_ns;
-  plan.complete_ns = config.controller_overhead_ns + seam_coalesce_ns;
-  plan.edges.reserve(2 * channels);
-  for (std::uint32_t c = 0; c < channels; ++c) {
-    plan.edges.push_back(ShardEdge{plan.controller_shard, c,
-                                   plan.dispatch_ns,
-                                   "dispatch.ch" + std::to_string(c)});
-    plan.edges.push_back(ShardEdge{c, plan.controller_shard,
-                                   plan.complete_ns,
-                                   "complete.ch" + std::to_string(c)});
-  }
+  plan.dispatch_ns = config.controller_overhead_ns + kSeamCoalesceNs;
+  plan.complete_ns = config.controller_overhead_ns + kSeamCoalesceNs;
   return plan;
 }
 

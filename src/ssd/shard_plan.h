@@ -1,32 +1,18 @@
 #ifndef POSTBLOCK_SSD_SHARD_PLAN_H_
 #define POSTBLOCK_SSD_SHARD_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "flash/geometry.h"
 #include "ssd/config.h"
 
 namespace postblock::ssd {
 
-/// One declared cross-shard interaction edge: events may cross from
-/// shard `from` to shard `to` only with at least `min_latency_ns` of
-/// simulated delay. The minimum over all edges is the engine's safe
-/// conservative-lookahead bound — the contract that lets shards run
-/// ahead of each other without ever back-dating an event.
-struct ShardEdge {
-  std::uint32_t from;
-  std::uint32_t to;
-  SimTime min_latency_ns;
-  std::string name;
-};
-
 /// The controller/channel seam annotations for a device config: which
 /// shard each channel's chips belong to, where the controller shard
-/// sits, and the declared cross-shard edges with their minimum
-/// latencies.
+/// sits, and the minimum latency of each direction across the seam.
 ///
 /// Channels are the natural shard boundary (the paper's §2.2
 /// hierarchy): chips on different channels share nothing — they only
@@ -40,26 +26,30 @@ struct ShardEdge {
 ///   completion: channel -> controller. Completion routing back to the
 ///               firmware, same batched-seam floor.
 ///
-/// Both latencies come from the config; their minimum is Lookahead(),
-/// which directly sets the sharded engine's rendezvous window width.
+/// Both latencies are the config's controller overhead plus
+/// kSeamCoalesceNs; their minimum is Lookahead(), which directly sets
+/// the sharded engine's rendezvous window width.
 struct ShardPlan {
+  /// The batched doorbell/completion-coalescing grid added on top of
+  /// the config's controller overhead on both seam directions.
+  static constexpr SimTime kSeamCoalesceNs = 62 * kMicrosecond;
+
   std::uint32_t num_shards = 0;
   std::uint32_t controller_shard = 0;
   /// channel_shard[c] = shard owning channel c's bus and LUNs.
   std::vector<std::uint32_t> channel_shard;
   SimTime dispatch_ns = 0;
   SimTime complete_ns = 0;
-  std::vector<ShardEdge> edges;
 
-  /// The engine's safe lookahead: minimum declared cross-shard latency.
-  SimTime Lookahead() const;
+  /// The engine's safe lookahead: the cheaper seam direction. Every
+  /// cross-shard event pays at least this much simulated delay, so no
+  /// shard can receive work that back-dates its clock.
+  SimTime Lookahead() const { return std::min(dispatch_ns, complete_ns); }
 
   /// Builds the per-channel plan for a device shape: one shard per
-  /// channel plus a controller shard (id = channels). `seam_coalesce_ns`
-  /// is the batched doorbell/completion-coalescing grid added on top of
-  /// the config's controller overhead on both seam directions.
-  static ShardPlan FromConfig(const Config& config,
-                              SimTime seam_coalesce_ns = 62 * kMicrosecond);
+  /// channel plus a controller shard (id = channels), both seam
+  /// directions priced at controller overhead + kSeamCoalesceNs.
+  static ShardPlan FromConfig(const Config& config);
 };
 
 }  // namespace postblock::ssd

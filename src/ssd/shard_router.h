@@ -1,10 +1,10 @@
 #ifndef POSTBLOCK_SSD_SHARD_ROUTER_H_
 #define POSTBLOCK_SSD_SHARD_ROUTER_H_
 
-#include <cassert>
 #include <cstdint>
 #include <utility>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "sim/sharded_engine.h"
 #include "sim/simulator.h"
@@ -19,19 +19,22 @@ namespace postblock::ssd {
 /// from the plan (controller overhead + the batched doorbell/coalescing
 /// grid), so the engine's lookahead stays a modeling statement — the
 /// seam costs what the firmware seam costs, and the rendezvous window
-/// is exactly that latency (DESIGN.md §4f/§4i).
+/// is exactly that latency (DESIGN.md §4f/§4i). The constructor checks
+/// (in every build) that the engine matches the plan.
 ///
 /// The router is pure plumbing: no state of its own, so it is safe to
 /// call from any shard's event context as long as the caller respects
 /// direction (Dispatch from the controller shard only, Complete from
-/// the named channel's shard only — the engine asserts the lookahead
+/// the named channel's shard only — the engine checks the lookahead
 /// contract against the *sending* shard's clock).
 class ShardRouter {
  public:
   ShardRouter(sim::ShardedEngine* engine, ShardPlan plan)
       : engine_(engine), plan_(std::move(plan)) {
-    assert(engine_->num_shards() == plan_.num_shards);
-    assert(engine_->config().lookahead <= plan_.Lookahead());
+    PB_CHECK(engine_->num_shards() == plan_.num_shards,
+             "ShardRouter: engine shard count differs from the plan");
+    PB_CHECK(engine_->config().lookahead <= plan_.Lookahead(),
+             "ShardRouter: engine lookahead exceeds the plan's seam price");
   }
 
   sim::ShardedEngine* engine() { return engine_; }

@@ -1,9 +1,9 @@
 #include "ssd/sharded_device.h"
 
-#include <cassert>
 #include <utility>
 
 #include "blocklayer/request.h"
+#include "common/check.h"
 
 namespace postblock::ssd {
 
@@ -60,15 +60,13 @@ ShardedDeviceSim::ShardedDeviceSim(const Config& config,
                                    const ShardedDeviceRun& run)
     : config_(config),
       run_(run),
-      plan_(ShardPlan::FromConfig(config, run.seam_coalesce_ns)),
+      plan_(ShardPlan::FromConfig(config)),
       rng_(run.seed) {
-  assert(config_.metrics == nullptr &&
-         "metrics sampling is unsupported on the sharded device");
   sim::ShardedConfig ec;
   ec.shards = plan_.num_shards;
   ec.workers = run_.workers;
   ec.lookahead = plan_.Lookahead();
-  ec.fingerprint = true;
+  ec.observer = run_.observer;
   engine_ = std::make_unique<sim::ShardedEngine>(ec);
   router_ = std::make_unique<ShardRouter>(engine_.get(), plan_);
   std::vector<trace::Tracer*> channel_rings;
@@ -142,8 +140,9 @@ void ShardedDeviceSim::OnDone(const Status& st) {
 
 SimTime ShardedDeviceSim::Run() {
   const SimTime end = engine_->Run();
-  assert(inflight_ == 0);
-  assert(done_ == fill_pages_ + run_.total_ios);
+  PB_CHECK(inflight_ == 0, "sharded device drained with host IO in flight");
+  PB_CHECK(done_ == fill_pages_ + run_.total_ios,
+           "sharded device drained before the host script completed");
   return end;
 }
 

@@ -24,9 +24,6 @@ namespace postblock::ssd {
 /// hold ModelFingerprint()/CombinedFingerprint() to that.
 struct ShardedDeviceRun {
   std::uint32_t workers = 0;  // 0 = the sequential reference loop
-  /// Seam price added on top of controller overhead on both edges
-  /// (ShardPlan::FromConfig's batched doorbell/coalescing grid).
-  SimTime seam_coalesce_ns = 62 * kMicrosecond;
   std::uint32_t queue_depth = 32;
   std::uint64_t total_ios = 20000;   // main phase, after precondition
   std::uint32_t write_percent = 30;  // rest are reads
@@ -39,6 +36,10 @@ struct ShardedDeviceRun {
   /// controller ring. Their contents fold into ModelFingerprint(), so
   /// the digest gates also hold tracing to worker-count invariance.
   bool tracing = false;
+  /// Optional execution observer forwarded to the engine
+  /// (obs::EngineProfiler). Not owned; must outlive the run. Read-only
+  /// on the schedule; nullptr keeps the engine wall-clock-free.
+  sim::EngineObserver* observer = nullptr;
 };
 
 /// Owns engine + router + device + host loop for one run. Build, call

@@ -20,7 +20,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace.h"
 #include "trace/tracer.h"
@@ -29,19 +29,27 @@
 namespace postblock {
 namespace {
 
+/// The full ssd::Device on the sharded engine (four channel shards
+/// plus the controller shard), aged so GC relocations cross the seam.
 ssd::Config EngineConfig() {
-  ssd::Config config = ssd::Config::Small();
+  ssd::Config config;
   config.geometry.channels = 4;
-  config.geometry.luns_per_channel = 4;
+  config.geometry.luns_per_channel = 2;
+  config.geometry.planes_per_lun = 1;
+  config.geometry.blocks_per_plane = 24;
+  config.geometry.pages_per_block = 16;
+  config.geometry.page_size_bytes = 4096;
   return config;
 }
 
-ssd::ShardedRunConfig SmallRun(std::uint32_t workers,
+ssd::ShardedDeviceRun SmallRun(std::uint32_t workers,
                                obs::EngineProfiler* profiler) {
-  ssd::ShardedRunConfig run;
+  ssd::ShardedDeviceRun run;
   run.workers = workers;
-  run.ios_per_channel = 400;
-  run.queue_depth_per_channel = 8;
+  run.queue_depth = 16;
+  run.total_ios = 1500;
+  run.write_percent = 40;
+  run.fill_fraction = 0.7;
   run.observer = profiler;
   return run;
 }
@@ -53,7 +61,7 @@ TEST(EngineProfilerTest, WallBucketsTileEveryWindowExactly) {
   pc.max_window_records = 1 << 20;  // retain every window of this run
   pc.sample_every = 1;              // exhaustive: observe all windows
   obs::EngineProfiler profiler(pc);
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(2, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(2, &profiler));
   sim.Run();
 
   ASSERT_GT(profiler.windows_observed(), 0u);
@@ -112,13 +120,13 @@ TEST(EngineProfilerTest, SamplingObservesEveryNthWindowExactly) {
   obs::EngineProfilerConfig full;
   full.sample_every = 1;
   obs::EngineProfiler exhaustive(full);
-  ssd::ShardedFlashSim ref(EngineConfig(), SmallRun(0, &exhaustive));
+  ssd::ShardedDeviceSim ref(EngineConfig(), SmallRun(0, &exhaustive));
   ref.Run();
 
   obs::EngineProfilerConfig pc;
   pc.sample_every = 4;
   obs::EngineProfiler profiler(pc);
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
 
   // Sampling is invisible to the schedule...
@@ -144,14 +152,14 @@ TEST(EngineProfilerTest, SamplingObservesEveryNthWindowExactly) {
 }
 
 TEST(EngineProfilerTest, AttachingIsScheduleByteIdentical) {
-  ssd::ShardedFlashSim bare(EngineConfig(), SmallRun(0, nullptr));
+  ssd::ShardedDeviceSim bare(EngineConfig(), SmallRun(0, nullptr));
   bare.Run();
   const std::uint64_t want_fp = bare.CombinedFingerprint();
   const std::uint64_t want_ev = bare.engine()->events_executed();
 
   for (const std::uint32_t workers : {0u, 2u}) {
     obs::EngineProfiler profiler;
-    ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(workers, &profiler));
+    ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(workers, &profiler));
     sim.Run();
     EXPECT_EQ(sim.CombinedFingerprint(), want_fp) << "workers=" << workers;
     EXPECT_EQ(sim.engine()->events_executed(), want_ev)
@@ -161,7 +169,7 @@ TEST(EngineProfilerTest, AttachingIsScheduleByteIdentical) {
 
 TEST(EngineProfilerTest, ChromeJsonRoundTripsThroughTheReParser) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(2, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(2, &profiler));
   sim.Run();
 
   std::vector<trace::ParsedEvent> events;
@@ -189,7 +197,7 @@ TEST(EngineProfilerTest, ChromeJsonRoundTripsThroughTheReParser) {
 
 TEST(EngineProfilerTest, MergedJsonKeepsBothPidSpaces) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
 
   // A sim-time trace with one marker on a flash-pid track.
@@ -213,7 +221,7 @@ TEST(EngineProfilerTest, MergedJsonKeepsBothPidSpaces) {
 
 TEST(EngineProfilerTest, ReportJsonCarriesMetaAndTotals) {
   obs::EngineProfiler profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), SmallRun(0, &profiler));
+  ssd::ShardedDeviceSim sim(EngineConfig(), SmallRun(0, &profiler));
   sim.Run();
   const ssd::Config config = EngineConfig();
   const std::string report =

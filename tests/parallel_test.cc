@@ -1,7 +1,8 @@
-// Tier A backend (ssd::ShardedFlashSim) and Tier B sweep harness
-// (sim::ParallelRunner): determinism across worker counts on the
-// fig2-class sharded workload, per-shard Rng domains, and the
-// N-instances-on-N-threads == N-sequential-runs equality.
+// Tier B sweep harness (sim::ParallelRunner): N independent full
+// stacks on N threads must equal N sequential runs bit for bit, keep
+// results in job order, and isolate per-job failures. (Tier A, the
+// sharded engine, is held to worker-count invariance by
+// sharded_sim_test and sharded_device_test.)
 
 #include <cstdint>
 #include <stdexcept>
@@ -10,112 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include "flash/rng_domain.h"
 #include "sim/parallel_runner.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/shard_plan.h"
-#include "ssd/sharded_backend.h"
 #include "workload/patterns.h"
 
 namespace postblock {
 namespace {
-
-ssd::Config BackendConfig() {
-  ssd::Config config = ssd::Config::Small();
-  config.geometry.channels = 4;
-  config.geometry.luns_per_channel = 4;
-  return config;
-}
-
-ssd::ShardedRunConfig SmallRun(std::uint32_t workers) {
-  ssd::ShardedRunConfig run;
-  run.workers = workers;
-  run.ios_per_channel = 400;
-  run.queue_depth_per_channel = 8;
-  return run;
-}
-
-TEST(ShardPlanTest, DeclaresPerChannelSeamEdges) {
-  const ssd::Config config = BackendConfig();
-  const ssd::ShardPlan plan = ssd::ShardPlan::FromConfig(config);
-  EXPECT_EQ(plan.num_shards, config.geometry.channels + 1);
-  EXPECT_EQ(plan.controller_shard, config.geometry.channels);
-  ASSERT_EQ(plan.channel_shard.size(), config.geometry.channels);
-  // One dispatch + one completion edge per channel, each bounded below
-  // by controller overhead + the coalescing grid.
-  EXPECT_EQ(plan.edges.size(), 2u * config.geometry.channels);
-  const SimTime floor = config.controller_overhead_ns;
-  for (const ssd::ShardEdge& edge : plan.edges) {
-    EXPECT_GT(edge.min_latency_ns, floor);
-    EXPECT_TRUE(edge.from == plan.controller_shard ||
-                edge.to == plan.controller_shard)
-        << "chips on different channels must not talk directly";
-  }
-  EXPECT_EQ(plan.Lookahead(),
-            std::min(plan.dispatch_ns, plan.complete_ns));
-}
-
-TEST(RngDomainTest, StreamsAreAFunctionOfIdAlone) {
-  const flash::RngDomain domain(1234);
-  // Drawing heavily from one domain must not move any other domain's
-  // stream — the property sequential Rng::Fork chains do not have.
-  Rng a0 = domain.ForDomain(0);
-  Rng burn = domain.ForDomain(7);
-  for (int i = 0; i < 1000; ++i) burn.Next();
-  Rng a3 = domain.ForDomain(3);
-  const std::uint64_t first3 = a3.Next();
-
-  const flash::RngDomain same(1234);
-  Rng b3 = same.ForDomain(3);
-  EXPECT_EQ(b3.Next(), first3);
-  Rng b0 = same.ForDomain(0);
-  EXPECT_EQ(b0.Next(), a0.Next());
-  // Distinct domains decorrelate.
-  Rng c0 = same.ForDomain(0);
-  Rng c1 = same.ForDomain(1);
-  EXPECT_NE(c0.Next(), c1.Next());
-}
-
-TEST(ShardedBackendTest, RunsTheFig2ClassWorkload) {
-  ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(/*workers=*/0));
-  sim.Run();
-  EXPECT_EQ(sim.ios_completed(), 4u * 400u);
-  EXPECT_EQ(sim.latency().count(), 4u * 400u);
-  EXPECT_GT(sim.pages_read(), 0u);
-  EXPECT_GT(sim.pages_programmed(), 0u);
-  // The aged start (5% free) must have GC fighting during the run, and
-  // GC traffic must exceed host programs alone.
-  EXPECT_GT(sim.blocks_erased(), 0u);
-  EXPECT_GT(sim.gc_page_moves(), 0u);
-  EXPECT_GT(sim.engine()->messages_delivered(), 0u);
-}
-
-TEST(ShardedBackendTest, ByteIdenticalAcrossWorkerCounts) {
-  // The tentpole acceptance bit, at test scale: the committed schedule
-  // (engine fingerprints + every model observable) is identical at
-  // 1/2/4/8 workers and on a second run at each count.
-  std::uint64_t reference = 0;
-  std::uint64_t reference_events = 0;
-  {
-    ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(0));
-    sim.Run();
-    reference = sim.CombinedFingerprint();
-    reference_events = sim.engine()->events_executed();
-  }
-  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(workers));
-      sim.Run();
-      EXPECT_EQ(sim.CombinedFingerprint(), reference)
-          << "workers=" << workers << " repeat=" << repeat;
-      EXPECT_EQ(sim.engine()->events_executed(), reference_events)
-          << "workers=" << workers << " repeat=" << repeat;
-    }
-  }
-}
-
-// --- Tier B: the multi-instance sweep harness --------------------------
 
 /// A real full-stack job: builds its own Simulator + ssd::Device, runs
 /// a small random-write burn-in, reports latency/WA. A pure function

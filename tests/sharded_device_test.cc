@@ -3,10 +3,12 @@
 // observable folded into ShardedDeviceSim::ModelFingerprint() must be
 // byte-identical across worker counts {0, 1, 2, 4} and across repeated
 // runs — with GC active, with scripted faults, and with per-shard
-// trace rings attached. This is gate 7's engine-level invariant
-// extended to the real controller/FTL/channel stack (gate 10 holds the
-// same bit at bench scale in scripts/check_perf.sh).
+// trace rings attached. The engine-level invariant sharded_sim_test
+// holds on synthetic worlds, here on the real controller/FTL/channel
+// stack (gate 10 holds the same bit at bench scale in
+// scripts/check_perf.sh).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -105,8 +107,30 @@ TEST(ShardedDeviceTest, FaultsAndTracingStayInvariant) {
   }
 }
 
-// The plan prices both seam directions at controller overhead plus the
-// coalescing grid, and the engine must run with exactly that lookahead.
+// The plan gives every channel its own shard beside the controller's,
+// so chips on different channels only meet through the seam, and
+// prices both seam directions strictly above controller overhead: the
+// overhead plus the coalescing grid.
+TEST(ShardPlanTest, DeclaresPerChannelSeamEdges) {
+  const Config config = TestConfig();
+  const ShardPlan plan = ShardPlan::FromConfig(config);
+  EXPECT_EQ(plan.num_shards, config.geometry.channels + 1);
+  EXPECT_EQ(plan.controller_shard, config.geometry.channels);
+  ASSERT_EQ(plan.channel_shard.size(), config.geometry.channels);
+  for (std::uint32_t c = 0; c < config.geometry.channels; ++c) {
+    EXPECT_EQ(plan.channel_shard[c], c)
+        << "chips on different channels must not share a shard";
+  }
+  const SimTime floor = config.controller_overhead_ns;
+  EXPECT_GT(plan.dispatch_ns, floor);
+  EXPECT_GT(plan.complete_ns, floor);
+  EXPECT_EQ(plan.dispatch_ns, floor + ShardPlan::kSeamCoalesceNs);
+  EXPECT_EQ(plan.complete_ns, floor + ShardPlan::kSeamCoalesceNs);
+  EXPECT_EQ(plan.Lookahead(), std::min(plan.dispatch_ns, plan.complete_ns));
+}
+
+// The device builds its plan from its config, and the engine must run
+// with exactly that plan's lookahead.
 TEST(ShardedDeviceTest, PlanPricesTheSeam) {
   const Config config = TestConfig();
   ShardedDeviceSim sim(config, TestRun(0));
@@ -115,7 +139,7 @@ TEST(ShardedDeviceTest, PlanPricesTheSeam) {
   EXPECT_EQ(plan.controller_shard, config.geometry.channels);
   EXPECT_EQ(plan.Lookahead(), sim.engine()->config().lookahead);
   EXPECT_EQ(plan.dispatch_ns,
-            config.controller_overhead_ns + TestRun(0).seam_coalesce_ns);
+            config.controller_overhead_ns + ShardPlan::kSeamCoalesceNs);
 }
 
 }  // namespace

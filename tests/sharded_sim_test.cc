@@ -5,6 +5,8 @@
 // held here by exact-timestamp checks, merge-order checks, and a
 // randomized cross-thread determinism property test that compares
 // schedule fingerprints across 1/2/4/8 workers and run-twice repeats.
+// The lookahead contract itself must hold in every build type: a death
+// test breaks it on purpose.
 
 #include "sim/sharded_engine.h"
 
@@ -14,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "flash/rng_domain.h"
 #include "sim/simulator.h"
 
 namespace postblock::sim {
@@ -184,12 +185,12 @@ std::uint64_t RunRandomWorld(std::uint32_t workers, std::uint64_t seed) {
     std::uint64_t hash = 0;
     std::uint64_t executed = 0;
   };
-  // Shards only ever touch their own slot; the flash::RngDomain streams
-  // make each shard's draws a function of its id alone.
+  // Shards only ever touch their own slot, and each slot's stream is
+  // seeded from (seed, shard) alone: no shard's draws depend on how
+  // much another shard drew, or on which worker got there first.
   std::vector<ShardWorld> worlds(kShards);
-  const flash::RngDomain domain(seed);
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    worlds[s].rng = domain.ForDomain(s);
+    worlds[s].rng = Rng(Fold(seed, s));
   }
 
   struct Chain {
@@ -251,6 +252,25 @@ TEST(ShardedDeterminismTest, RunTwiceBitIdenticalPerWorkerCount) {
     EXPECT_EQ(RunRandomWorld(workers, 77), RunRandomWorld(workers, 77))
         << "workers=" << workers << " not reproducible across runs";
   }
+}
+
+// A Post that would land inside the running window breaks the
+// conservative-lookahead contract. The check is a PB_CHECK, not an
+// assert, so it aborts with its message in Release builds too.
+TEST(ShardedEngineDeathTest, PostInsideLookaheadAborts) {
+  EXPECT_DEATH(
+      {
+        ShardedConfig config;
+        config.shards = 2;
+        config.workers = 0;
+        config.lookahead = 100;
+        ShardedEngine engine(config);
+        engine.shard(0)->Schedule(10, [&engine] {
+          engine.Post(0, 1, engine.shard(0)->Now() + 99, [] {});
+        });
+        engine.Run();
+      },
+      "message lands inside the lookahead window");
 }
 
 TEST(ShardedEngineTest, SeamTrafficObservability) {

@@ -3,8 +3,9 @@
 // lifecycle under live traffic (destroy/disconnect/reconnect with
 // drain and cancel), destroy-then-recreate with no stale data, DRR QoS
 // sharing, 256-tenant run-twice determinism, per-tenant trace tracks
-// through the Chrome exporter round trip, and multi-tenant attribution
-// on the sharded parallel engine.
+// through the Chrome exporter round trip, and a Backend on the sharded
+// ssd::Device's controller shard (DRR weights honoured, schedule
+// identical at every worker count).
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,7 +20,7 @@
 #include "blocklayer/simple_device.h"
 #include "metrics/metrics.h"
 #include "sim/simulator.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "trace/chrome_trace.h"
 #include "trace/tracer.h"
 #include "vbd/backend.h"
@@ -554,28 +555,77 @@ TEST(VbdObservability, TenantTraceTracksRoundTripThroughExporter) {
   EXPECT_EQ(bob_spans, 1u);
 }
 
-// --- Multi-tenant attribution on the sharded parallel engine ----------
+// --- A Backend on the sharded device -----------------------------------
 
+// A real Backend sits on the sharded device's controller shard, next to
+// the firmware it submits to, and drives one closed loop per tenant
+// from there while GC and channel timing run on the channel shards. Its
+// DRR arbiter must favour the weight-3 tenant, and the committed
+// schedule must not depend on the worker count.
 TEST(VbdSharded, MultiTenantAttributionDeterministicAcrossWorkers) {
-  ssd::Config device = ssd::Config::Small();
-  device.seed = 77;
+  constexpr std::uint32_t kWeights[] = {3, 1, 1};
+  constexpr std::uint64_t kOps = 300;  // writes per tenant
+  constexpr std::uint32_t kDepth = 8;  // closed-loop depth per tenant
+  ssd::Config device;
+  device.geometry.channels = 4;
+  device.geometry.luns_per_channel = 2;
+  device.geometry.planes_per_lun = 1;
+  device.geometry.blocks_per_plane = 24;
+  device.geometry.pages_per_block = 16;
+  device.geometry.page_size_bytes = 4096;
+
+  struct Loop {
+    Frontend* fe = nullptr;
+    std::uint64_t issued = 0;
+    std::uint64_t done = 0;
+  };
   auto run = [&](std::uint32_t workers) {
-    ssd::ShardedRunConfig rc;
+    ssd::ShardedDeviceRun rc;
     rc.workers = workers;
-    rc.ios_per_channel = 600;
-    rc.queue_depth_per_channel = 8;
-    rc.tenant_weights = {3, 1, 1};
-    ssd::ShardedFlashSim sharded(device, rc);
-    sharded.Run();
-    // Attribution partitions the completions exactly.
-    std::uint64_t sum = 0;
-    for (std::size_t t = 0; t < rc.tenant_weights.size(); ++t) {
-      sum += sharded.tenant_completed(t);
+    rc.total_ios = 0;  // the harness only preconditions; tenants drive
+    ssd::ShardedDeviceSim sharded(device, rc);
+    sim::Simulator* ctrl =
+        sharded.engine()->shard(sharded.plan().controller_shard);
+    BackendConfig cfg;
+    cfg.shared_depth = 8;
+    Backend backend(ctrl, sharded.device(), cfg);
+    const std::uint64_t extent = sharded.device()->num_blocks() / 4;
+    std::vector<Loop> loops(std::size(kWeights));
+    for (std::size_t t = 0; t < loops.size(); ++t) {
+      auto fe = backend.CreateTenant(TC(extent, 0, kWeights[t]));
+      EXPECT_TRUE(fe.ok()) << fe.status();
+      if (!fe.ok()) return std::uint64_t{0};
+      loops[t].fe = fe.value();
     }
-    EXPECT_EQ(sum, sharded.ios_completed());
-    // The weight-3 tenant got (close to) 3x the weight-1 tenants.
-    EXPECT_GT(sharded.tenant_completed(0),
-              2 * sharded.tenant_completed(1));
+    std::function<void(Loop&)> issue = [&](Loop& l) {
+      while (l.issued < kOps && l.issued - l.done < kDepth) {
+        IoRequest r;
+        r.op = IoOp::kWrite;
+        r.lba = l.issued * 7919 % extent;
+        r.nblocks = 1;
+        r.tokens = {++l.issued};
+        r.on_complete = [&issue, &l](const IoResult&) {
+          ++l.done;
+          issue(l);
+        };
+        l.fe->Submit(std::move(r));
+      }
+    };
+    ctrl->Schedule(0, [&] {
+      for (Loop& l : loops) issue(l);
+    });
+    sharded.Run();
+
+    for (const Loop& l : loops) {
+      EXPECT_EQ(l.fe->stats().completed, kOps) << l.fe->name();
+      EXPECT_EQ(l.fe->stats().errors, 0u) << l.fe->name();
+    }
+    EXPECT_EQ(sharded.io_errors(), 0u);
+    // More device slots per DRR round means less time parked at the
+    // admission gate: the weight-3 tenant sees the lowest mean latency.
+    const double heavy = loops[0].fe->stats().write_latency.Mean();
+    EXPECT_LT(heavy, loops[1].fe->stats().write_latency.Mean());
+    EXPECT_LT(heavy, loops[2].fe->stats().write_latency.Mean());
     return sharded.CombinedFingerprint();
   };
   const std::uint64_t sequential = run(0);
