@@ -94,7 +94,8 @@ BlockLayer::IoState* BlockLayer::AcquireIo(std::uint32_t q) {
 void BlockLayer::ReleaseIo(IoState* st) {
   st->req = IoRequest{};
   st->user_cb = nullptr;
-  st->result = IoResult{};
+  // st->result keeps its token capacity: the next device completion on
+  // this tag copies into it without allocating.
   QueuePair& pair = queues_[st->q];
   pair.tags.Release(st->tag);
   // A freed tag resumes one parked request through the full submit path
@@ -306,10 +307,12 @@ void BlockLayer::FinishIo(IoState* st) {
                       st->start, sim_->Now(), st->lba);
     }
   }
+  // The caller hears the result straight from the released state: the
+  // only writers of st->result are this tag's next device completion
+  // and retry, and both run from later events, never inside `cb`.
   IoCallback cb = std::move(st->user_cb);
-  IoResult result = std::move(st->result);
   ReleaseIo(st);
-  if (cb) cb(result);
+  if (cb) cb(st->result);
 }
 
 void BlockLayer::RetrySubmit(IoState* st) {

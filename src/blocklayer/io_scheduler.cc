@@ -1,5 +1,6 @@
 #include "blocklayer/io_scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace postblock::blocklayer {
@@ -14,10 +15,9 @@ bool IoScheduler::TryMerge(IoRequest& request) {
   if (config_.kind != SchedulerKind::kMerge || queue_.empty()) return false;
   if (request.op != IoOp::kRead && request.op != IoOp::kWrite) return false;
   std::uint32_t scanned = 0;
-  for (auto it = queue_.rbegin();
-       it != queue_.rend() && scanned < config_.merge_window;
-       ++it, ++scanned) {
-    IoRequest& tail = *it;
+  for (std::size_t i = queue_.size();
+       i > 0 && scanned < config_.merge_window; --i, ++scanned) {
+    IoRequest& tail = queue_[i - 1];
     if (tail.op != request.op) continue;
     if (!config_.cross_stream_merge && tail.stream != request.stream) {
       counters_.Increment("merge_stream_rejects");
@@ -30,39 +30,44 @@ bool IoScheduler::TryMerge(IoRequest& request) {
       tracer_->Mark(trace::Stage::kSchedule, OriginOf(request.op),
                     request.span, track_, sim_->Now(), request.lba);
     }
+    // Chain the completions: both submitters hear about the merged IO.
+    Fanout* f = fanouts_.Acquire();
+    f->head_blocks = tail.nblocks;
     tail.nblocks += request.nblocks;
     for (auto t : request.tokens) tail.tokens.push_back(t);
-    // Chain the completions: both submitters hear about the merged IO.
-    IoCallback prev = std::move(tail.on_complete);
-    IoCallback next = std::move(request.on_complete);
     // The merged IO keeps the head's completion-routing identity.
-    const std::uint16_t queue_id = prev.queue_id;
-    const std::uint16_t merged_tag = prev.tag;
-    const std::uint32_t head_blocks = tail.nblocks - request.nblocks;
-    tail.on_complete = [prev = std::move(prev), next = std::move(next),
-                        head_blocks](const IoResult& result) {
-      if (prev) {
-        IoResult head = result;
-        if (head.tokens.size() > head_blocks) {
-          head.tokens.resize(head_blocks);
-        }
-        prev(head);
-      }
-      if (next) {
-        IoResult rest;
-        rest.status = result.status;
-        if (result.tokens.size() > head_blocks) {
-          rest.tokens.assign(result.tokens.begin() + head_blocks,
-                             result.tokens.end());
-        }
-        next(rest);
-      }
+    const std::uint16_t queue_id = tail.on_complete.queue_id;
+    const std::uint16_t merged_tag = tail.on_complete.tag;
+    f->head = std::move(tail.on_complete);
+    f->rest = std::move(request.on_complete);
+    tail.on_complete = [this, f](const IoResult& result) {
+      FanOut(f, result);
     };
     tail.on_complete.queue_id = queue_id;
     tail.on_complete.tag = merged_tag;
     return true;
   }
   return false;
+}
+
+void IoScheduler::FanOut(Fanout* f, const IoResult& result) {
+  const std::size_t split =
+      std::min<std::size_t>(result.tokens.size(), f->head_blocks);
+  if (f->head) {
+    f->head_result.status = result.status;
+    f->head_result.tokens.assign(result.tokens.begin(),
+                                 result.tokens.begin() + split);
+    f->head(f->head_result);
+  }
+  if (f->rest) {
+    f->rest_result.status = result.status;
+    f->rest_result.tokens.assign(result.tokens.begin() + split,
+                                 result.tokens.end());
+    f->rest(f->rest_result);
+  }
+  f->head = nullptr;
+  f->rest = nullptr;
+  fanouts_.Release(f);
 }
 
 void IoScheduler::Enqueue(IoRequest request) {
@@ -72,15 +77,15 @@ void IoScheduler::Enqueue(IoRequest request) {
 }
 
 IoRequest IoScheduler::Dequeue() {
-  auto it = queue_.begin();
+  std::size_t pick = 0;
   if (config_.kind == SchedulerKind::kPriority) {
-    for (auto cand = queue_.begin(); cand != queue_.end(); ++cand) {
-      if (cand->priority > it->priority) it = cand;  // FIFO within class
+    for (std::size_t i = 1; i < queue_.size(); ++i) {
+      // Strictly greater: FIFO within a priority class.
+      if (queue_[i].priority > queue_[pick].priority) pick = i;
     }
-    if (it->priority > 0) counters_.Increment("priority_dispatches");
+    if (queue_[pick].priority > 0) counters_.Increment("priority_dispatches");
   }
-  IoRequest r = std::move(*it);
-  queue_.erase(it);
+  IoRequest r = queue_.erase(pick);
   counters_.Increment("dispatched");
   return r;
 }

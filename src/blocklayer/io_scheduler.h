@@ -2,11 +2,12 @@
 #define POSTBLOCK_BLOCKLAYER_IO_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "blocklayer/request.h"
 #include "common/stats.h"
+#include "sim/pool.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "trace/tracer.h"
 
@@ -44,6 +45,10 @@ struct IoSchedulerConfig {
 /// paper notes sorting lost its purpose on SSDs). The merge window is
 /// explicit per queue (IoSchedulerConfig::merge_window) and merging
 /// never crosses stream boundaries unless configured to.
+///
+/// The queue is a recycled ring and each merge's completion fan-out is a
+/// pooled record whose per-submitter results keep their token capacity,
+/// so a queue in steady state never touches the allocator.
 class IoScheduler {
  public:
   explicit IoScheduler(IoSchedulerConfig config);
@@ -74,12 +79,26 @@ class IoScheduler {
   }
 
  private:
+  /// One merge's completion fan-out: the merged IO's completion splits
+  /// its tokens between the head's callback (the first `head_blocks`)
+  /// and the absorbed request's (the rest). Chained merges nest: `head`
+  /// may itself be an earlier merge's fan-out.
+  struct Fanout {
+    IoCallback head;
+    IoCallback rest;
+    std::uint32_t head_blocks = 0;
+    IoResult head_result;
+    IoResult rest_result;
+  };
+
   /// Attempts a back-merge of `request` into a request within the merge
   /// window. Returns true when absorbed.
   bool TryMerge(IoRequest& request);
+  void FanOut(Fanout* f, const IoResult& result);
 
   IoSchedulerConfig config_;
-  std::deque<IoRequest> queue_;
+  sim::Ring<IoRequest> queue_;
+  sim::RecordPool<Fanout> fanouts_;
   Counters counters_;
   trace::Tracer* tracer_ = nullptr;
   std::uint32_t track_ = 0;

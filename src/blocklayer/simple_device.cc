@@ -1,6 +1,5 @@
 #include "blocklayer/simple_device.h"
 
-#include <memory>
 #include <utility>
 
 namespace postblock::blocklayer {
@@ -35,45 +34,51 @@ void SimpleBlockDevice::Submit(IoRequest request) {
     });
     return;
   }
-  auto req = std::make_shared<IoRequest>(std::move(request));
-  sim_->Schedule(config_.controller_overhead_ns, [this, req]() {
-    struct Tracker {
-      std::uint32_t remaining;
-      std::vector<std::uint64_t> tokens;
-    };
-    auto tracker = std::make_shared<Tracker>();
-    tracker->remaining = req->nblocks;
-    if (req->op == IoOp::kRead) tracker->tokens.assign(req->nblocks, 0);
-    for (std::uint32_t i = 0; i < req->nblocks; ++i) {
-      const Lba lba = req->lba + i;
-      const SimTime service = req->op == IoOp::kRead ? config_.read_ns
-                              : req->op == IoOp::kWrite
-                                  ? config_.write_ns
-                                  : 0;
-      units_.UseFor(service, [this, req, tracker, lba, i]() {
-        switch (req->op) {
-          case IoOp::kRead:
-            tracker->tokens[i] = tokens_[lba];
-            counters_.Increment("blocks_read");
-            break;
-          case IoOp::kWrite:
-            tokens_[lba] = req->tokens[i];
-            counters_.Increment("blocks_written");
-            break;
-          case IoOp::kTrim:
-            tokens_[lba] = 0;
-            counters_.Increment("blocks_trimmed");
-            break;
-          case IoOp::kFlush:
-            break;
-        }
-        if (--tracker->remaining == 0) {
-          req->on_complete(
-              IoResult{Status::Ok(), std::move(tracker->tokens)});
-        }
-      });
-    }
-  });
+  Op* op = ops_.Acquire();
+  op->req = std::move(request);
+  sim_->Schedule(config_.controller_overhead_ns, [this, op] { Start(op); });
+}
+
+void SimpleBlockDevice::Start(Op* op) {
+  op->remaining = op->req.nblocks;
+  op->result.status = Status::Ok();
+  if (op->req.op == IoOp::kRead) {
+    op->result.tokens.assign(op->req.nblocks, 0);
+  } else {
+    op->result.tokens.clear();
+  }
+  const SimTime service = op->req.op == IoOp::kRead    ? config_.read_ns
+                          : op->req.op == IoOp::kWrite ? config_.write_ns
+                                                       : 0;
+  for (std::uint32_t i = 0; i < op->req.nblocks; ++i) {
+    units_.UseFor(service, [this, op, i] { ServeBlock(op, i); });
+  }
+}
+
+void SimpleBlockDevice::ServeBlock(Op* op, std::uint32_t i) {
+  const Lba lba = op->req.lba + i;
+  switch (op->req.op) {
+    case IoOp::kRead:
+      op->result.tokens[i] = tokens_[lba];
+      counters_.Increment("blocks_read");
+      break;
+    case IoOp::kWrite:
+      tokens_[lba] = op->req.tokens[i];
+      counters_.Increment("blocks_written");
+      break;
+    case IoOp::kTrim:
+      tokens_[lba] = 0;
+      counters_.Increment("blocks_trimmed");
+      break;
+    case IoOp::kFlush:
+      break;
+  }
+  if (--op->remaining > 0) return;
+  // Released after the callback, which may submit again: the record and
+  // its result stay the caller's until the callback returns.
+  op->req.on_complete(op->result);
+  op->req = IoRequest{};
+  ops_.Release(op);
 }
 
 }  // namespace postblock::blocklayer

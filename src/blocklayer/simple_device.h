@@ -7,6 +7,7 @@
 #include "blocklayer/block_device.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -38,10 +39,24 @@ class SimpleBlockDevice : public BlockDevice {
   const Counters& counters() const override { return counters_; }
 
  private:
+  /// One accepted request: its blocks are served independently by the
+  /// units and the last one completes it. Pooled, and the result keeps
+  /// its token capacity, so steady-state IO never allocates; the
+  /// scheduling lambdas capture {this, op*} and stay inline.
+  struct Op {
+    IoRequest req;
+    std::uint32_t remaining = 0;
+    IoResult result;
+  };
+
+  void Start(Op* op);
+  void ServeBlock(Op* op, std::uint32_t i);
+
   sim::Simulator* sim_;
   SimpleDeviceConfig config_;
   sim::Resource units_;
   std::vector<std::uint64_t> tokens_;
+  sim::RecordPool<Op> ops_;
   Counters counters_;
 };
 

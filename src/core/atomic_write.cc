@@ -1,6 +1,6 @@
 #include "core/atomic_write.h"
 
-#include <memory>
+#include <utility>
 
 namespace postblock::core {
 
@@ -8,8 +8,7 @@ AtomicWriter::AtomicWriter(sim::Simulator* sim, ftl::PageFtl* ftl)
     : sim_(sim), ftl_(ftl) {}
 
 void AtomicWriter::WriteAtomic(
-    std::vector<std::pair<Lba, std::uint64_t>> pages,
-    std::function<void(Status)> cb) {
+    std::vector<std::pair<Lba, std::uint64_t>> pages, StatusCb cb) {
   const SimTime start = sim_->Now();
   counters_.Increment("atomic_writes");
   counters_.Add("pages", pages.size());
@@ -30,85 +29,80 @@ JournaledAtomicWriter::JournaledAtomicWriter(sim::Simulator* sim,
       journal_blocks_(journal_blocks) {}
 
 void JournaledAtomicWriter::WriteBatch(
-    std::vector<std::pair<Lba, std::uint64_t>> pages,
-    std::function<void(Status)> done) {
-  auto tracker = std::make_shared<std::pair<std::size_t, Status>>(
-      pages.size(), Status::Ok());
+    Group* g, const std::vector<std::pair<Lba, std::uint64_t>>& pages) {
+  g->remaining = pages.size();
+  g->first_error = Status::Ok();
   for (const auto& [lba, token] : pages) {
     blocklayer::IoRequest w;
     w.op = blocklayer::IoOp::kWrite;
     w.lba = lba;
     w.nblocks = 1;
     w.tokens = {token};
-    w.on_complete = [tracker, done](const blocklayer::IoResult& r) {
-      if (!r.status.ok() && tracker->second.ok()) {
-        tracker->second = r.status;
-      }
-      if (--tracker->first == 0) done(tracker->second);
+    w.on_complete = [this, g](const blocklayer::IoResult& r) {
+      if (!r.status.ok() && g->first_error.ok()) g->first_error = r.status;
+      if (--g->remaining == 0) Advance(g, g->first_error);
     };
     dev_->Submit(std::move(w));
   }
 }
 
-void JournaledAtomicWriter::Flush(std::function<void(Status)> done) {
+void JournaledAtomicWriter::Flush(Group* g) {
   blocklayer::IoRequest f;
   f.op = blocklayer::IoOp::kFlush;
   f.nblocks = 1;
-  f.on_complete = [done = std::move(done)](const blocklayer::IoResult& r) {
-    done(r.status);
+  f.on_complete = [this, g](const blocklayer::IoResult& r) {
+    Advance(g, r.status);
   };
   dev_->Submit(std::move(f));
 }
 
 void JournaledAtomicWriter::WriteAtomic(
-    std::vector<std::pair<Lba, std::uint64_t>> pages,
-    std::function<void(Status)> cb) {
-  const SimTime start = sim_->Now();
+    std::vector<std::pair<Lba, std::uint64_t>> pages, StatusCb cb) {
+  Group* g = groups_.Acquire();
+  g->phase = Group::Phase::kJournal;
+  g->start = sim_->Now();
+  g->cb = std::move(cb);
   counters_.Increment("atomic_writes");
   counters_.Add("pages", pages.size());
 
   // Phase 1: journal copies (descriptor + data + commit record).
-  std::vector<std::pair<Lba, std::uint64_t>> journal;
-  journal.reserve(pages.size() + 2);
   auto jslot = [this]() {
     return journal_start_ + (journal_head_++ % journal_blocks_);
   };
-  journal.emplace_back(jslot(), /*descriptor token*/ 0xDE5C);
-  for (const auto& p : pages) journal.emplace_back(jslot(), p.second);
-  journal.emplace_back(jslot(), /*commit token*/ 0xC0117);
-  counters_.Add("journal_writes", journal.size());
+  g->journal.clear();
+  g->journal.emplace_back(jslot(), /*descriptor token*/ 0xDE5C);
+  for (const auto& p : pages) g->journal.emplace_back(jslot(), p.second);
+  g->journal.emplace_back(jslot(), /*commit token*/ 0xC0117);
+  counters_.Add("journal_writes", g->journal.size());
+  g->home.assign(pages.begin(), pages.end());
+  WriteBatch(g, g->journal);
+}
 
-  auto home = std::make_shared<std::vector<std::pair<Lba, std::uint64_t>>>(
-      std::move(pages));
-  WriteBatch(std::move(journal), [this, home, start,
-                                  cb = std::move(cb)](Status st) mutable {
-    if (!st.ok()) {
-      latency_.Record(sim_->Now() - start);
-      cb(std::move(st));
-      return;
-    }
-    Flush([this, home, start, cb = std::move(cb)](Status st2) mutable {
-      if (!st2.ok()) {
-        latency_.Record(sim_->Now() - start);
-        cb(std::move(st2));
+void JournaledAtomicWriter::Advance(Group* g, Status st) {
+  if (st.ok()) {
+    switch (g->phase) {
+      case Group::Phase::kJournal:
+        g->phase = Group::Phase::kJournalFlush;
+        Flush(g);
         return;
-      }
-      // Phase 2: home-location writes, then the final barrier.
-      counters_.Add("home_writes", home->size());
-      WriteBatch(std::move(*home),
-                 [this, start, cb = std::move(cb)](Status st3) mutable {
-                   if (!st3.ok()) {
-                     latency_.Record(sim_->Now() - start);
-                     cb(std::move(st3));
-                     return;
-                   }
-                   Flush([this, start, cb = std::move(cb)](Status st4) {
-                     latency_.Record(sim_->Now() - start);
-                     cb(std::move(st4));
-                   });
-                 });
-    });
-  });
+      case Group::Phase::kJournalFlush:
+        // Phase 2: home-location writes, then the final barrier.
+        g->phase = Group::Phase::kHome;
+        counters_.Add("home_writes", g->home.size());
+        WriteBatch(g, g->home);
+        return;
+      case Group::Phase::kHome:
+        g->phase = Group::Phase::kFinalFlush;
+        Flush(g);
+        return;
+      case Group::Phase::kFinalFlush:
+        break;
+    }
+  }
+  latency_.Record(sim_->Now() - g->start);
+  StatusCb cb = std::move(g->cb);
+  groups_.Release(g);
+  cb(std::move(st));
 }
 
 }  // namespace postblock::core

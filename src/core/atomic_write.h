@@ -2,7 +2,6 @@
 #define POSTBLOCK_CORE_ATOMIC_WRITE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -11,6 +10,8 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "ftl/page_ftl.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::core {
@@ -22,10 +23,12 @@ namespace postblock::core {
 /// groups.
 class AtomicWriter {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   AtomicWriter(sim::Simulator* sim, ftl::PageFtl* ftl);
 
   void WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
-                   std::function<void(Status)> cb);
+                   StatusCb cb);
 
   const Histogram& latency() const { return latency_; }
   const Counters& counters() const { return counters_; }
@@ -42,26 +45,48 @@ class AtomicWriter {
 /// atomic group costs 2n+2 block writes and two flush barriers.
 class JournaledAtomicWriter {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   /// `journal_start`/`journal_blocks` reserve an LBA region on `dev`.
   JournaledAtomicWriter(sim::Simulator* sim, blocklayer::BlockDevice* dev,
                         Lba journal_start, std::uint64_t journal_blocks);
 
   void WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
-                   std::function<void(Status)> cb);
+                   StatusCb cb);
 
   const Histogram& latency() const { return latency_; }
   const Counters& counters() const { return counters_; }
 
  private:
-  void WriteBatch(std::vector<std::pair<Lba, std::uint64_t>> pages,
-                  std::function<void(Status)> done);
-  void Flush(std::function<void(Status)> done);
+  /// One atomic group through its four phases: journal writes, journal
+  /// barrier, home writes, final barrier. Pooled; its extent vectors
+  /// keep their capacity and every IO completes through {this, group*}.
+  struct Group {
+    enum class Phase { kJournal, kJournalFlush, kHome, kFinalFlush };
+    Phase phase = Phase::kJournal;
+    SimTime start = 0;
+    std::vector<std::pair<Lba, std::uint64_t>> journal;
+    std::vector<std::pair<Lba, std::uint64_t>> home;
+    std::size_t remaining = 0;
+    Status first_error;
+    StatusCb cb;
+  };
+
+  /// Writes `pages` as plain block writes; Advance(g) runs once all
+  /// completed (with the first error, if any).
+  void WriteBatch(Group* g,
+                  const std::vector<std::pair<Lba, std::uint64_t>>& pages);
+  void Flush(Group* g);
+  /// Moves `g` to its next phase after the current one finished with
+  /// `st`; an error or the last phase completes the group.
+  void Advance(Group* g, Status st);
 
   sim::Simulator* sim_;
   blocklayer::BlockDevice* dev_;
   Lba journal_start_;
   std::uint64_t journal_blocks_;
   std::uint64_t journal_head_ = 0;
+  sim::RecordPool<Group> groups_;
   Histogram latency_;
   Counters counters_;
 };

@@ -25,31 +25,25 @@ void HybridStore::set_tracer(trace::Tracer* tracer) {
   }
 }
 
-void HybridStore::SyncPersist(std::vector<std::uint8_t> record,
-                              std::function<void(Status)> cb,
-                              trace::Ctx ctx) {
-  const SimTime start = sim_->Now();
+void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
+                              StatusCb cb, trace::Ctx ctx) {
+  Persist* p = persists_.Acquire();
+  p->start = sim_->Now();
+  p->cb = std::move(cb);
   counters_.Increment("sync_persists");
   counters_.Add("sync_bytes", record.size());
   // Trace identity of this persist: inherit the caller's span or mint
   // one, and record the whole commit-critical path as a kApp span when
   // it completes. Classic mode threads the span through the write+flush
   // below, so the trace shows what the block stack cost the commit.
-  trace::SpanId span = ctx.span;
-  if (tracer_ != nullptr && tracer_->enabled() && span == 0) {
-    span = tracer_->NewSpan();
+  p->span = ctx.span;
+  if (tracer_ != nullptr && tracer_->enabled() && p->span == 0) {
+    p->span = tracer_->NewSpan();
   }
   if (pcm_log_ != nullptr) {
-    pcm_log_->Append(
-        std::move(record),
-        [this, start, span, cb = std::move(cb)](StatusOr<Lsn> r) {
-          sync_latency_.Record(sim_->Now() - start);
-          if (tracer_ != nullptr && span != 0) {
-            tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite,
-                            span, 0, track_, start, sim_->Now());
-          }
-          cb(r.ok() ? Status::Ok() : r.status());
-        });
+    pcm_log_->Append(record, [this, p](StatusOr<Lsn> r) {
+      FinishPersist(p, r.ok() ? Status::Ok() : r.status());
+    });
     return;
   }
   // Classic: one whole log block per record (the interface has no
@@ -59,67 +53,82 @@ void HybridStore::SyncPersist(std::vector<std::uint8_t> record,
                 data_path_->block_bytes() > record.size()
                     ? data_path_->block_bytes() - record.size()
                     : 0);
-  const Lba lba =
-      log_region_start_ + (log_head_block_++ % log_region_blocks_);
-  const std::uint64_t token = next_log_token_++;
+  p->lba = log_region_start_ + (log_head_block_++ % log_region_blocks_);
+  p->token = next_log_token_++;
+  p->record.assign(record.begin(), record.end());
   blocklayer::IoRequest write;
   write.op = blocklayer::IoOp::kWrite;
-  write.lba = lba;
+  write.lba = p->lba;
   write.nblocks = 1;
-  write.tokens = {token};
+  write.tokens = {p->token};
   // Commit-critical: jumps lazy page flushes under a priority scheduler
   // (ref [13]).
   write.priority = 1;
   write.stream = wal_stream_;
-  write.span = span;
-  auto record_ptr =
-      std::make_shared<std::vector<std::uint8_t>>(std::move(record));
-  write.on_complete = [this, start, span, lba, token, record_ptr,
-                       cb = std::move(cb)](
-                          const blocklayer::IoResult& wr) mutable {
-    if (!wr.status.ok()) {
-      sync_latency_.Record(sim_->Now() - start);
-      cb(wr.status);
-      return;
-    }
-    blocklayer::IoRequest flush;
-    flush.op = blocklayer::IoOp::kFlush;
-    flush.nblocks = 1;
-    flush.stream = wal_stream_;
-    flush.span = span;
-    flush.on_complete = [this, start, span, lba, token, record_ptr,
-                         cb = std::move(cb)](
-                            const blocklayer::IoResult& fr) {
-      sync_latency_.Record(sim_->Now() - start);
-      if (tracer_ != nullptr && span != 0) {
-        tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite,
-                        span, 0, track_, start, sim_->Now());
-      }
-      if (fr.status.ok()) {
-        // The record is now beyond the volatile cache: durable.
-        classic_durable_.push_back(std::move(*record_ptr));
-        classic_slots_.push_back(ClassicLogSlot{lba, token});
-      }
-      cb(fr.status);
-    };
-    data_path_->Submit(std::move(flush));
+  write.span = p->span;
+  write.on_complete = [this, p](const blocklayer::IoResult& wr) {
+    OnLogWritten(p, wr);
   };
   data_path_->Submit(std::move(write));
 }
 
+void HybridStore::OnLogWritten(Persist* p, const blocklayer::IoResult& wr) {
+  if (!wr.status.ok()) {
+    sync_latency_.Record(sim_->Now() - p->start);
+    StatusCb cb = std::move(p->cb);
+    persists_.Release(p);
+    cb(wr.status);
+    return;
+  }
+  blocklayer::IoRequest flush;
+  flush.op = blocklayer::IoOp::kFlush;
+  flush.nblocks = 1;
+  flush.stream = wal_stream_;
+  flush.span = p->span;
+  flush.on_complete = [this, p](const blocklayer::IoResult& fr) {
+    OnLogFlushed(p, fr);
+  };
+  data_path_->Submit(std::move(flush));
+}
+
+void HybridStore::OnLogFlushed(Persist* p, const blocklayer::IoResult& fr) {
+  if (fr.status.ok()) {
+    // The record is now beyond the volatile cache: durable. Its bytes
+    // trade places with a truncated record's buffer.
+    const std::size_t n = classic_slots_.size();
+    if (classic_durable_.size() == n) classic_durable_.emplace_back();
+    classic_durable_[n].swap(p->record);
+    classic_slots_.push_back(ClassicLogSlot{p->lba, p->token});
+  }
+  FinishPersist(p, fr.status);
+}
+
+void HybridStore::FinishPersist(Persist* p, Status st) {
+  sync_latency_.Record(sim_->Now() - p->start);
+  if (tracer_ != nullptr && p->span != 0) {
+    tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite, p->span,
+                    0, track_, p->start, sim_->Now());
+  }
+  StatusCb cb = std::move(p->cb);
+  persists_.Release(p);
+  cb(std::move(st));
+}
+
 std::vector<std::vector<std::uint8_t>> HybridStore::DurableRecords() const {
   if (pcm_log_ != nullptr) return pcm_log_->RecoverAll();
-  return classic_durable_;
+  return std::vector<std::vector<std::uint8_t>>(
+      classic_durable_.begin(),
+      classic_durable_.begin() +
+          static_cast<std::ptrdiff_t>(classic_slots_.size()));
 }
 
 struct HybridStore::RecoveryScan {
   std::size_t index = 0;
   std::vector<std::vector<std::uint8_t>> out;
-  std::function<void(std::vector<std::vector<std::uint8_t>>)> cb;
+  RecordsCb cb;
 };
 
-void HybridStore::RecoverRecords(
-    std::function<void(std::vector<std::vector<std::uint8_t>>)> cb) {
+void HybridStore::RecoverRecords(RecordsCb cb) {
   if (pcm_log_ != nullptr) {
     auto records = pcm_log_->RecoverAll();
     sim_->Schedule(0, [cb = std::move(cb),
@@ -161,13 +170,12 @@ void HybridStore::RecoverStep(const std::shared_ptr<RecoveryScan>& scan) {
   data_path_->Submit(std::move(read));
 }
 
-void HybridStore::TruncateLog(std::function<void(Status)> cb) {
+void HybridStore::TruncateLog(StatusCb cb) {
   if (pcm_log_ != nullptr) {
     pcm_log_->Truncate(std::move(cb));
     return;
   }
-  classic_durable_.clear();
-  classic_slots_.clear();
+  classic_slots_.clear();  // classic_durable_ keeps its buffers
   log_head_block_ = 0;
   sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
 }

@@ -2,7 +2,6 @@
 #define POSTBLOCK_CORE_HYBRID_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,8 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/pcm_log.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "trace/tracer.h"
@@ -36,6 +37,10 @@ namespace postblock::core {
 /// software queues.
 class HybridStore : public host::HostInterface {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using RecordsCb =
+      sim::InplaceFunction<void(std::vector<std::vector<std::uint8_t>>)>;
+
   /// Vision wiring: sync -> PCM log, async -> `data_path`.
   HybridStore(sim::Simulator* sim, blocklayer::BlockDevice* data_path,
               PcmLog* pcm_log);
@@ -55,8 +60,9 @@ class HybridStore : public host::HostInterface {
   /// power loss. `ctx` is the caller's trace identity (a WAL commit,
   /// say); with a tracer attached the whole persist — including the
   /// block-device write+flush of classic mode — becomes one kApp span.
-  void SyncPersist(std::vector<std::uint8_t> record,
-                   std::function<void(Status)> cb, trace::Ctx ctx = {});
+  /// The record is copied before this returns.
+  void SyncPersist(const std::vector<std::uint8_t>& record, StatusCb cb,
+                   trace::Ctx ctx = {});
 
   /// Attaches latency attribution: sync persists are recorded on a
   /// "sync-persist" track, and classic-mode log IOs carry the persist's
@@ -107,11 +113,10 @@ class HybridStore : public host::HostInterface {
   /// are dropped, i.e. the log truncates at the first bad record
   /// instead of replaying past a hole. Vision mode completes with the
   /// PCM log as-is (the memory bus path has no flash error model).
-  void RecoverRecords(
-      std::function<void(std::vector<std::vector<std::uint8_t>>)> cb);
+  void RecoverRecords(RecordsCb cb);
 
   /// Resets the log after a checkpoint. Durable when the callback fires.
-  void TruncateLog(std::function<void(Status)> cb);
+  void TruncateLog(StatusCb cb);
 
   blocklayer::BlockDevice* data_path() { return data_path_; }
   PcmLog* pcm_log() { return pcm_log_; }
@@ -120,11 +125,28 @@ class HybridStore : public host::HostInterface {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One sync persist in flight. Pooled, and the classic-mode record
+  /// buffer keeps its capacity; the log write, the flush and the PCM
+  /// append complete through {this, persist*} captures.
+  struct Persist {
+    SimTime start = 0;
+    trace::SpanId span = 0;
+    Lba lba = 0;
+    std::uint64_t token = 0;
+    std::vector<std::uint8_t> record;  // classic mode only
+    StatusCb cb;
+  };
+
   /// One classic-log recovery pass: the scan owns its position, output
   /// and callback; each read completion holds the scan and re-enters
   /// RecoverStep, so the scan is freed with its last continuation.
   struct RecoveryScan;
   void RecoverStep(const std::shared_ptr<RecoveryScan>& scan);
+
+  void OnLogWritten(Persist* p, const blocklayer::IoResult& wr);
+  void OnLogFlushed(Persist* p, const blocklayer::IoResult& fr);
+  /// Records the span, releases `p` and delivers `st` to its callback.
+  void FinishPersist(Persist* p, Status st);
 
   sim::Simulator* sim_;
   blocklayer::BlockDevice* data_path_;
@@ -139,8 +161,10 @@ class HybridStore : public host::HostInterface {
   std::uint64_t log_region_blocks_ = 0;
   std::uint64_t log_head_block_ = 0;
   std::uint64_t next_log_token_ = 1;
-  /// Classic mode: the records whose log-block write + flush completed.
-  /// (Models reading the log region back; the device only stores tokens.)
+  /// Classic mode: the records whose log-block write + flush completed,
+  /// the first classic_slots_.size() entries. (Models reading the log
+  /// region back; the device only stores tokens.) Truncation keeps the
+  /// buffers, so a steady commit stream reuses them.
   std::vector<std::vector<std::uint8_t>> classic_durable_;
   /// Where each classic_durable_ record landed (parallel vector):
   /// RecoverRecords re-reads these to verify the log is still intact.
@@ -149,6 +173,7 @@ class HybridStore : public host::HostInterface {
     std::uint64_t token = 0;
   };
   std::vector<ClassicLogSlot> classic_slots_;
+  sim::RecordPool<Persist> persists_;
 
   Histogram sync_latency_;
   Counters counters_;

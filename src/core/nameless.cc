@@ -11,8 +11,7 @@ NamelessStore::NamelessStore(sim::Simulator* sim, host::HostInterface* dev)
   });
 }
 
-void NamelessStore::Write(std::uint64_t token,
-                          std::function<void(StatusOr<Name>)> cb,
+void NamelessStore::Write(std::uint64_t token, WriteCb cb,
                           trace::Ctx ctx) {
   counters_.Increment("writes");
   host::Command cmd = host::Command::NamelessWrite(
@@ -34,9 +33,7 @@ void NamelessStore::Write(std::uint64_t token,
   dev_->Execute(std::move(cmd));
 }
 
-void NamelessStore::Read(Name name,
-                         std::function<void(StatusOr<std::uint64_t>)> cb,
-                         trace::Ctx ctx) {
+void NamelessStore::Read(Name name, ReadCb cb, trace::Ctx ctx) {
   if (names_.find(name) == names_.end()) {
     sim_->Schedule(0, [cb = std::move(cb)]() {
       cb(Status::NotFound("unknown name"));
@@ -57,8 +54,7 @@ void NamelessStore::Read(Name name,
   dev_->Execute(std::move(cmd));
 }
 
-void NamelessStore::Free(Name name, std::function<void(Status)> cb,
-                         trace::Ctx ctx) {
+void NamelessStore::Free(Name name, StatusCb cb, trace::Ctx ctx) {
   auto it = names_.find(name);
   if (it == names_.end()) {
     sim_->Schedule(0, [cb = std::move(cb)]() {

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "host/command.h"
+#include "sim/inplace_callback.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 
@@ -37,6 +38,10 @@ class NamelessStore {
   /// Fired when the device relocates a named page: (old name, new name).
   using MigrationHandler = std::function<void(Name, Name)>;
 
+  using WriteCb = sim::InplaceFunction<void(StatusOr<Name>)>;
+  using ReadCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   /// `dev` is any stack speaking the typed API. The store probes
   /// capabilities once (Caps().nameless) instead of reading device
   /// configs; on a stack without nameless support every operation
@@ -48,16 +53,13 @@ class NamelessStore {
 
   /// Writes one page anywhere; the callback delivers its name. `ctx`
   /// threads the caller's trace identity into the command.
-  void Write(std::uint64_t token, std::function<void(StatusOr<Name>)> cb,
-             trace::Ctx ctx = {});
+  void Write(std::uint64_t token, WriteCb cb, trace::Ctx ctx = {});
 
   /// Reads a page by name.
-  void Read(Name name, std::function<void(StatusOr<std::uint64_t>)> cb,
-            trace::Ctx ctx = {});
+  void Read(Name name, ReadCb cb, trace::Ctx ctx = {});
 
   /// Releases a named page (the trim analogue).
-  void Free(Name name, std::function<void(Status)> cb,
-            trace::Ctx ctx = {});
+  void Free(Name name, StatusCb cb, trace::Ctx ctx = {});
 
   void SetMigrationHandler(MigrationHandler handler) {
     handler_ = std::move(handler);

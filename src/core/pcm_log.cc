@@ -8,66 +8,70 @@ namespace postblock::core {
 PcmLog::PcmLog(sim::Simulator* sim, pcm::PcmDevice* pcm,
                std::uint64_t region_off, std::uint64_t region_len)
     : sim_(sim), pcm_(pcm), region_off_(region_off),
-      region_len_(region_len) {}
+      region_len_(region_len), zero_header_(kHeaderBytes, 0) {}
 
-void PcmLog::Append(std::vector<std::uint8_t> payload,
-                    std::function<void(StatusOr<Lsn>)> cb) {
-  queue_.push_back(
-      PendingAppend{std::move(payload), std::move(cb), sim_->Now()});
+void PcmLog::Append(const std::vector<std::uint8_t>& payload, AppendCb cb) {
+  PendingAppend* item = appends_.Acquire();
+  // One store covers header + payload + the new zero terminator; the
+  // next append overwrites that terminator in place (no erase on PCM).
+  // The header is stamped when the append reaches the head of the queue.
+  item->store.assign(kHeaderBytes + payload.size() + kHeaderBytes, 0);
+  std::memcpy(item->store.data() + kHeaderBytes, payload.data(),
+              payload.size());
+  item->cb = std::move(cb);
+  item->enqueued_at = sim_->Now();
+  queue_.push_back(item);
   PumpQueue();
 }
 
 void PcmLog::PumpQueue() {
   if (store_in_flight_ || queue_.empty()) return;
-  PendingAppend item = std::move(queue_.front());
-  queue_.pop_front();
+  PendingAppend* item = queue_.pop_front();
 
-  const std::uint64_t need =
-      kHeaderBytes + item.payload.size() + kHeaderBytes;
+  const std::uint64_t need = item->store.size();
+  const std::uint64_t payload_bytes = need - 2 * kHeaderBytes;
   if (head_ + need > region_len_) {
     counters_.Increment("append_full");
-    sim_->Schedule(0, [this, cb = std::move(item.cb)]() {
+    AppendCb cb = std::move(item->cb);
+    appends_.Release(item);
+    sim_->Schedule(0, [this, cb = std::move(cb)] {
       cb(Status::ResourceExhausted("pcm log region full"));
       PumpQueue();
     });
     return;
   }
-  const Lsn lsn = head_;
-  const std::uint32_t len = static_cast<std::uint32_t>(item.payload.size());
+  item->lsn = head_;
+  const std::uint32_t len = static_cast<std::uint32_t>(payload_bytes);
   const std::uint32_t rec_seq = next_rec_seq_++;
-
-  // One store covers header + payload + the new zero terminator; the
-  // next append overwrites that terminator in place (no erase on PCM).
-  std::vector<std::uint8_t> buf(
-      kHeaderBytes + item.payload.size() + kHeaderBytes, 0);
-  std::memcpy(buf.data(), &len, sizeof(len));
-  std::memcpy(buf.data() + sizeof(len), &rec_seq, sizeof(rec_seq));
-  std::memcpy(buf.data() + kHeaderBytes, item.payload.data(),
-              item.payload.size());
-  head_ += kHeaderBytes + item.payload.size();
+  std::memcpy(item->store.data(), &len, sizeof(len));
+  std::memcpy(item->store.data() + sizeof(len), &rec_seq, sizeof(rec_seq));
+  head_ += kHeaderBytes + payload_bytes;
 
   counters_.Increment("appends");
-  counters_.Add("bytes_appended", item.payload.size());
+  counters_.Add("bytes_appended", payload_bytes);
   store_in_flight_ = true;
-  pcm_->Write(region_off_ + lsn, std::move(buf),
-              [this, lsn, start = item.enqueued_at,
-               cb = std::move(item.cb)](Status st) {
-                store_in_flight_ = false;
-                append_latency_.Record(sim_->Now() - start);
-                if (!st.ok()) {
-                  cb(std::move(st));
-                } else {
-                  cb(lsn);
-                }
-                PumpQueue();
-              });
+  pcm_->Write(region_off_ + item->lsn, item->store,
+              [this, item](Status st) { OnStored(item, std::move(st)); });
 }
 
-void PcmLog::Truncate(std::function<void(Status)> cb) {
+void PcmLog::OnStored(PendingAppend* item, Status st) {
+  store_in_flight_ = false;
+  append_latency_.Record(sim_->Now() - item->enqueued_at);
+  AppendCb cb = std::move(item->cb);
+  const Lsn lsn = item->lsn;
+  appends_.Release(item);
+  if (!st.ok()) {
+    cb(std::move(st));
+  } else {
+    cb(lsn);
+  }
+  PumpQueue();
+}
+
+void PcmLog::Truncate(StatusCb cb) {
   head_ = 0;
   counters_.Increment("truncates");
-  std::vector<std::uint8_t> zero(kHeaderBytes, 0);
-  pcm_->Write(region_off_, std::move(zero), std::move(cb));
+  pcm_->Write(region_off_, zero_header_, std::move(cb));
 }
 
 std::vector<std::vector<std::uint8_t>> PcmLog::RecoverAll() const {

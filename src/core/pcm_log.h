@@ -2,8 +2,6 @@
 #define POSTBLOCK_CORE_PCM_LOG_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/histogram.h"
@@ -11,6 +9,9 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "pcm/pcm_device.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace postblock::core {
@@ -30,6 +31,9 @@ using Lsn = std::uint64_t;
 /// scan, and each append rewrites the terminator in the same store.
 class PcmLog {
  public:
+  using AppendCb = sim::InplaceFunction<void(StatusOr<Lsn>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   PcmLog(sim::Simulator* sim, pcm::PcmDevice* pcm, std::uint64_t region_off,
          std::uint64_t region_len);
 
@@ -38,13 +42,13 @@ class PcmLog {
 
   /// Appends one record; the callback fires when the bytes are durable
   /// and delivers the record's LSN. Fails with ResourceExhausted when
-  /// the region is full (callers checkpoint + Truncate).
-  void Append(std::vector<std::uint8_t> payload,
-              std::function<void(StatusOr<Lsn>)> cb);
+  /// the region is full (callers checkpoint + Truncate). The payload is
+  /// copied before this returns.
+  void Append(const std::vector<std::uint8_t>& payload, AppendCb cb);
 
   /// Resets the log to empty (after a checkpoint). Durable once the
   /// callback fires.
-  void Truncate(std::function<void(Status)> cb);
+  void Truncate(StatusCb cb);
 
   /// Bytes appended since the last truncate (volatile view).
   std::uint64_t head() const { return head_; }
@@ -66,16 +70,21 @@ class PcmLog {
  private:
   static constexpr std::uint64_t kHeaderBytes = 8;  // u32 len + u32 seq
 
+  /// One queued append. Pooled; `store` keeps its capacity and holds
+  /// the whole PCM store from the start — header, payload and the next
+  /// record's zero terminator — so the payload is copied exactly once.
   struct PendingAppend {
-    std::vector<std::uint8_t> payload;
-    std::function<void(StatusOr<Lsn>)> cb;
-    SimTime enqueued_at;
+    std::vector<std::uint8_t> store;
+    AppendCb cb;
+    SimTime enqueued_at = 0;
+    Lsn lsn = 0;
   };
 
   /// Appends execute strictly in order: an acknowledged record is never
   /// ahead of an unacknowledged one in the scan chain, so the durable
   /// prefix is exactly the acknowledged prefix.
   void PumpQueue();
+  void OnStored(PendingAppend* item, Status st);
 
   sim::Simulator* sim_;
   pcm::PcmDevice* pcm_;
@@ -83,7 +92,10 @@ class PcmLog {
   std::uint64_t region_len_;
   std::uint64_t head_ = 0;
   std::uint32_t next_rec_seq_ = 1;
-  std::deque<PendingAppend> queue_;
+  sim::RecordPool<PendingAppend> appends_;
+  sim::Ring<PendingAppend*> queue_;
+  /// The truncating store: one header of zeroes.
+  std::vector<std::uint8_t> zero_header_;
   bool store_in_flight_ = false;
   Histogram append_latency_;
   Counters counters_;

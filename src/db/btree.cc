@@ -1,7 +1,8 @@
 #include "db/btree.h"
 
 #include <cstring>
-#include <memory>
+#include <string>
+#include <utility>
 
 namespace postblock::db {
 
@@ -201,6 +202,19 @@ void BTree::Create(StatusCb cb) {
   });
 }
 
+BTree::Descent* BTree::NewDescent(std::uint64_t key, std::uint64_t value) {
+  Descent* d = descents_.Acquire();
+  d->key = key;
+  d->value = value;
+  return d;
+}
+
+void BTree::Finish(Descent* d, Status st) {
+  StatusCb cb = std::move(d->cb);
+  descents_.Release(d);
+  cb(std::move(st));
+}
+
 // --- Put -------------------------------------------------------------------
 
 void BTree::Put(std::uint64_t key, std::uint64_t value, StatusCb cb) {
@@ -211,121 +225,139 @@ void BTree::Put(std::uint64_t key, std::uint64_t value, StatusCb cb) {
     return;
   }
   counters_.Increment("puts");
-  pool_->Pin(root_, [this, key, value,
-                     cb = std::move(cb)](StatusOr<Frame*> f) mutable {
-    if (!f.ok()) {
-      cb(f.status());
-      return;
-    }
-    if (IsFull(*f)) {
-      SplitRootAndRetryPut(*f, key, value, std::move(cb));
-      return;
-    }
-    DescendPut(*f, key, value, std::move(cb));
+  Descent* d = NewDescent(key, value);
+  d->cb = std::move(cb);
+  pool_->Pin(root_, [this, d](StatusOr<Frame*> f) {
+    OnPutRoot(d, std::move(f));
   });
 }
 
-void BTree::SplitRootAndRetryPut(Frame* root, std::uint64_t key,
-                                 std::uint64_t value, StatusCb cb) {
-  counters_.Increment("root_splits");
-  const PageId sibling_id = alloc_page_();
-  const PageId new_root_id = alloc_page_();
-  pool_->Pin(sibling_id, [this, root, sibling_id, new_root_id, key, value,
-                          cb = std::move(cb)](StatusOr<Frame*> s) mutable {
-    if (!s.ok()) {
-      pool_->Unpin(root->id, false);
-      cb(s.status());
-      return;
-    }
-    Frame* sibling = *s;
-    const std::uint64_t separator = SplitNode(root, sibling);
-    pool_->Pin(new_root_id,
-               [this, root, sibling, sibling_id, new_root_id, separator,
-                key, value, cb = std::move(cb)](StatusOr<Frame*> nr) mutable {
-                 if (!nr.ok()) {
-                   pool_->Unpin(root->id, true);
-                   pool_->Unpin(sibling->id, true);
-                   cb(nr.status());
-                   return;
-                 }
-                 Frame* new_root = *nr;
-                 FormatInternal(new_root);
-                 SetInternalChild(new_root, 0, root->id);
-                 SetInternalKey(new_root, 0, separator);
-                 SetInternalChild(new_root, 1, sibling_id);
-                 SetNodeCount(new_root, 1);
-                 root_ = new_root_id;
-                 pool_->Unpin(root->id, true);
-                 pool_->Unpin(sibling->id, true);
-                 pool_->Unpin(new_root_id, true);
-                 Put(key, value, std::move(cb));
-               });
-  });
-}
-
-void BTree::SplitChild(Frame* parent, std::uint32_t child_index,
-                       Frame* child, StatusCb on_done) {
-  counters_.Increment("node_splits");
-  const PageId sibling_id = alloc_page_();
-  pool_->Pin(sibling_id, [this, parent, child_index, child, sibling_id,
-                          on_done = std::move(on_done)](
-                             StatusOr<Frame*> s) mutable {
-    if (!s.ok()) {
-      pool_->Unpin(child->id, false);
-      on_done(s.status());
-      return;
-    }
-    Frame* sibling = *s;
-    const std::uint64_t separator = SplitNode(child, sibling);
-    InternalInsertAfter(parent, child_index, separator, sibling_id);
-    pool_->MarkDirty(parent->id);
-    pool_->Unpin(child->id, true);
-    pool_->Unpin(sibling_id, true);
-    on_done(Status::Ok());
-  });
-}
-
-void BTree::DescendPut(Frame* node, std::uint64_t key, std::uint64_t value,
-                       StatusCb cb) {
-  // `node` is pinned and guaranteed non-full.
-  if (NodeType(node) == PageType::kBTreeLeaf) {
-    const std::uint32_t pos = LeafLowerBound(node, key);
-    if (pos < NodeCount(node) && LeafKey(node, pos) == key) {
-      SetLeafEntry(node, pos, key, value);  // overwrite
-    } else {
-      LeafInsertAt(node, pos, key, value);
-    }
-    pool_->Unpin(node->id, /*dirty=*/true);
-    cb(Status::Ok());
+void BTree::OnPutRoot(Descent* d, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    Finish(d, f.status());
     return;
   }
-  const std::uint32_t idx = InternalFindIndex(node, key);
-  const PageId child_id = InternalChild(node, idx);
-  pool_->Pin(child_id, [this, node, idx, key, value,
-                        cb = std::move(cb)](StatusOr<Frame*> c) mutable {
-    if (!c.ok()) {
-      pool_->Unpin(node->id, false);
-      cb(c.status());
-      return;
-    }
-    Frame* child = *c;
-    if (IsFull(child)) {
-      // Preemptive split (parent is non-full by induction), then try
-      // this level again — the key may now belong in the new sibling.
-      SplitChild(node, idx, child, [this, node, key, value,
-                                    cb = std::move(cb)](Status st) mutable {
-        if (!st.ok()) {
-          pool_->Unpin(node->id, true);
-          cb(std::move(st));
-          return;
-        }
-        DescendPut(node, key, value, std::move(cb));
-      });
-      return;
-    }
-    pool_->Unpin(node->id, false);
-    DescendPut(child, key, value, std::move(cb));
+  if (IsFull(*f)) {
+    SplitRootAndRetryPut(d, *f);
+    return;
+  }
+  DescendPut(d, *f);
+}
+
+void BTree::SplitRootAndRetryPut(Descent* d, Frame* root) {
+  counters_.Increment("root_splits");
+  d->node = root;
+  d->sibling_id = alloc_page_();
+  d->new_root_id = alloc_page_();
+  pool_->Pin(d->sibling_id, [this, d](StatusOr<Frame*> s) {
+    OnRootSibling(d, std::move(s));
   });
+}
+
+void BTree::OnRootSibling(Descent* d, StatusOr<Frame*> s) {
+  Frame* root = d->node;
+  if (!s.ok()) {
+    pool_->Unpin(root->id, false);
+    Finish(d, s.status());
+    return;
+  }
+  d->sibling = *s;
+  d->separator = SplitNode(root, d->sibling);
+  pool_->Pin(d->new_root_id, [this, d](StatusOr<Frame*> nr) {
+    OnNewRoot(d, std::move(nr));
+  });
+}
+
+void BTree::OnNewRoot(Descent* d, StatusOr<Frame*> nr) {
+  Frame* root = d->node;
+  Frame* sibling = d->sibling;
+  if (!nr.ok()) {
+    pool_->Unpin(root->id, true);
+    pool_->Unpin(sibling->id, true);
+    Finish(d, nr.status());
+    return;
+  }
+  Frame* new_root = *nr;
+  FormatInternal(new_root);
+  SetInternalChild(new_root, 0, root->id);
+  SetInternalKey(new_root, 0, d->separator);
+  SetInternalChild(new_root, 1, d->sibling_id);
+  SetNodeCount(new_root, 1);
+  root_ = d->new_root_id;
+  pool_->Unpin(root->id, true);
+  pool_->Unpin(sibling->id, true);
+  pool_->Unpin(d->new_root_id, true);
+  // Retry from the new root as a fresh Put.
+  const std::uint64_t key = d->key;
+  const std::uint64_t value = d->value;
+  StatusCb cb = std::move(d->cb);
+  descents_.Release(d);
+  Put(key, value, std::move(cb));
+}
+
+void BTree::DescendPut(Descent* d, Frame* node) {
+  // `node` is pinned and guaranteed non-full.
+  if (NodeType(node) == PageType::kBTreeLeaf) {
+    const std::uint32_t pos = LeafLowerBound(node, d->key);
+    if (pos < NodeCount(node) && LeafKey(node, pos) == d->key) {
+      SetLeafEntry(node, pos, d->key, d->value);  // overwrite
+    } else {
+      LeafInsertAt(node, pos, d->key, d->value);
+    }
+    pool_->Unpin(node->id, /*dirty=*/true);
+    Finish(d, Status::Ok());
+    return;
+  }
+  d->node = node;
+  d->idx = InternalFindIndex(node, d->key);
+  pool_->Pin(InternalChild(node, d->idx), [this, d](StatusOr<Frame*> c) {
+    OnPutChild(d, std::move(c));
+  });
+}
+
+void BTree::OnPutChild(Descent* d, StatusOr<Frame*> c) {
+  Frame* node = d->node;
+  if (!c.ok()) {
+    pool_->Unpin(node->id, false);
+    Finish(d, c.status());
+    return;
+  }
+  Frame* child = *c;
+  if (IsFull(child)) {
+    // Preemptive split (parent is non-full by induction), then try
+    // this level again — the key may now belong in the new sibling.
+    SplitChild(d, child);
+    return;
+  }
+  pool_->Unpin(node->id, false);
+  DescendPut(d, child);
+}
+
+void BTree::SplitChild(Descent* d, Frame* child) {
+  counters_.Increment("node_splits");
+  d->child = child;
+  d->sibling_id = alloc_page_();
+  pool_->Pin(d->sibling_id, [this, d](StatusOr<Frame*> s) {
+    OnChildSibling(d, std::move(s));
+  });
+}
+
+void BTree::OnChildSibling(Descent* d, StatusOr<Frame*> s) {
+  Frame* parent = d->node;
+  Frame* child = d->child;
+  if (!s.ok()) {
+    pool_->Unpin(child->id, false);
+    pool_->Unpin(parent->id, true);
+    Finish(d, s.status());
+    return;
+  }
+  Frame* sibling = *s;
+  const std::uint64_t separator = SplitNode(child, sibling);
+  InternalInsertAfter(parent, d->idx, separator, d->sibling_id);
+  pool_->MarkDirty(parent->id);
+  pool_->Unpin(child->id, true);
+  pool_->Unpin(d->sibling_id, true);
+  DescendPut(d, parent);
 }
 
 // --- Get / Delete ------------------------------------------------------------
@@ -338,34 +370,42 @@ void BTree::Get(std::uint64_t key, GetCb cb) {
     return;
   }
   counters_.Increment("gets");
-  // Iterative descent via a self-referential closure.
-  auto step = std::make_shared<std::function<void(PageId)>>();
-  *step = [this, key, cb = std::move(cb), step](PageId id) mutable {
-    pool_->Pin(id, [this, id, key, cb, step](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *step = nullptr;
-        return;
-      }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        const std::uint32_t pos = LeafLowerBound(node, key);
-        StatusOr<std::uint64_t> result =
-            (pos < NodeCount(node) && LeafKey(node, pos) == key)
-                ? StatusOr<std::uint64_t>(LeafValue(node, pos))
-                : StatusOr<std::uint64_t>(
-                      Status::NotFound("key " + std::to_string(key)));
-        pool_->Unpin(id, false);
-        cb(std::move(result));
-        *step = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, key));
-      pool_->Unpin(id, false);
-      (*step)(child);
-    });
-  };
-  (*step)(root_);
+  Descent* d = NewDescent(key, 0);
+  d->get_cb = std::move(cb);
+  GetStep(d, root_);
+}
+
+void BTree::GetStep(Descent* d, PageId id) {
+  d->page = id;
+  pool_->Pin(id, [this, d](StatusOr<Frame*> f) {
+    OnGetNode(d, std::move(f));
+  });
+}
+
+void BTree::OnGetNode(Descent* d, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    GetCb cb = std::move(d->get_cb);
+    descents_.Release(d);
+    cb(f.status());
+    return;
+  }
+  Frame* node = *f;
+  if (NodeType(node) == PageType::kBTreeLeaf) {
+    const std::uint32_t pos = LeafLowerBound(node, d->key);
+    StatusOr<std::uint64_t> result =
+        (pos < NodeCount(node) && LeafKey(node, pos) == d->key)
+            ? StatusOr<std::uint64_t>(LeafValue(node, pos))
+            : StatusOr<std::uint64_t>(
+                  Status::NotFound("key " + std::to_string(d->key)));
+    pool_->Unpin(d->page, false);
+    GetCb cb = std::move(d->get_cb);
+    descents_.Release(d);
+    cb(std::move(result));
+    return;
+  }
+  const PageId child = InternalChild(node, InternalFindIndex(node, d->key));
+  pool_->Unpin(d->page, false);
+  GetStep(d, child);
 }
 
 void BTree::Delete(std::uint64_t key, StatusCb cb) {
@@ -376,33 +416,38 @@ void BTree::Delete(std::uint64_t key, StatusCb cb) {
     return;
   }
   counters_.Increment("deletes");
-  auto step = std::make_shared<std::function<void(PageId)>>();
-  *step = [this, key, cb = std::move(cb), step](PageId id) mutable {
-    pool_->Pin(id, [this, id, key, cb, step](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *step = nullptr;
-        return;
-      }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        const std::uint32_t pos = LeafLowerBound(node, key);
-        bool removed = false;
-        if (pos < NodeCount(node) && LeafKey(node, pos) == key) {
-          LeafRemoveAt(node, pos);
-          removed = true;
-        }
-        pool_->Unpin(id, removed);
-        cb(Status::Ok());
-        *step = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, key));
-      pool_->Unpin(id, false);
-      (*step)(child);
-    });
-  };
-  (*step)(root_);
+  Descent* d = NewDescent(key, 0);
+  d->cb = std::move(cb);
+  DeleteStep(d, root_);
+}
+
+void BTree::DeleteStep(Descent* d, PageId id) {
+  d->page = id;
+  pool_->Pin(id, [this, d](StatusOr<Frame*> f) {
+    OnDeleteNode(d, std::move(f));
+  });
+}
+
+void BTree::OnDeleteNode(Descent* d, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    Finish(d, f.status());
+    return;
+  }
+  Frame* node = *f;
+  if (NodeType(node) == PageType::kBTreeLeaf) {
+    const std::uint32_t pos = LeafLowerBound(node, d->key);
+    bool removed = false;
+    if (pos < NodeCount(node) && LeafKey(node, pos) == d->key) {
+      LeafRemoveAt(node, pos);
+      removed = true;
+    }
+    pool_->Unpin(d->page, removed);
+    Finish(d, Status::Ok());
+    return;
+  }
+  const PageId child = InternalChild(node, InternalFindIndex(node, d->key));
+  pool_->Unpin(d->page, false);
+  DeleteStep(d, child);
 }
 
 // --- Scan ---------------------------------------------------------------------
@@ -415,62 +460,76 @@ void BTree::Scan(std::uint64_t lo, std::uint64_t hi, ScanCb cb) {
     return;
   }
   counters_.Increment("scans");
-  auto results = std::make_shared<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
+  Descent* d = NewDescent(lo, hi);
+  d->scan_cb = std::move(cb);
+  d->results.clear();
+  ScanDescend(d, root_);
+}
 
-  auto walk = std::make_shared<std::function<void(PageId)>>();
-  auto descend = std::make_shared<std::function<void(PageId)>>();
+void BTree::ScanDescend(Descent* d, PageId id) {
+  d->page = id;
+  pool_->Pin(id, [this, d](StatusOr<Frame*> f) {
+    OnScanInner(d, std::move(f));
+  });
+}
 
-  *walk = [this, lo, hi, results, cb, walk](PageId id) mutable {
-    if (id == kInvalidPageId) {
-      cb(std::move(*results));
-      *walk = nullptr;
-      return;
+void BTree::OnScanInner(Descent* d, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    ScanWalk(d, kInvalidPageId);  // deliver what we have (empty)
+    return;
+  }
+  Frame* node = *f;
+  if (NodeType(node) == PageType::kBTreeLeaf) {
+    pool_->Unpin(d->page, false);
+    ScanWalk(d, d->page);
+    return;
+  }
+  const PageId child = InternalChild(node, InternalFindIndex(node, d->key));
+  pool_->Unpin(d->page, false);
+  ScanDescend(d, child);
+}
+
+void BTree::ScanWalk(Descent* d, PageId id) {
+  if (id == kInvalidPageId) {
+    FinishScan(d, std::move(d->results));
+    return;
+  }
+  d->page = id;
+  pool_->Pin(id, [this, d](StatusOr<Frame*> f) {
+    OnScanLeaf(d, std::move(f));
+  });
+}
+
+void BTree::OnScanLeaf(Descent* d, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    FinishScan(d, f.status());
+    return;
+  }
+  Frame* leaf = *f;
+  const std::uint64_t lo = d->key;
+  const std::uint64_t hi = d->value;
+  bool past_hi = false;
+  for (std::uint32_t i = 0; i < NodeCount(leaf); ++i) {
+    const std::uint64_t k = LeafKey(leaf, i);
+    if (k < lo) continue;
+    if (k > hi) {
+      past_hi = true;
+      break;
     }
-    pool_->Pin(id, [this, id, lo, hi, results, cb,
-                    walk](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *walk = nullptr;
-        return;
-      }
-      Frame* leaf = *f;
-      bool past_hi = false;
-      for (std::uint32_t i = 0; i < NodeCount(leaf); ++i) {
-        const std::uint64_t k = LeafKey(leaf, i);
-        if (k < lo) continue;
-        if (k > hi) {
-          past_hi = true;
-          break;
-        }
-        results->emplace_back(k, LeafValue(leaf, i));
-      }
-      const PageId next = past_hi ? kInvalidPageId : LeafNext(leaf);
-      pool_->Unpin(id, false);
-      (*walk)(next);
-    });
-  };
+    d->results.emplace_back(k, LeafValue(leaf, i));
+  }
+  const PageId next = past_hi ? kInvalidPageId : LeafNext(leaf);
+  pool_->Unpin(d->page, false);
+  ScanWalk(d, next);
+}
 
-  *descend = [this, lo, walk, descend](PageId id) mutable {
-    pool_->Pin(id, [this, id, lo, walk, descend](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        (*walk)(kInvalidPageId);  // deliver what we have (empty)
-        *descend = nullptr;
-        return;
-      }
-      Frame* node = *f;
-      if (NodeType(node) == PageType::kBTreeLeaf) {
-        pool_->Unpin(id, false);
-        (*walk)(id);
-        *descend = nullptr;
-        return;
-      }
-      const PageId child = InternalChild(node, InternalFindIndex(node, lo));
-      pool_->Unpin(id, false);
-      (*descend)(child);
-    });
-  };
-  (*descend)(root_);
+void BTree::FinishScan(
+    Descent* d,
+    StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> r) {
+  ScanCb cb = std::move(d->scan_cb);
+  d->results.clear();
+  descents_.Release(d);
+  cb(std::move(r));
 }
 
 }  // namespace postblock::db

@@ -11,6 +11,8 @@
 #include "common/statusor.h"
 #include "db/buffer_pool.h"
 #include "db/page.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -26,9 +28,10 @@ namespace postblock::db {
 /// its redesigned storage interface.
 class BTree {
  public:
-  using StatusCb = std::function<void(Status)>;
-  using GetCb = std::function<void(StatusOr<std::uint64_t>)>;  // NotFound
-  using ScanCb = std::function<void(
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  // A missing key completes NotFound.
+  using GetCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
+  using ScanCb = sim::InplaceFunction<void(
       StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>>)>;
 
   BTree(sim::Simulator* sim, BufferPool* pool,
@@ -57,17 +60,56 @@ class BTree {
       (kPageBytes - kInternalHeader) / 16;
 
  private:
-  void DescendPut(Frame* parent, std::uint64_t key, std::uint64_t value,
-                  StatusCb cb);
-  void SplitChild(Frame* parent, std::uint32_t child_index, Frame* child,
-                  StatusCb on_done);
-  void SplitRootAndRetryPut(Frame* root, std::uint64_t key,
-                            std::uint64_t value, StatusCb cb);
+  /// One operation's walk down the tree (and, for a scan, along the
+  /// leaves). Pooled: every page pin continues through a {this, op*}
+  /// capture, so a descent allocates nothing; the record carries what
+  /// the continuations need between pins.
+  struct Descent {
+    std::uint64_t key = 0;    // Put/Get/Delete key; Scan: lo
+    std::uint64_t value = 0;  // Put value; Scan: hi
+    PageId page = kInvalidPageId;  // the page being pinned
+    Frame* node = nullptr;    // Put: the pinned parent
+    Frame* child = nullptr;   // Put: the full node being split
+    Frame* sibling = nullptr;
+    std::uint32_t idx = 0;    // Put: child index within `node`
+    PageId sibling_id = kInvalidPageId;
+    PageId new_root_id = kInvalidPageId;
+    std::uint64_t separator = 0;
+    StatusCb cb;              // Put, Delete
+    GetCb get_cb;
+    ScanCb scan_cb;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> results;
+  };
+
+  Descent* NewDescent(std::uint64_t key, std::uint64_t value);
+  void Finish(Descent* d, Status st);
+
+  void OnPutRoot(Descent* d, StatusOr<Frame*> f);
+  void DescendPut(Descent* d, Frame* node);
+  void OnPutChild(Descent* d, StatusOr<Frame*> c);
+  void SplitChild(Descent* d, Frame* child);
+  void OnChildSibling(Descent* d, StatusOr<Frame*> s);
+  void SplitRootAndRetryPut(Descent* d, Frame* root);
+  void OnRootSibling(Descent* d, StatusOr<Frame*> s);
+  void OnNewRoot(Descent* d, StatusOr<Frame*> nr);
+
+  void GetStep(Descent* d, PageId id);
+  void OnGetNode(Descent* d, StatusOr<Frame*> f);
+  void DeleteStep(Descent* d, PageId id);
+  void OnDeleteNode(Descent* d, StatusOr<Frame*> f);
+  void ScanDescend(Descent* d, PageId id);
+  void OnScanInner(Descent* d, StatusOr<Frame*> f);
+  void ScanWalk(Descent* d, PageId id);
+  void OnScanLeaf(Descent* d, StatusOr<Frame*> f);
+  void FinishScan(
+      Descent* d,
+      StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> r);
 
   sim::Simulator* sim_;
   BufferPool* pool_;
   std::function<PageId()> alloc_page_;
   PageId root_ = kInvalidPageId;
+  sim::RecordPool<Descent> descents_;
   Counters counters_;
 };
 

@@ -22,7 +22,11 @@ std::size_t BufferPool::dirty_count() const {
 
 void BufferPool::Touch(PageId id) {
   auto it = lru_pos_.find(id);
-  if (it != lru_pos_.end()) lru_.erase(it->second);
+  if (it != lru_pos_.end()) {
+    // Relink the page's node at the front: no node is freed or made.
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
   lru_.push_front(id);
   lru_pos_[id] = lru_.begin();
 }
@@ -72,7 +76,7 @@ bool BufferPool::EvictOne() {
       // Steal mode: asynchronous write-back, frame leaves immediately
       // (the image registry keeps the bytes alive for the IO).
       counters_.Increment("steals");
-      const std::uint64_t token = images_->Register(f->bytes);
+      const std::uint64_t token = images_->Register(victim, f->bytes);
       blocklayer::IoRequest w;
       w.op = blocklayer::IoOp::kWrite;
       w.lba = victim;
@@ -126,67 +130,98 @@ void BufferPool::Unpin(PageId id, bool dirty) {
   if (dirty) f->dirty = true;
 }
 
-void BufferPool::FlushPage(PageId id, std::function<void(Status)> cb) {
+BufferPool::FlushGroup* BufferPool::NewGroup(std::size_t pages,
+                                             bool barrier, StatusCb cb) {
+  FlushGroup* g = flush_groups_.Acquire();
+  g->remaining = pages;
+  g->first_error = Status::Ok();
+  g->barrier = barrier;
+  g->cb = std::move(cb);
+  return g;
+}
+
+void BufferPool::FlushPage(PageId id, StatusCb cb) {
+  FlushInto(id, NewGroup(1, /*barrier=*/false, std::move(cb)));
+}
+
+void BufferPool::FlushPages(const std::vector<PageId>& ids, StatusCb cb) {
+  StartFlush(ids, /*barrier=*/false, std::move(cb));
+}
+
+void BufferPool::FlushAll(StatusCb cb) {
+  flush_ids_.clear();
+  for (const auto& [id, f] : frames_) {
+    if (f->dirty) flush_ids_.push_back(id);
+  }
+  StartFlush(flush_ids_, /*barrier=*/true, std::move(cb));
+}
+
+void BufferPool::StartFlush(const std::vector<PageId>& ids, bool barrier,
+                            StatusCb cb) {
+  FlushGroup* g = NewGroup(ids.size(), barrier, std::move(cb));
+  if (ids.empty()) {
+    CompleteGroup(g);
+    return;
+  }
+  // Page completions arrive in later events, so `ids` (possibly this
+  // pool's own scratch list) is not touched again once the loop ends.
+  for (PageId id : ids) FlushInto(id, g);
+}
+
+void BufferPool::FlushInto(PageId id, FlushGroup* g) {
   auto it = frames_.find(id);
   if (it == frames_.end() || !it->second->dirty) {
-    sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
+    sim_->Schedule(0, [this, g] { OnPageFlushed(g, Status::Ok()); });
     return;
   }
   Frame* f = it->second.get();
-  const std::uint64_t token = images_->Register(f->bytes);
+  const std::uint64_t token = images_->Register(id, f->bytes);
   counters_.Increment("writebacks");
   blocklayer::IoRequest w;
   w.op = blocklayer::IoOp::kWrite;
   w.lba = id;
   w.nblocks = 1;
   w.tokens = {token};
-  w.on_complete = [this, id, cb = std::move(cb)](
-                      const blocklayer::IoResult& res) {
+  w.on_complete = [this, id, g](const blocklayer::IoResult& res) {
     if (res.status.ok()) {
       auto it = frames_.find(id);
       if (it != frames_.end()) it->second->dirty = false;
     }
-    cb(res.status);
+    OnPageFlushed(g, res.status);
   };
   device_->Submit(std::move(w));
 }
 
-void BufferPool::FlushAll(std::function<void(Status)> cb) {
-  std::vector<PageId> dirty;
-  for (const auto& [id, f] : frames_) {
-    if (f->dirty) dirty.push_back(id);
-  }
-  auto state = std::make_shared<std::pair<std::size_t, Status>>(
-      dirty.size(), Status::Ok());
-  auto barrier = [this, cb = std::move(cb)](Status st) {
-    if (!st.ok()) {
-      cb(std::move(st));
-      return;
-    }
-    blocklayer::IoRequest f;
-    f.op = blocklayer::IoOp::kFlush;
-    f.nblocks = 1;
-    f.on_complete = [cb](const blocklayer::IoResult& r) { cb(r.status); };
-    device_->Submit(std::move(f));
-  };
-  if (dirty.empty()) {
-    barrier(Status::Ok());
-    return;
-  }
-  for (PageId id : dirty) {
-    FlushPage(id, [state, barrier](Status st) {
-      if (!st.ok() && state->second.ok()) state->second = st;
-      if (--state->first == 0) barrier(state->second);
-    });
-  }
+void BufferPool::OnPageFlushed(FlushGroup* g, const Status& st) {
+  if (!st.ok() && g->first_error.ok()) g->first_error = st;
+  if (--g->remaining == 0) CompleteGroup(g);
 }
 
-std::vector<Frame*> BufferPool::DirtyFrames() {
-  std::vector<Frame*> out;
-  for (const auto& [id, f] : frames_) {
-    if (f->dirty) out.push_back(f.get());
+void BufferPool::CompleteGroup(FlushGroup* g) {
+  if (!g->barrier || !g->first_error.ok()) {
+    FinishGroup(g, std::move(g->first_error));
+    return;
   }
-  return out;
+  blocklayer::IoRequest f;
+  f.op = blocklayer::IoOp::kFlush;
+  f.nblocks = 1;
+  f.on_complete = [this, g](const blocklayer::IoResult& r) {
+    FinishGroup(g, r.status);
+  };
+  device_->Submit(std::move(f));
+}
+
+void BufferPool::FinishGroup(FlushGroup* g, Status st) {
+  StatusCb cb = std::move(g->cb);
+  flush_groups_.Release(g);
+  cb(std::move(st));
+}
+
+void BufferPool::DirtyFrames(std::vector<Frame*>* out) const {
+  out->clear();
+  for (const auto& [id, f] : frames_) {
+    if (f->dirty) out->push_back(f.get());
+  }
 }
 
 void BufferPool::PowerCycle() {

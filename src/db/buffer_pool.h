@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -14,6 +13,8 @@
 #include "common/statusor.h"
 #include "db/page.h"
 #include "db/page_image.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -37,7 +38,8 @@ struct Frame {
 /// DESIGN.md). Steal mode exists for IO-pattern experiments.
 class BufferPool {
  public:
-  using PinCallback = std::function<void(StatusOr<Frame*>)>;
+  using PinCallback = sim::InplaceFunction<void(StatusOr<Frame*>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
 
   BufferPool(sim::Simulator* sim, blocklayer::BlockDevice* device,
              PageImageStore* images, std::size_t frames,
@@ -60,11 +62,15 @@ class BufferPool {
   }
 
   /// Writes one dirty frame back (no-op if clean or absent).
-  void FlushPage(PageId id, std::function<void(Status)> cb);
+  void FlushPage(PageId id, StatusCb cb);
+
+  /// Writes each listed frame back as FlushPage would, in order; fires
+  /// once all of them completed, with the first error if any.
+  void FlushPages(const std::vector<PageId>& ids, StatusCb cb);
 
   /// Writes every dirty frame back; fires when all are durable (plus a
   /// device flush barrier).
-  void FlushAll(std::function<void(Status)> cb);
+  void FlushAll(StatusCb cb);
 
   /// Drops every clean, unpinned frame (post-recovery cache reset).
   void InvalidateClean();
@@ -74,9 +80,10 @@ class BufferPool {
   /// ever reaching this pool again).
   void PowerCycle();
 
-  /// Resident dirty frames — for externally orchestrated checkpoints
-  /// (e.g. the storage manager's atomic-write checkpoint).
-  std::vector<Frame*> DirtyFrames();
+  /// Replaces `out`'s contents with the resident dirty frames — for
+  /// externally orchestrated checkpoints (e.g. the storage manager's
+  /// atomic-write checkpoint). `out` keeps its capacity.
+  void DirtyFrames(std::vector<Frame*>* out) const;
   /// Marks a frame clean after such a checkpoint persisted it.
   void MarkClean(PageId id) {
     auto it = frames_.find(id);
@@ -88,9 +95,26 @@ class BufferPool {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One flush call's pages in flight: FlushPage, FlushPages and
+  /// FlushAll all write through a pooled group, and every page's
+  /// completion reaches it as {this, id, group*}.
+  struct FlushGroup {
+    std::size_t remaining = 0;
+    Status first_error;
+    bool barrier = false;  // FlushAll: a device flush follows the pages
+    StatusCb cb;
+  };
+
   void LoadFrame(PageId id);
   bool EvictOne();
   void Touch(PageId id);
+  FlushGroup* NewGroup(std::size_t pages, bool barrier, StatusCb cb);
+  void StartFlush(const std::vector<PageId>& ids, bool barrier, StatusCb cb);
+  void FlushInto(PageId id, FlushGroup* g);
+  void OnPageFlushed(FlushGroup* g, const Status& st);
+  /// Every page of `g` completed: the barrier, if any, then the callback.
+  void CompleteGroup(FlushGroup* g);
+  void FinishGroup(FlushGroup* g, Status st);
 
   sim::Simulator* sim_;
   blocklayer::BlockDevice* device_;
@@ -102,6 +126,9 @@ class BufferPool {
   std::list<PageId> lru_;  // front = most recent
   std::unordered_map<PageId, std::list<PageId>::iterator> lru_pos_;
   std::unordered_map<PageId, std::vector<PinCallback>> loading_;
+  sim::RecordPool<FlushGroup> flush_groups_;
+  /// FlushAll's dirty-page list, kept for its capacity.
+  std::vector<PageId> flush_ids_;
 
   Counters counters_;
 };

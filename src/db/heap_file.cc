@@ -1,7 +1,7 @@
 #include "db/heap_file.h"
 
 #include <cstring>
-#include <memory>
+#include <utility>
 
 namespace postblock::db {
 
@@ -128,41 +128,50 @@ void HeapFile::Get(Rid rid, GetCb cb) {
   });
 }
 
-void HeapFile::Scan(
-    std::function<void(Rid, std::uint64_t, std::uint64_t)> visit,
-    ScanCb cb) {
+void HeapFile::Scan(VisitFn visit, ScanCb cb) {
   counters_.Increment("scans");
-  auto total = std::make_shared<std::uint64_t>(0);
-  auto walk = std::make_shared<std::function<void(PageId)>>();
-  *walk = [this, visit = std::move(visit), cb = std::move(cb), total,
-           walk](PageId id) mutable {
-    if (id == kInvalidPageId) {
-      cb(*total);
-      *walk = nullptr;
-      return;
-    }
-    pool_->Pin(id, [this, id, visit, cb, total,
-                    walk](StatusOr<Frame*> f) mutable {
-      if (!f.ok()) {
-        cb(f.status());
-        *walk = nullptr;
-        return;
-      }
-      Frame* page = *f;
-      const std::uint16_t count = Count(page);
-      for (std::uint32_t s = 0; s < count; ++s) {
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        ReadRecord(page, s, &a, &b);
-        visit(Rid{id, s}, a, b);
-      }
-      *total += count;
-      const PageId next = Next(page);
-      pool_->Unpin(id, false);
-      (*walk)(next);
-    });
-  };
-  (*walk)(first_page_);
+  ScanWalk* w = scans_.Acquire();
+  w->visit = std::move(visit);
+  w->cb = std::move(cb);
+  w->total = 0;
+  ScanStep(w, first_page_);
+}
+
+void HeapFile::ScanStep(ScanWalk* w, PageId id) {
+  if (id == kInvalidPageId) {
+    FinishScan(w, w->total);
+    return;
+  }
+  w->page = id;
+  pool_->Pin(id, [this, w](StatusOr<Frame*> f) {
+    OnScanPage(w, std::move(f));
+  });
+}
+
+void HeapFile::OnScanPage(ScanWalk* w, StatusOr<Frame*> f) {
+  if (!f.ok()) {
+    FinishScan(w, f.status());
+    return;
+  }
+  Frame* page = *f;
+  const std::uint16_t count = Count(page);
+  for (std::uint32_t s = 0; s < count; ++s) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    ReadRecord(page, s, &a, &b);
+    w->visit(Rid{w->page, s}, a, b);
+  }
+  w->total += count;
+  const PageId next = Next(page);
+  pool_->Unpin(w->page, false);
+  ScanStep(w, next);
+}
+
+void HeapFile::FinishScan(ScanWalk* w, StatusOr<std::uint64_t> r) {
+  ScanCb cb = std::move(w->cb);
+  w->visit = nullptr;
+  scans_.Release(w);
+  cb(std::move(r));
 }
 
 }  // namespace postblock::db

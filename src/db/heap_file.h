@@ -11,6 +11,8 @@
 #include "common/statusor.h"
 #include "db/buffer_pool.h"
 #include "db/page.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -31,11 +33,13 @@ struct Rid {
 /// records at 16.
 class HeapFile {
  public:
-  using StatusCb = std::function<void(Status)>;
-  using AppendCb = std::function<void(StatusOr<Rid>)>;
-  using GetCb =
-      std::function<void(StatusOr<std::pair<std::uint64_t, std::uint64_t>>)>;
-  using ScanCb = std::function<void(StatusOr<std::uint64_t>)>;  // count
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using AppendCb = sim::InplaceFunction<void(StatusOr<Rid>)>;
+  using GetCb = sim::InplaceFunction<void(
+      StatusOr<std::pair<std::uint64_t, std::uint64_t>>)>;
+  using ScanCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;  // count
+  using VisitFn =
+      sim::InplaceFunction<void(Rid, std::uint64_t, std::uint64_t)>;
 
   static constexpr std::uint32_t kRecordsPerPage = (kPageBytes - 16) / 16;
 
@@ -58,17 +62,30 @@ class HeapFile {
   void Get(Rid rid, GetCb cb);
 
   /// Full scan; `visit` sees each record, completion delivers the count.
-  void Scan(std::function<void(Rid, std::uint64_t, std::uint64_t)> visit,
-            ScanCb cb);
+  void Scan(VisitFn visit, ScanCb cb);
 
   const Counters& counters() const { return counters_; }
 
  private:
+  /// One scan's walk along the page chain. Pooled; each page pin
+  /// continues through a {this, walk*} capture.
+  struct ScanWalk {
+    VisitFn visit;
+    ScanCb cb;
+    std::uint64_t total = 0;
+    PageId page = kInvalidPageId;
+  };
+
+  void ScanStep(ScanWalk* w, PageId id);
+  void OnScanPage(ScanWalk* w, StatusOr<Frame*> f);
+  void FinishScan(ScanWalk* w, StatusOr<std::uint64_t> r);
+
   sim::Simulator* sim_;
   BufferPool* pool_;
   std::function<PageId()> alloc_page_;
   PageId first_page_ = kInvalidPageId;
   PageId tail_page_ = kInvalidPageId;
+  sim::RecordPool<ScanWalk> scans_;
   Counters counters_;
 };
 

@@ -1,6 +1,5 @@
 #include "db/host_map.h"
 
-#include <memory>
 #include <utility>
 
 namespace postblock::db {
@@ -17,14 +16,23 @@ HostMap::HostMap(sim::Simulator* sim, host::HostInterface* dev,
       });
 }
 
+HostMap::Tracker* HostMap::NewTracker(std::uint32_t pages,
+                                      blocklayer::IoCallback cb) {
+  Tracker* t = trackers_.Acquire();
+  t->remaining = pages;
+  t->first_error = Status::Ok();
+  t->result.tokens.clear();
+  t->cb = std::move(cb);
+  return t;
+}
+
 void HostMap::Submit(blocklayer::IoRequest request) {
   counters_.Increment("requests");
   if (request.op == blocklayer::IoOp::kFlush) {
-    auto done = std::make_shared<blocklayer::IoCallback>(
-        std::move(request.on_complete));
+    Tracker* t = NewTracker(1, std::move(request.on_complete));
     host::Command f = host::Command::Flush(
-        [done](const blocklayer::IoResult& res) {
-          if (*done) (*done)(blocklayer::IoResult{res.status, {}});
+        [this, t](const blocklayer::IoResult& res) {
+          OnPage(t, 0, res.status, 0);
         });
     f.span = request.span;
     dev_->Execute(std::move(f));
@@ -52,42 +60,19 @@ void HostMap::Submit(blocklayer::IoRequest request) {
     return;
   }
 
-  struct Tracker {
-    std::uint32_t remaining;
-    Status first_error;
-    std::vector<std::uint64_t> tokens;
-    blocklayer::IoCallback cb;
-  };
-  auto t = std::make_shared<Tracker>();
-  t->remaining = request.nblocks;
-  t->tokens.assign(
-      request.op == blocklayer::IoOp::kRead ? request.nblocks : 0, 0);
-  t->cb = std::move(request.on_complete);
-  auto on_page = [t](std::uint32_t index, Status st,
-                     std::uint64_t token) {
-    if (!st.ok() && t->first_error.ok()) t->first_error = st;
-    if (index < t->tokens.size()) t->tokens[index] = token;
-    if (--t->remaining > 0) return;
-    if (t->cb) {
-      t->cb(blocklayer::IoResult{t->first_error, std::move(t->tokens)});
-    }
-  };
-
+  Tracker* t = NewTracker(request.nblocks, std::move(request.on_complete));
+  if (request.op == blocklayer::IoOp::kRead) {
+    t->result.tokens.assign(request.nblocks, 0);
+  }
   switch (request.op) {
     case blocklayer::IoOp::kRead:
       for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        ReadPage(request.lba + i, 0,
-                 [on_page, i](Status st, std::uint64_t token) {
-                   on_page(i, std::move(st), token);
-                 });
+        ReadPage(request.lba + i, 0, t, i);
       }
       return;
     case blocklayer::IoOp::kWrite:
       for (std::uint32_t i = 0; i < request.nblocks; ++i) {
-        WritePage(request.lba + i, request.tokens[i],
-                  [on_page, i](Status st) {
-                    on_page(i, std::move(st), 0);
-                  });
+        WritePage(request.lba + i, request.tokens[i], t, i);
       }
       return;
     case blocklayer::IoOp::kTrim:
@@ -103,116 +88,141 @@ void HostMap::Submit(blocklayer::IoRequest request) {
           name_to_page_.erase(it->second);
           map_.erase(it);
         }
-        sim_->Schedule(0, [on_page, i]() { on_page(i, Status::Ok(), 0); });
+        sim_->Schedule(0, [this, t, i]() { OnPage(t, i, Status::Ok(), 0); });
       }
       return;
     default:
-      sim_->Schedule(0, [on_page]() {
-        on_page(0, Status::InvalidArgument("unsupported op"), 0);
+      sim_->Schedule(0, [this, t]() {
+        OnPage(t, 0, Status::InvalidArgument("unsupported op"), 0);
       });
       return;
   }
 }
 
-void HostMap::ReadPage(PageId page, int tries,
-                       std::function<void(Status, std::uint64_t)> done) {
+void HostMap::OnPage(Tracker* t, std::uint32_t index, Status st,
+                     std::uint64_t token) {
+  if (!st.ok() && t->first_error.ok()) t->first_error = std::move(st);
+  if (index < t->result.tokens.size()) t->result.tokens[index] = token;
+  if (--t->remaining > 0) return;
+  // Released after the callback, which may submit again: the result it
+  // is reading lives in this tracker.
+  blocklayer::IoCallback cb = std::move(t->cb);
+  t->result.status = t->first_error;
+  if (cb) cb(t->result);
+  trackers_.Release(t);
+}
+
+void HostMap::ReadPage(PageId page, int tries, Tracker* t,
+                       std::uint32_t index) {
   auto it = map_.find(page);
   if (it == map_.end()) {
     // Never written (or trimmed): reads as zeroes, like an unmapped LBA.
     counters_.Increment("zero_reads");
-    sim_->Schedule(0, [done = std::move(done)]() {
-      done(Status::Ok(), 0);
-    });
+    sim_->Schedule(0,
+                   [this, t, index]() { OnPage(t, index, Status::Ok(), 0); });
     return;
   }
   counters_.Increment("reads");
-  dev_->Execute(host::Command::NamelessRead(
-      it->second,
-      [this, page, tries,
-       done = std::move(done)](const blocklayer::IoResult& res) {
-        if (res.status.ok()) {
-          done(Status::Ok(), res.tokens.empty() ? 0 : res.tokens[0]);
-          return;
-        }
-        if (res.status.IsNotFound() && tries < 3) {
-          // The device migrated the page between our lookup and its
-          // read — its callback already updated the map. Re-resolve.
-          counters_.Increment("read_retries");
-          ReadPage(page, tries + 1, std::move(done));
-          return;
-        }
-        done(res.status, 0);
-      }));
+  auto done = [this, page, t, tries, index](const blocklayer::IoResult& res) {
+    if (res.status.ok()) {
+      OnPage(t, index, Status::Ok(), res.tokens.empty() ? 0 : res.tokens[0]);
+      return;
+    }
+    if (res.status.IsNotFound() && tries < 3) {
+      // The device migrated the page between our lookup and its
+      // read — its callback already updated the map. Re-resolve.
+      counters_.Increment("read_retries");
+      ReadPage(page, tries + 1, t, index);
+      return;
+    }
+    OnPage(t, index, res.status, 0);
+  };
+  static_assert(blocklayer::IoCallback::fits<decltype(done)>());
+  dev_->Execute(host::Command::NamelessRead(it->second, std::move(done)));
 }
 
-void HostMap::WritePage(PageId page, std::uint64_t token,
-                        std::function<void(Status)> done) {
+void HostMap::WritePage(PageId page, std::uint64_t token, Tracker* t,
+                        std::uint32_t index) {
   counters_.Increment("writes");
   dev_->Execute(host::Command::NamelessWriteTagged(
       token, page, static_cast<std::uint32_t>(epoch_),
-      [this, page, done = std::move(done)](
-          const blocklayer::IoResult& res) {
+      [this, page, t, index](const blocklayer::IoResult& res) {
         if (!res.status.ok()) {
-          done(res.status);
+          OnPage(t, index, res.status, 0);
           return;
         }
         if (res.tokens.empty()) {
-          done(Status::Internal("nameless write returned no name"));
+          OnPage(t, index,
+                 Status::Internal("nameless write returned no name"), 0);
           return;
         }
         const std::uint64_t name = res.tokens[0];
         auto old = map_.find(page);
         if (old != map_.end()) {
           retired_.push_back(old->second);
-          name_to_page_.erase(old->second);
+          Rename(old->second, name, page);
           old->second = name;
         } else {
           map_[page] = name;
+          name_to_page_[name] = page;
         }
-        name_to_page_[name] = page;
-        done(Status::Ok());
+        OnPage(t, index, Status::Ok(), 0);
       }));
 }
 
-void HostMap::FreeRetired(std::function<void(Status)> cb) {
+void HostMap::Rename(std::uint64_t old_name, std::uint64_t name,
+                     PageId page) {
+  auto node = name_to_page_.extract(old_name);
+  if (node.empty()) {
+    name_to_page_[name] = page;
+    return;
+  }
+  node.key() = name;
+  node.mapped() = page;
+  auto inserted = name_to_page_.insert(std::move(node));
+  if (!inserted.inserted) inserted.position->second = page;
+}
+
+void HostMap::FreeRetired(StatusCb cb) {
   if (retired_.empty()) {
     sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
     return;
   }
-  auto names = std::make_shared<std::vector<std::uint64_t>>(
-      std::move(retired_));
-  retired_.clear();
-  struct Tracker {
-    std::size_t remaining;
-    Status first_error;
-    std::function<void(Status)> cb;
-  };
-  auto t = std::make_shared<Tracker>();
-  t->remaining = names->size();
-  t->cb = std::move(cb);
-  counters_.Add("retired_freed", names->size());
-  for (const std::uint64_t name : *names) {
+  Tracker* t = NewTracker(0, nullptr);
+  t->names.swap(retired_);  // retired_ takes the tracker's empty buffer
+  t->remaining = static_cast<std::uint32_t>(t->names.size());
+  t->free_cb = std::move(cb);
+  counters_.Add("retired_freed", t->names.size());
+  const std::size_t n = t->names.size();
+  for (std::size_t i = 0; i < n; ++i) {
     dev_->Execute(host::Command::NamelessFree(
-        name, [this, t](const blocklayer::IoResult& res) {
-          // NotFound = already gone (crash reclaim); not an error.
-          if (!res.status.ok() && !res.status.IsNotFound() &&
-              t->first_error.ok()) {
-            t->first_error = res.status;
-          }
-          if (!res.status.ok() && res.status.IsNotFound()) {
-            counters_.Increment("free_stale");
-          }
-          if (--t->remaining == 0) t->cb(t->first_error);
+        t->names[i], [this, t](const blocklayer::IoResult& res) {
+          OnFreed(t, res);
         }));
   }
+}
+
+void HostMap::OnFreed(Tracker* t, const blocklayer::IoResult& res) {
+  // NotFound = already gone (crash reclaim); not an error.
+  if (!res.status.ok() && !res.status.IsNotFound() && t->first_error.ok()) {
+    t->first_error = res.status;
+  }
+  if (!res.status.ok() && res.status.IsNotFound()) {
+    counters_.Increment("free_stale");
+  }
+  if (--t->remaining > 0) return;
+  StatusCb cb = std::move(t->free_cb);
+  const Status st = t->first_error;
+  t->names.clear();
+  trackers_.Release(t);
+  cb(st);
 }
 
 void HostMap::OnMigration(std::uint64_t old_name, std::uint64_t new_name) {
   auto it = name_to_page_.find(old_name);
   if (it != name_to_page_.end()) {
     const PageId page = it->second;
-    name_to_page_.erase(it);
-    name_to_page_[new_name] = page;
+    Rename(old_name, new_name, page);
     map_[page] = new_name;
     counters_.Increment("migrations");
     return;

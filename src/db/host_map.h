@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_HOST_MAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -10,6 +9,8 @@
 #include "common/stats.h"
 #include "db/page.h"
 #include "host/command.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -40,6 +41,8 @@ namespace postblock::db {
 /// (names + OOB owner stamps) and re-Adopt()s the surviving copies.
 class HostMap : public blocklayer::BlockDevice {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+
   /// `dev` is the typed stack underneath (it must speak nameless — the
   /// storage manager probes Caps() before wiring this in). `num_pages`
   /// is the advertised logical capacity, `page_bytes` the page size.
@@ -66,7 +69,7 @@ class HostMap : public blocklayer::BlockDevice {
   /// until then the old copies are the recovery image. NotFound on an
   /// individual free is tolerated (the device migrated-and-told-us or a
   /// crash already reclaimed it).
-  void FreeRetired(std::function<void(Status)> cb);
+  void FreeRetired(StatusCb cb);
   std::size_t retired() const { return retired_.size(); }
 
   // --- Recovery (storage manager) ------------------------------------
@@ -85,10 +88,29 @@ class HostMap : public blocklayer::BlockDevice {
   bool Lookup(PageId page, std::uint64_t* name) const;
 
  private:
-  void ReadPage(PageId page, int tries,
-                std::function<void(Status, std::uint64_t)> done);
-  void WritePage(PageId page, std::uint64_t token,
-                 std::function<void(Status)> done);
+  /// One request's pages in flight (or one FreeRetired batch): each
+  /// page's command completes through {this, tracker*, index}, and the
+  /// last one delivers `result`. Pooled; `result.tokens` and `names`
+  /// keep their capacity.
+  struct Tracker {
+    std::uint32_t remaining = 0;
+    Status first_error;
+    blocklayer::IoResult result;
+    blocklayer::IoCallback cb;
+    std::vector<std::uint64_t> names;  // FreeRetired: the names freed
+    StatusCb free_cb;                  // FreeRetired's callback
+  };
+
+  Tracker* NewTracker(std::uint32_t pages, blocklayer::IoCallback cb);
+  void OnPage(Tracker* t, std::uint32_t index, Status st,
+              std::uint64_t token);
+  void OnFreed(Tracker* t, const blocklayer::IoResult& res);
+  void ReadPage(PageId page, int tries, Tracker* t, std::uint32_t index);
+  void WritePage(PageId page, std::uint64_t token, Tracker* t,
+                 std::uint32_t index);
+  /// Points `name` at `page` in name_to_page_, reusing the node that
+  /// mapped `old_name` (if any) instead of freeing and making one.
+  void Rename(std::uint64_t old_name, std::uint64_t name, PageId page);
   void OnMigration(std::uint64_t old_name, std::uint64_t new_name);
 
   sim::Simulator* sim_;
@@ -105,6 +127,7 @@ class HostMap : public blocklayer::BlockDevice {
   /// Old copies awaiting the post-commit free.
   std::vector<std::uint64_t> retired_;
 
+  sim::RecordPool<Tracker> trackers_;
   Counters counters_;
 };
 

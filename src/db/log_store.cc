@@ -206,61 +206,59 @@ void LogStructuredStore::MaybeCompact() {
   if (best < 0) return;
   compacting_ = true;
   counters_.Increment("compactions");
-  CompactSegment(static_cast<std::uint32_t>(best));
+  compact_victim_ = static_cast<std::uint32_t>(best);
+  compact_page_ = 0;
+  CompactStep();
 }
 
-void LogStructuredStore::CompactSegment(std::uint32_t victim) {
-  // Read the victim's pages one by one, re-appending live records.
-  auto page = std::make_shared<std::uint32_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, victim, page, step]() {
-    if (*page >= options_.segment_pages) {
-      // Everything live rewritten: release the segment.
-      segments_[victim] = Segment{};  // free
-      auto finish = [this]() {
-        compacting_ = false;
-        MaybeCompact();
+void LogStructuredStore::CompactStep() {
+  const std::uint32_t victim = compact_victim_;
+  if (compact_page_ >= options_.segment_pages) {
+    // Everything live rewritten: release the segment.
+    segments_[victim] = Segment{};  // free
+    if (options_.trim_dead_segments) {
+      blocklayer::IoRequest t;
+      t.op = blocklayer::IoOp::kTrim;
+      t.lba = SegmentBase(victim);
+      t.nblocks = options_.segment_pages;
+      t.on_complete = [this](const blocklayer::IoResult&) {
+        FinishCompaction();
       };
-      if (options_.trim_dead_segments) {
-        blocklayer::IoRequest t;
-        t.op = blocklayer::IoOp::kTrim;
-        t.lba = SegmentBase(victim);
-        t.nblocks = options_.segment_pages;
-        t.on_complete = [finish](const blocklayer::IoResult&) { finish(); };
-        device_->Submit(std::move(t));
-      } else {
-        finish();
-      }
-      *step = nullptr;
-      return;
+      device_->Submit(std::move(t));
+    } else {
+      FinishCompaction();
     }
-    const std::uint32_t p = (*page)++;
-    blocklayer::IoRequest r;
-    r.op = blocklayer::IoOp::kRead;
-    r.lba = SegmentBase(victim) + p;
-    r.nblocks = 1;
-    r.on_complete = [this, victim, p, step](
-                        const blocklayer::IoResult& res) {
-      if (res.status.ok()) {
-        const auto pit = page_payloads_.find(res.tokens[0]);
-        if (pit != page_payloads_.end()) {
-          for (std::uint32_t slot = 0; slot < pit->second.size(); ++slot) {
-            const auto [key, value] = pit->second[slot];
-            const auto iit = index_.find(key);
-            if (iit != index_.end() &&
-                iit->second == RecordLoc{victim, p, slot}) {
-              AppendRecord(key, value, /*fresh=*/false, nullptr);
-            }
+    return;
+  }
+  const std::uint32_t p = compact_page_++;
+  blocklayer::IoRequest r;
+  r.op = blocklayer::IoOp::kRead;
+  r.lba = SegmentBase(victim) + p;
+  r.nblocks = 1;
+  r.on_complete = [this, victim, p](const blocklayer::IoResult& res) {
+    if (res.status.ok()) {
+      const auto pit = page_payloads_.find(res.tokens[0]);
+      if (pit != page_payloads_.end()) {
+        for (std::uint32_t slot = 0; slot < pit->second.size(); ++slot) {
+          const auto [key, value] = pit->second[slot];
+          const auto iit = index_.find(key);
+          if (iit != index_.end() &&
+              iit->second == RecordLoc{victim, p, slot}) {
+            AppendRecord(key, value, /*fresh=*/false, nullptr);
           }
-          // The page's cells are dead now; drop the payload entry.
-          page_payloads_.erase(pit);
         }
+        // The page's cells are dead now; drop the payload entry.
+        page_payloads_.erase(pit);
       }
-      (*step)();
-    };
-    device_->Submit(std::move(r));
+    }
+    CompactStep();
   };
-  (*step)();
+  device_->Submit(std::move(r));
+}
+
+void LogStructuredStore::FinishCompaction() {
+  compacting_ = false;
+  MaybeCompact();
 }
 
 }  // namespace postblock::db

@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_LOG_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/statusor.h"
+#include "sim/inplace_callback.h"
 #include "sim/simulator.h"
 
 namespace postblock::db {
@@ -41,8 +41,8 @@ class LogStructuredStore {
     bool trim_dead_segments = true;
   };
 
-  using StatusCb = std::function<void(Status)>;
-  using GetCb = std::function<void(StatusOr<std::uint64_t>)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using GetCb = sim::InplaceFunction<void(StatusOr<std::uint64_t>)>;
 
   LogStructuredStore(sim::Simulator* sim, blocklayer::BlockDevice* device,
                      const Options& options);
@@ -102,7 +102,10 @@ class LogStructuredStore {
   bool OpenNextSegment();
   void SealActiveIfFull();
   void MaybeCompact();
-  void CompactSegment(std::uint32_t victim);
+  /// Reads the victim's pages one by one (compact_page_ is the next),
+  /// re-appending live records; then frees and trims the segment.
+  void CompactStep();
+  void FinishCompaction();
   void GetAttempt(std::uint64_t key, int tries, GetCb cb);
 
   sim::Simulator* sim_;
@@ -120,7 +123,10 @@ class LogStructuredStore {
   /// db::PageImageStore for the payload-token modeling rationale).
   std::unordered_map<std::uint64_t, PageRecords> page_payloads_;
 
+  /// The one compaction in flight (compacting_ == true).
   bool compacting_ = false;
+  std::uint32_t compact_victim_ = 0;
+  std::uint32_t compact_page_ = 0;
   std::uint64_t next_token_ = 1;
   Counters counters_;
 };

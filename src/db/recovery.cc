@@ -16,7 +16,7 @@
 namespace postblock::db {
 
 /// Drives the asynchronous replay: one WAL batch at a time, each batch's
-/// ops applied in order.
+/// ops applied in order through a transaction record.
 struct RecoveryDriver {
   StorageManager* manager;
   std::vector<WalBatch> batches;
@@ -24,22 +24,22 @@ struct RecoveryDriver {
   StorageManager::StatusCb cb;
 
   static void Run(std::shared_ptr<RecoveryDriver> self) {
+    StorageManager* m = self->manager;
     if (self->index >= self->batches.size()) {
-      self->manager->counters_.Add("recovered_batches",
-                                   self->batches.size());
+      m->counters_.Add("recovered_batches", self->batches.size());
       self->cb(Status::Ok());
       return;
     }
-    auto ops = std::make_shared<std::vector<WalOp>>(
-        std::move(self->batches[self->index].ops));
-    ++self->index;
-    self->manager->ApplyOps(ops, 0, [self](Status st) {
+    StorageManager::Txn* txn = m->NewTxn([self](Status st) {
       if (!st.ok()) {
         self->cb(std::move(st));
         return;
       }
       Run(self);
     });
+    txn->batch.ops = std::move(self->batches[self->index].ops);
+    ++self->index;
+    m->ApplyOps(txn);
   }
 };
 
@@ -112,8 +112,7 @@ void StorageManager::RebuildHostMap(StatusCb cb) {
   // back. NotFound is tolerated (a migration may have renamed a copy
   // between scan and free — the generation guard makes that benign).
   auto remaining = std::make_shared<std::size_t>(junk.size());
-  auto shared_cb =
-      std::make_shared<std::function<void(Status)>>(std::move(cb));
+  auto shared_cb = std::make_shared<StatusCb>(std::move(cb));
   for (std::uint64_t name : junk) {
     direct_->Execute(host::Command::NamelessFree(
         name, blocklayer::IoCallback(

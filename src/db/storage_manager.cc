@@ -113,13 +113,25 @@ void StorageManager::Bootstrap(StatusCb cb) {
   });
 }
 
+StorageManager::Txn* StorageManager::NewTxn(StatusCb cb) {
+  Txn* txn = txns_.Acquire();
+  txn->batch.ops.clear();
+  txn->next_op = 0;
+  txn->cb = std::move(cb);
+  return txn;
+}
+
 void StorageManager::Put(std::uint64_t key, std::uint64_t value,
                          StatusCb cb) {
-  CommitBatch({WalOp{WalOp::Kind::kPut, key, value}}, std::move(cb));
+  Txn* txn = NewTxn(std::move(cb));
+  txn->batch.ops.push_back(WalOp{WalOp::Kind::kPut, key, value});
+  CommitTxn(txn);
 }
 
 void StorageManager::Delete(std::uint64_t key, StatusCb cb) {
-  CommitBatch({WalOp{WalOp::Kind::kDelete, key, 0}}, std::move(cb));
+  Txn* txn = NewTxn(std::move(cb));
+  txn->batch.ops.push_back(WalOp{WalOp::Kind::kDelete, key, 0});
+  CommitTxn(txn);
 }
 
 void StorageManager::Get(std::uint64_t key, GetCb cb) {
@@ -128,144 +140,175 @@ void StorageManager::Get(std::uint64_t key, GetCb cb) {
 }
 
 void StorageManager::CommitBatch(std::vector<WalOp> ops, StatusCb cb) {
-  counters_.Increment("txns");
-  if (metrics_ != nullptr) metrics_->Increment(m_txns_);
-  WalBatch batch;
-  batch.txn_id = next_txn_id_++;
-  batch.ops = std::move(ops);
-  const SimTime start = sim_->Now();
-  auto shared_ops = std::make_shared<std::vector<WalOp>>(batch.ops);
-  wal_->Commit(batch, [this, shared_ops, start,
-                       cb = std::move(cb)](Status st) mutable {
-    const SimTime latency = sim_->Now() - start;
-    commit_latency_.Record(latency);
-    if (metrics_ != nullptr) metrics_->Record(m_commit_lat_, latency);
-    if (!st.ok()) {
-      cb(std::move(st));
-      return;
-    }
-    // Deferred update: the transaction is durable (redo-logged); now
-    // apply it to the tree in memory.
-    ApplyOps(shared_ops, 0, std::move(cb));
-  });
+  Txn* txn = NewTxn(std::move(cb));
+  txn->batch.ops.assign(ops.begin(), ops.end());
+  CommitTxn(txn);
 }
 
-void StorageManager::ApplyOps(std::shared_ptr<std::vector<WalOp>> ops,
-                              std::size_t index, StatusCb cb) {
-  if (index >= ops->size()) {
-    cb(Status::Ok());
+void StorageManager::CommitTxn(Txn* txn) {
+  counters_.Increment("txns");
+  if (metrics_ != nullptr) metrics_->Increment(m_txns_);
+  txn->batch.txn_id = next_txn_id_++;
+  txn->start = sim_->Now();
+  wal_->Commit(txn->batch,
+               [this, txn](Status st) { OnCommitted(txn, std::move(st)); });
+}
+
+void StorageManager::OnCommitted(Txn* txn, Status st) {
+  const SimTime latency = sim_->Now() - txn->start;
+  commit_latency_.Record(latency);
+  if (metrics_ != nullptr) metrics_->Record(m_commit_lat_, latency);
+  if (!st.ok()) {
+    FinishTxn(txn, std::move(st));
     return;
   }
-  const WalOp& op = (*ops)[index];
-  auto next = [this, ops, index, cb = std::move(cb)](Status st) mutable {
+  // Deferred update: the transaction is durable (redo-logged); now
+  // apply it to the tree in memory.
+  ApplyOps(txn);
+}
+
+void StorageManager::ApplyOps(Txn* txn) {
+  if (txn->next_op >= txn->batch.ops.size()) {
+    FinishTxn(txn, Status::Ok());
+    return;
+  }
+  const WalOp& op = txn->batch.ops[txn->next_op];
+  auto next = [this, txn](Status st) {
     if (!st.ok()) {
-      cb(std::move(st));
+      FinishTxn(txn, std::move(st));
       return;
     }
-    ApplyOps(ops, index + 1, std::move(cb));
+    ++txn->next_op;
+    ApplyOps(txn);
   };
+  static_assert(BTree::StatusCb::fits<decltype(next)>());
   if (op.kind == WalOp::Kind::kPut) {
-    tree_->Put(op.key, op.value, std::move(next));
+    tree_->Put(op.key, op.value, next);
   } else {
-    tree_->Delete(op.key, std::move(next));
+    tree_->Delete(op.key, next);
   }
+}
+
+void StorageManager::FinishTxn(Txn* txn, Status st) {
+  StatusCb cb = std::move(txn->cb);
+  txns_.Release(txn);
+  cb(std::move(st));
 }
 
 void StorageManager::Checkpoint(StatusCb cb) {
   counters_.Increment("checkpoints");
+  Ckpt* ck = ckpts_.Acquire();
+  ck->cb = std::move(cb);
   // Stage the meta page alongside the data pages so the whole snapshot
   // lands together.
-  pool_->Pin(0, [this, cb = std::move(cb)](StatusOr<Frame*> meta) mutable {
-    if (!meta.ok()) {
-      cb(meta.status());
-      return;
-    }
-    WriteMetaInto(*meta);
-    pool_->Unpin(0, /*dirty=*/true);
-
-    auto after_flush = [this, cb = std::move(cb)](Status st) mutable {
-      if (!st.ok()) {
-        cb(std::move(st));
-        return;
-      }
-      wal_->Truncate(std::move(cb));
-    };
-
-    if (config_.wiring == Wiring::kVision && host_map_ != nullptr) {
-      // Post-block checkpoint: no atomic-write command needed — the
-      // epoch protocol makes the meta page the commit point.
-      CheckpointNameless(std::move(after_flush));
-      return;
-    }
-    if (config_.wiring == Wiring::kVision &&
-        device_->page_ftl() != nullptr) {
-      // Atomic checkpoint: every dirty page + meta flips visibility as
-      // one group — no torn-checkpoint window (the paper's atomic-write
-      // command, ref [17]).
-      std::vector<std::pair<Lba, std::uint64_t>> group;
-      std::vector<PageId> ids;
-      for (Frame* frame : pool_->DirtyFrames()) {
-        group.emplace_back(frame->id, images_.Register(frame->bytes));
-        ids.push_back(frame->id);
-      }
-      counters_.Add("checkpoint_pages", group.size());
-      device_->page_ftl()->WriteAtomic(
-          std::move(group),
-          [this, ids = std::move(ids),
-           after_flush = std::move(after_flush)](Status st) mutable {
-            if (st.ok()) {
-              for (PageId id : ids) pool_->MarkClean(id);
-            }
-            after_flush(std::move(st));
-          });
-      return;
-    }
-    // Classic: plain write-back of each dirty page + flush barrier.
-    pool_->FlushAll(std::move(after_flush));
+  pool_->Pin(0, [this, ck](StatusOr<Frame*> meta) {
+    OnMetaPinned(ck, std::move(meta));
   });
 }
 
-void StorageManager::CheckpointNameless(StatusCb cb) {
+void StorageManager::OnMetaPinned(Ckpt* ck, StatusOr<Frame*> meta) {
+  if (!meta.ok()) {
+    FinishCheckpoint(ck, meta.status());
+    return;
+  }
+  WriteMetaInto(*meta);
+  pool_->Unpin(0, /*dirty=*/true);
+
+  if (config_.wiring == Wiring::kVision && host_map_ != nullptr) {
+    // Post-block checkpoint: no atomic-write command needed — the
+    // epoch protocol makes the meta page the commit point.
+    CheckpointNameless(ck);
+    return;
+  }
+  if (config_.wiring == Wiring::kVision && device_->page_ftl() != nullptr) {
+    // Atomic checkpoint: every dirty page + meta flips visibility as
+    // one group — no torn-checkpoint window (the paper's atomic-write
+    // command, ref [17]).
+    std::vector<std::pair<Lba, std::uint64_t>> group;
+    ck->ids.clear();
+    pool_->DirtyFrames(&ck->dirty);
+    for (Frame* frame : ck->dirty) {
+      group.emplace_back(frame->id, images_.Register(frame->id, frame->bytes));
+      ck->ids.push_back(frame->id);
+    }
+    ck->mark = images_.last_token();
+    counters_.Add("checkpoint_pages", group.size());
+    device_->page_ftl()->WriteAtomic(std::move(group), [this, ck](Status st) {
+      if (st.ok()) {
+        for (PageId id : ck->ids) pool_->MarkClean(id);
+        images_.AcknowledgeThrough(ck->mark);
+      }
+      OnCheckpointFlushed(ck, std::move(st));
+    });
+    return;
+  }
+  // Classic: plain write-back of each dirty page + flush barrier. The
+  // flush registers its page images inside the call (its completions
+  // arrive in later events), so the mark is read right after it.
+  pool_->FlushAll([this, ck](Status st) {
+    if (st.ok()) images_.AcknowledgeThrough(ck->mark);
+    OnCheckpointFlushed(ck, std::move(st));
+  });
+  ck->mark = images_.last_token();
+}
+
+void StorageManager::OnCheckpointFlushed(Ckpt* ck, Status st) {
+  if (!st.ok()) {
+    FinishCheckpoint(ck, std::move(st));
+    return;
+  }
+  wal_->Truncate(
+      [this, ck](Status st2) { FinishCheckpoint(ck, std::move(st2)); });
+}
+
+void StorageManager::FinishCheckpoint(Ckpt* ck, Status st) {
+  StatusCb cb = std::move(ck->cb);
+  ckpts_.Release(ck);
+  cb(std::move(st));
+}
+
+void StorageManager::CheckpointNameless(Ckpt* ck) {
   // Every page in this checkpoint is written under epoch S+1 while the
   // committed checkpoint is still S; old copies are retired, not freed.
   // The meta page (owner 0) is written *last*: the instant it lands,
   // epoch S+1 is the recovery image. Only then do the retired copies
   // die — a crash anywhere earlier leaves epoch S fully intact.
   host_map_->set_epoch(ckpt_seq_ + 1);
-  std::vector<PageId> dirty;
-  for (Frame* frame : pool_->DirtyFrames()) {
-    if (frame->id != 0) dirty.push_back(frame->id);
+  ck->ids.clear();
+  pool_->DirtyFrames(&ck->dirty);
+  for (Frame* frame : ck->dirty) {
+    if (frame->id != 0) ck->ids.push_back(frame->id);
   }
-  std::sort(dirty.begin(), dirty.end());
-  counters_.Add("checkpoint_pages", dirty.size() + 1);
-  auto write_meta = [this, cb = std::move(cb)](Status st) mutable {
-    if (!st.ok()) {
-      cb(std::move(st));
-      return;
-    }
-    pool_->FlushPage(0, [this, cb = std::move(cb)](Status st2) mutable {
-      if (!st2.ok()) {
-        cb(std::move(st2));
-        return;
-      }
-      ++ckpt_seq_;  // the commit point is durable
-      host_map_->FreeRetired(std::move(cb));
-    });
-  };
-  if (dirty.empty()) {
-    write_meta(Status::Ok());
+  std::sort(ck->ids.begin(), ck->ids.end());
+  counters_.Add("checkpoint_pages", ck->ids.size() + 1);
+  if (ck->ids.empty()) {
+    NamelessWriteMeta(ck, Status::Ok());
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(dirty.size());
-  auto first_error = std::make_shared<Status>(Status::Ok());
-  auto then = std::make_shared<std::function<void(Status)>>(
-      std::move(write_meta));
-  for (PageId id : dirty) {
-    pool_->FlushPage(id, [remaining, first_error, then](Status st) {
-      if (!st.ok() && first_error->ok()) *first_error = std::move(st);
-      if (--*remaining == 0) (*then)(std::move(*first_error));
-    });
+  pool_->FlushPages(ck->ids, [this, ck](Status st) {
+    NamelessWriteMeta(ck, std::move(st));
+  });
+}
+
+void StorageManager::NamelessWriteMeta(Ckpt* ck, Status st) {
+  if (!st.ok()) {
+    OnCheckpointFlushed(ck, std::move(st));
+    return;
   }
+  pool_->FlushPage(
+      0, [this, ck](Status st2) { OnNamelessMeta(ck, std::move(st2)); });
+  ck->mark = images_.last_token();  // the meta image: the newest
+}
+
+void StorageManager::OnNamelessMeta(Ckpt* ck, Status st) {
+  if (!st.ok()) {
+    OnCheckpointFlushed(ck, std::move(st));
+    return;
+  }
+  ++ckpt_seq_;  // the commit point is durable
+  images_.AcknowledgeThrough(ck->mark);
+  host_map_->FreeRetired(
+      [this, ck](Status st2) { OnCheckpointFlushed(ck, std::move(st2)); });
 }
 
 Status StorageManager::SimulateCrash() {
@@ -284,6 +327,10 @@ Status StorageManager::SimulateCrash() {
   // The host-owned map is DRAM: gone. Recover() rebuilds it from the
   // device's live-names scan.
   if (host_map_ != nullptr) host_map_->Crash();
+  // Writes no checkpoint acknowledged are forgotten; their images stay
+  // (a torn write may have landed) until a later acknowledged write of
+  // the same page supersedes them.
+  images_.ForgetUnacknowledged();
   // Volatile host objects (tree/heap/wal handles) are rebuilt empty;
   // Recover() re-attaches them to the durable state.
   RebuildVolatileState();

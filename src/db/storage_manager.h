@@ -2,7 +2,6 @@
 #define POSTBLOCK_DB_STORAGE_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,8 @@
 #include "db/wal.h"
 #include "metrics/metrics.h"
 #include "pcm/pcm_device.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "ssd/device.h"
 
 namespace postblock::db {
@@ -65,7 +66,7 @@ struct StorageConfig {
 /// architectures can race (bench E7/E8).
 class StorageManager {
  public:
-  using StatusCb = std::function<void(Status)>;
+  using StatusCb = sim::InplaceFunction<void(Status)>;
   using GetCb = BTree::GetCb;
 
   StorageManager(sim::Simulator* sim, ssd::Device* device,
@@ -111,6 +112,8 @@ class StorageManager {
   BTree* tree() { return tree_.get(); }
   HeapFile* heap() { return heap_.get(); }
   core::HybridStore* store() { return store_.get(); }
+  /// The page-image registry: what the device may still return.
+  const PageImageStore& page_images() const { return images_; }
   const Counters& counters() const { return counters_; }
   /// Commit (WAL durability) latency distribution.
   const Histogram& commit_latency() const { return commit_latency_; }
@@ -124,17 +127,50 @@ class StorageManager {
  private:
   friend struct RecoveryDriver;
 
+  /// One transaction from commit to applied: its ops (the vector keeps
+  /// its capacity across transactions), the B+-tree op being applied and
+  /// the caller's callback. Pooled; the WAL commit and every tree op
+  /// continue through {this, txn*}.
+  struct Txn {
+    WalBatch batch;
+    std::size_t next_op = 0;
+    SimTime start = 0;
+    StatusCb cb;
+  };
+
+  /// One checkpoint in flight. `mark` is the newest page-image token the
+  /// checkpoint registered: once it is durable, every registration up
+  /// to `mark` is acknowledged to the image store.
+  struct Ckpt {
+    std::uint64_t mark = 0;
+    std::vector<Frame*> dirty;  // scratch: the pool's dirty frames
+    std::vector<PageId> ids;    // the checkpoint's data pages
+    StatusCb cb;
+  };
+
   PageId AllocPage() { return next_page_id_++; }
   void WriteMetaInto(Frame* frame);
   void ReadMetaFrom(Frame* frame);
-  void ApplyOps(std::shared_ptr<std::vector<WalOp>> ops, std::size_t index,
-                StatusCb cb);
+  /// A transaction record with no ops yet.
+  Txn* NewTxn(StatusCb cb);
+  /// Starts `txn` (ops and callback set): WAL commit, then apply.
+  void CommitTxn(Txn* txn);
+  void OnCommitted(Txn* txn, Status st);
+  /// Applies txn->batch.ops from next_op on, then finishes the txn.
+  void ApplyOps(Txn* txn);
+  void FinishTxn(Txn* txn, Status st);
   void RebuildVolatileState();
   std::uint64_t DataRegionBlocks() const;
+  void OnMetaPinned(Ckpt* ck, StatusOr<Frame*> meta);
+  /// The checkpoint's pages are durable (or failed): truncate the WAL.
+  void OnCheckpointFlushed(Ckpt* ck, Status st);
+  void FinishCheckpoint(Ckpt* ck, Status st);
   /// Post-block checkpoint: epoch-tagged nameless writes of every dirty
   /// data page, then the meta page last (the commit point), then frees
   /// of the superseded copies.
-  void CheckpointNameless(StatusCb cb);
+  void CheckpointNameless(Ckpt* ck);
+  void NamelessWriteMeta(Ckpt* ck, Status st);
+  void OnNamelessMeta(Ckpt* ck, Status st);
   /// Post-crash: rebuilds the host map from the device's LiveNames scan
   /// (adopt the newest copy with epoch <= the committed checkpoint,
   /// free orphans and superseded copies).
@@ -162,6 +198,9 @@ class StorageManager {
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<BTree> tree_;
   std::unique_ptr<HeapFile> heap_;
+
+  sim::RecordPool<Txn> txns_;
+  sim::RecordPool<Ckpt> ckpts_;
 
   PageId next_page_id_ = 1;  // page 0 = meta
   std::uint64_t next_txn_id_ = 1;

@@ -9,23 +9,29 @@ constexpr std::uint32_t kBatchMagic = 0x57414C42;  // "WALB"
 }  // namespace
 
 std::vector<std::uint8_t> EncodeBatch(const WalBatch& batch) {
-  std::vector<std::uint8_t> out(4 + 8 + 4 + batch.ops.size() * 17);
+  std::vector<std::uint8_t> out;
+  EncodeBatchInto(batch, &out);
+  return out;
+}
+
+void EncodeBatchInto(const WalBatch& batch, std::vector<std::uint8_t>* out) {
+  out->resize(4 + 8 + 4 + batch.ops.size() * 17);
+  std::uint8_t* p = out->data();
   std::size_t off = 0;
-  std::memcpy(out.data() + off, &kBatchMagic, 4);
+  std::memcpy(p + off, &kBatchMagic, 4);
   off += 4;
-  std::memcpy(out.data() + off, &batch.txn_id, 8);
+  std::memcpy(p + off, &batch.txn_id, 8);
   off += 8;
   const std::uint32_t count = static_cast<std::uint32_t>(batch.ops.size());
-  std::memcpy(out.data() + off, &count, 4);
+  std::memcpy(p + off, &count, 4);
   off += 4;
   for (const WalOp& op : batch.ops) {
-    out[off++] = static_cast<std::uint8_t>(op.kind);
-    std::memcpy(out.data() + off, &op.key, 8);
+    p[off++] = static_cast<std::uint8_t>(op.kind);
+    std::memcpy(p + off, &op.key, 8);
     off += 8;
-    std::memcpy(out.data() + off, &op.value, 8);
+    std::memcpy(p + off, &op.value, 8);
     off += 8;
   }
-  return out;
 }
 
 bool DecodeBatch(const std::vector<std::uint8_t>& bytes, WalBatch* out) {
@@ -54,11 +60,11 @@ bool DecodeBatch(const std::vector<std::uint8_t>& bytes, WalBatch* out) {
   return true;
 }
 
-void Wal::Commit(const WalBatch& batch, std::function<void(Status)> cb,
-                 trace::Ctx ctx) {
+void Wal::Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx) {
   counters_.Increment("commits");
   counters_.Add("ops_logged", batch.ops.size());
-  store_->SyncPersist(EncodeBatch(batch), std::move(cb), ctx);
+  EncodeBatchInto(batch, &encoded_);
+  store_->SyncPersist(encoded_, std::move(cb), ctx);
 }
 
 std::vector<WalBatch> Wal::Recover() const {
@@ -72,7 +78,7 @@ std::vector<WalBatch> Wal::Recover() const {
   return out;
 }
 
-void Wal::RecoverVerified(std::function<void(std::vector<WalBatch>)> cb) {
+void Wal::RecoverVerified(BatchesCb cb) {
   counters_.Increment("verified_recoveries");
   store_->RecoverRecords(
       [cb = std::move(cb)](std::vector<std::vector<std::uint8_t>> records) {

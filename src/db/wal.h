@@ -2,12 +2,12 @@
 #define POSTBLOCK_DB_WAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/hybrid_store.h"
+#include "sim/inplace_callback.h"
 
 namespace postblock::db {
 
@@ -25,8 +25,10 @@ struct WalBatch {
   std::vector<WalOp> ops;
 };
 
-/// Serialization (stable little-endian layout).
+/// Serialization (stable little-endian layout). EncodeBatchInto reuses
+/// `out`'s capacity.
 std::vector<std::uint8_t> EncodeBatch(const WalBatch& batch);
+void EncodeBatchInto(const WalBatch& batch, std::vector<std::uint8_t>* out);
 bool DecodeBatch(const std::vector<std::uint8_t>& bytes, WalBatch* out);
 
 /// Write-ahead log over a core::HybridStore: the commit path is one
@@ -34,12 +36,16 @@ bool DecodeBatch(const std::vector<std::uint8_t>& bytes, WalBatch* out);
 /// flush on the classic block-device route (the paper's E7 contrast).
 class Wal {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using BatchesCb = sim::InplaceFunction<void(std::vector<WalBatch>)>;
+
   explicit Wal(core::HybridStore* store) : store_(store) {}
 
   /// Appends a commit record; callback fires when durable. `ctx` links
   /// the commit to a trace span (see core::HybridStore::SyncPersist).
-  void Commit(const WalBatch& batch, std::function<void(Status)> cb,
-              trace::Ctx ctx = {});
+  /// The record is encoded into a buffer the log reuses, so a commit
+  /// stream makes no per-commit allocation here.
+  void Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx = {});
 
   /// Replays every durable batch in commit order (post-crash).
   std::vector<WalBatch> Recover() const;
@@ -49,17 +55,18 @@ class Wal {
   /// uncorrectable media error truncates replay at the torn point (see
   /// core::HybridStore::RecoverRecords). Asynchronous because the
   /// verification reads go through the whole IO stack.
-  void RecoverVerified(std::function<void(std::vector<WalBatch>)> cb);
+  void RecoverVerified(BatchesCb cb);
 
   /// Empties the log after a checkpoint.
-  void Truncate(std::function<void(Status)> cb) {
-    store_->TruncateLog(std::move(cb));
-  }
+  void Truncate(StatusCb cb) { store_->TruncateLog(std::move(cb)); }
 
   const Counters& counters() const { return counters_; }
 
  private:
   core::HybridStore* store_;
+  /// Encoded commit record; the store copies it before SyncPersist
+  /// returns, so one buffer serves every commit.
+  std::vector<std::uint8_t> encoded_;
   Counters counters_;
 };
 

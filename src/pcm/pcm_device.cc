@@ -32,37 +32,43 @@ SimTime PcmDevice::WriteLatency(std::uint64_t len) const {
   return lines * config_.write_ns_per_line;
 }
 
-void PcmDevice::Write(std::uint64_t addr, std::vector<std::uint8_t> data,
-                      std::function<void(Status)> on_done) {
+void PcmDevice::Write(std::uint64_t addr,
+                      const std::vector<std::uint8_t>& data,
+                      StatusCb on_done) {
   if (addr + data.size() > config_.capacity_bytes) {
     on_done(Status::OutOfRange("pcm write beyond capacity"));
     return;
   }
-  const SimTime latency = WriteLatency(data.size());
-  const std::uint64_t first_line = addr / config_.line_bytes;
-  const std::uint64_t lines = LinesFor(addr, data.size());
+  Store* st = stores_.Acquire();
+  st->addr = addr;
+  st->data.assign(data.begin(), data.end());
+  st->latency = WriteLatency(data.size());
+  st->first_line = addr / config_.line_bytes;
+  st->lines = LinesFor(addr, data.size());
+  st->epoch = epoch_;
+  st->on_done = std::move(on_done);
   counters_.Increment("writes");
-  counters_.Add("lines_written", lines);
-  const std::uint64_t epoch = epoch_;
-  bus_.Acquire([this, addr, data = std::move(data), latency, first_line,
-                lines, epoch, on_done = std::move(on_done)]() mutable {
-    sim_->Schedule(latency, [this, addr, data = std::move(data), first_line,
-                             lines, epoch,
-                             on_done = std::move(on_done)]() {
-      bus_.Release();
-      if (epoch != epoch_) return;  // power cut mid-store: bytes lost
-      std::memcpy(bytes_.data() + addr, data.data(), data.size());
-      for (std::uint64_t l = 0; l < lines; ++l) {
-        ++line_wear_[first_line + l];
-      }
-      on_done(Status::Ok());
-    });
+  counters_.Add("lines_written", st->lines);
+  bus_.Acquire([this, st] {
+    sim_->Schedule(st->latency, [this, st] { FinishStore(st); });
   });
 }
 
-void PcmDevice::Read(
-    std::uint64_t addr, std::uint64_t len,
-    std::function<void(StatusOr<std::vector<std::uint8_t>>)> on_done) {
+void PcmDevice::FinishStore(Store* st) {
+  bus_.Release();
+  StatusCb on_done = std::move(st->on_done);
+  const bool landed = st->epoch == epoch_;  // else: power cut mid-store
+  if (landed) {
+    std::memcpy(bytes_.data() + st->addr, st->data.data(), st->data.size());
+    for (std::uint64_t l = 0; l < st->lines; ++l) {
+      ++line_wear_[st->first_line + l];
+    }
+  }
+  stores_.Release(st);
+  if (landed) on_done(Status::Ok());
+}
+
+void PcmDevice::Read(std::uint64_t addr, std::uint64_t len, ReadCb on_done) {
   if (addr + len > config_.capacity_bytes) {
     on_done(Status::OutOfRange("pcm read beyond capacity"));
     return;
@@ -71,8 +77,9 @@ void PcmDevice::Read(
   counters_.Increment("reads");
   const std::uint64_t epoch = epoch_;
   bus_.Acquire([this, addr, len, latency, epoch,
-                on_done = std::move(on_done)]() {
-    sim_->Schedule(latency, [this, addr, len, epoch, on_done]() {
+                on_done = std::move(on_done)]() mutable {
+    sim_->Schedule(latency, [this, addr, len, epoch,
+                             on_done = std::move(on_done)]() {
       bus_.Release();
       if (epoch != epoch_) return;  // power cut: caller is gone
       std::vector<std::uint8_t> out(bytes_.begin() + addr,

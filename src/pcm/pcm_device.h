@@ -9,6 +9,8 @@
 #include "common/statusor.h"
 #include "common/types.h"
 #include "metrics/metrics.h"
+#include "sim/inplace_callback.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -32,6 +34,10 @@ struct PcmConfig {
 /// no block indirection, no erase, no garbage collection.
 class PcmDevice {
  public:
+  using StatusCb = sim::InplaceFunction<void(Status)>;
+  using ReadCb =
+      sim::InplaceFunction<void(StatusOr<std::vector<std::uint8_t>>)>;
+
   PcmDevice(sim::Simulator* sim, const PcmConfig& config);
 
   PcmDevice(const PcmDevice&) = delete;
@@ -40,13 +46,13 @@ class PcmDevice {
   const PcmConfig& config() const { return config_; }
 
   /// Persists `data` at byte offset `addr`. Completion fires after the
-  /// store reaches the device (write-through; no volatile cache).
-  void Write(std::uint64_t addr, std::vector<std::uint8_t> data,
-             std::function<void(Status)> on_done);
+  /// store reaches the device (write-through; no volatile cache). The
+  /// bytes are copied into a pooled store record before this returns.
+  void Write(std::uint64_t addr, const std::vector<std::uint8_t>& data,
+             StatusCb on_done);
 
   /// Reads `len` bytes from `addr`.
-  void Read(std::uint64_t addr, std::uint64_t len,
-            std::function<void(StatusOr<std::vector<std::uint8_t>>)> on_done);
+  void Read(std::uint64_t addr, std::uint64_t len, ReadCb on_done);
 
   /// Synchronous state inspection for tests (no timing).
   StatusOr<std::vector<std::uint8_t>> Peek(std::uint64_t addr,
@@ -73,13 +79,28 @@ class PcmDevice {
   void RegisterMetrics(metrics::MetricRegistry* m);
 
  private:
+  /// One store on the bus. Pooled, and `data` keeps its capacity, so a
+  /// steady stream of log appends never allocates; the bus-grant and
+  /// completion lambdas capture {this, store*} and stay inline.
+  struct Store {
+    std::uint64_t addr = 0;
+    std::vector<std::uint8_t> data;
+    SimTime latency = 0;
+    std::uint64_t first_line = 0;
+    std::uint64_t lines = 0;
+    std::uint64_t epoch = 0;
+    StatusCb on_done;
+  };
+
   std::uint64_t LinesFor(std::uint64_t addr, std::uint64_t len) const;
+  void FinishStore(Store* st);
 
   sim::Simulator* sim_;
   PcmConfig config_;
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint32_t> line_wear_;
   sim::Resource bus_;
+  sim::RecordPool<Store> stores_;
   std::uint64_t epoch_ = 0;
   Counters counters_;
 };

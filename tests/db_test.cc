@@ -46,7 +46,7 @@ class DbFixture : public ::testing::Test {
 TEST(PageImageStoreTest, RegisterFetchRoundTrip) {
   PageImageStore store;
   std::vector<std::uint8_t> bytes(kPageBytes, 7);
-  const std::uint64_t token = store.Register(bytes);
+  const std::uint64_t token = store.Register(/*page=*/3, bytes);
   EXPECT_NE(token, 0u);
   ASSERT_NE(store.Fetch(token), nullptr);
   EXPECT_EQ(*store.Fetch(token), bytes);
@@ -56,10 +56,81 @@ TEST(PageImageStoreTest, RegisterFetchRoundTrip) {
 
 TEST(PageImageStoreTest, OldVersionsRemainFetchable) {
   PageImageStore store;
-  const auto t1 = store.Register(std::vector<std::uint8_t>(8, 1));
-  const auto t2 = store.Register(std::vector<std::uint8_t>(8, 2));
+  const auto t1 = store.Register(/*page=*/3, std::vector<std::uint8_t>(8, 1));
+  const auto t2 = store.Register(/*page=*/3, std::vector<std::uint8_t>(8, 2));
   EXPECT_EQ((*store.Fetch(t1))[0], 1);
   EXPECT_EQ((*store.Fetch(t2))[0], 2);
+}
+
+TEST(PageImageStoreTest, AcknowledgeDropsOnlyThatPagesOlderImages) {
+  PageImageStore store;
+  const auto a1 = store.Register(1, std::vector<std::uint8_t>(8, 1));
+  const auto b1 = store.Register(2, std::vector<std::uint8_t>(8, 2));
+  const auto a2 = store.Register(1, std::vector<std::uint8_t>(8, 3));
+  const auto a3 = store.Register(1, std::vector<std::uint8_t>(8, 4));
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.pages(), 2u);
+
+  // (1, a2) durable: page 1's older image goes; page 2's only image and
+  // page 1's newer, unacknowledged one stay.
+  store.AcknowledgeThrough(a2);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ((*store.Fetch(b1))[0], 2);
+  EXPECT_EQ((*store.Fetch(a2))[0], 3);
+  EXPECT_EQ((*store.Fetch(a3))[0], 4);
+
+  store.AcknowledgeThrough(a3);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ((*store.Fetch(b1))[0], 2);
+  EXPECT_EQ((*store.Fetch(a3))[0], 4);
+  (void)a1;
+}
+
+TEST(PageImageStoreTest, TornImageSurvivesCrashForget) {
+  PageImageStore store;
+  const auto t1 = store.Register(1, std::vector<std::uint8_t>(8, 1));
+  store.AcknowledgeThrough(t1);
+  // A checkpoint writes page 1 again and the power fails before it is
+  // durable: the write may or may not have landed.
+  const auto torn = store.Register(1, std::vector<std::uint8_t>(8, 2));
+  store.ForgetUnacknowledged();
+  // A later checkpoint of another page acknowledges nothing of page 1.
+  const auto other = store.Register(2, std::vector<std::uint8_t>(8, 3));
+  store.AcknowledgeThrough(other);
+  EXPECT_EQ((*store.Fetch(t1))[0], 1);
+  EXPECT_EQ((*store.Fetch(torn))[0], 2);
+  // Only an acknowledged write of page 1 supersedes both.
+  const auto t2 = store.Register(1, std::vector<std::uint8_t>(8, 4));
+  store.AcknowledgeThrough(t2);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ((*store.Fetch(t2))[0], 4);
+  EXPECT_EQ((*store.Fetch(other))[0], 3);
+}
+
+TEST(PageImageStoreTest, RecycledBuffersReturnTheNewBytes) {
+  PageImageStore store;
+  const std::vector<std::uint8_t> a(kPageBytes, 0xaa);
+  const std::vector<std::uint8_t> b(kPageBytes, 0xbb);
+  const auto old = store.Register(1, a);
+  const auto cur = store.Register(1, b);
+  store.AcknowledgeThrough(cur);  // frees `old`'s node and buffer
+  const std::vector<std::uint8_t> fresh(100, 0xcc);
+  const auto t = store.Register(7, fresh);
+  ASSERT_NE(store.Fetch(t), nullptr);
+  EXPECT_EQ(*store.Fetch(t), fresh);
+  EXPECT_EQ(*store.Fetch(cur), b);
+  EXPECT_EQ(store.size(), 2u);
+  (void)old;
+}
+
+TEST(PageImageStoreDeathTest, FetchOfDroppedTokenAborts) {
+  PageImageStore store;
+  const auto old = store.Register(1, std::vector<std::uint8_t>(8, 1));
+  const auto cur = store.Register(1, std::vector<std::uint8_t>(8, 2));
+  store.AcknowledgeThrough(cur);
+  // The device can no longer return `old`; if it did, the store must
+  // say so instead of handing back a zero page.
+  EXPECT_DEATH((void)store.Fetch(old), "page image");
 }
 
 // --- BufferPool ---------------------------------------------------------------

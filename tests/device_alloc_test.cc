@@ -1,11 +1,19 @@
-// Zero-allocation gate for the full device IO path: after a warm-up, an
-// aged fig2-class ssd::Device (page-mapping FTL with GC running, QD 32,
-// 30% writes) makes no heap allocation per IO. The only allocations a
-// host IO may cost are the caller's own write-token vectors, which this
-// test builds with the counter paused. What remains is capacity growth:
-// a ring, pool or event-wheel slot reaching a new high-water mark, a
-// handful per ten thousand IOs and falling — so the gate is "rounds to
-// zero", two orders of magnitude below a single allocating call site.
+// Zero-allocation gates for the IO paths: after a warm-up, an aged
+// fig2-class ssd::Device (page-mapping FTL with GC running, QD 32, 30%
+// writes), the mq BlockLayer over it and the fixed-latency
+// SimpleBlockDevice make no heap allocation per IO. The only
+// allocations a host IO may cost are the caller's own write-token
+// vectors, which these tests build with the counter paused. What
+// remains is capacity growth: a ring, pool or event-wheel slot reaching
+// a new high-water mark, a handful per ten thousand IOs and falling —
+// so the gate is "rounds to zero", two orders of magnitude below a
+// single allocating call site.
+//
+// The database path gets a per-transaction bound instead: every device
+// write still carries its token payload vector (the checkpoint page
+// writes, the classic WAL block writes, the nameless commands and their
+// completions), about 2-3 per transaction; everything above the device
+// is allocation-free.
 //
 // Its own binary: the global operator new below counts every heap
 // allocation in the process.
@@ -15,11 +23,15 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "blocklayer/block_layer.h"
+#include "blocklayer/simple_device.h"
 #include "common/rng.h"
+#include "db/storage_manager.h"
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
@@ -53,6 +65,7 @@ void* operator new[](std::size_t n) {
 namespace postblock::ssd {
 namespace {
 
+using blocklayer::BlockDevice;
 using blocklayer::IoOp;
 using blocklayer::IoRequest;
 using blocklayer::IoResult;
@@ -61,7 +74,7 @@ using blocklayer::IoResult;
 /// previous IO's completion. Completions capture only the slot pointer.
 class Loop {
  public:
-  Loop(sim::Simulator* sim, Device* dev, std::uint32_t depth,
+  Loop(sim::Simulator* sim, BlockDevice* dev, std::uint32_t depth,
        std::uint64_t seed)
       : sim_(sim), dev_(dev), rng_(seed), slots_(depth) {
     for (Slot& s : slots_) s.loop = this;
@@ -108,7 +121,7 @@ class Loop {
   }
 
   sim::Simulator* sim_;
-  Device* dev_;
+  BlockDevice* dev_;
   Rng rng_;
   std::vector<Slot> slots_;
   std::uint64_t quota_ = 0;
@@ -149,6 +162,122 @@ TEST(DeviceAllocTest, AgedMixedIoMakesNoHeapAllocations) {
   EXPECT_LT(allocs, kOps / 500) << static_cast<double>(allocs) / kOps
                                 << " heap allocations per IO";
 }
+
+TEST(DeviceAllocTest, BlockLayerRandomReadsMakeNoHeapAllocations) {
+  sim::Simulator sim;
+  Device dev(&sim, AgedFig2Config());
+  blocklayer::BlockLayerConfig bl;
+  bl.nr_queues = 4;
+  bl.queue_depth = 4;  // per queue: shallow, so requests wait in the queues
+  bl.scheduler = blocklayer::SchedulerKind::kMerge;
+  blocklayer::BlockLayer layer(&sim, &dev, bl);
+  const std::uint64_t n = dev.num_blocks();
+  Loop loop(&sim, &layer, /*depth=*/32, /*seed=*/11);
+  // Map the whole device, so reads hit flash.
+  ASSERT_EQ(loop.Run(2 * n, 1.0), 0u);
+  ASSERT_EQ(loop.Run(20'000, 0.0), 0u);  // warm-up
+
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  constexpr std::uint64_t kOps = 20'000;
+  const std::uint64_t failed = loop.Run(kOps, 0.0);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+
+  EXPECT_EQ(failed, 0u);
+  EXPECT_LT(allocs, kOps / 500) << static_cast<double>(allocs) / kOps
+                                << " heap allocations per IO";
+}
+
+TEST(DeviceAllocTest, SimpleBlockDeviceMakesNoHeapAllocations) {
+  sim::Simulator sim;
+  blocklayer::SimpleDeviceConfig sc;
+  sc.num_blocks = 1 << 14;
+  blocklayer::SimpleBlockDevice dev(&sim, sc);
+  Loop loop(&sim, &dev, /*depth=*/32, /*seed=*/13);
+  ASSERT_EQ(loop.Run(20'000, 0.30), 0u);  // warm-up
+
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  constexpr std::uint64_t kOps = 20'000;
+  const std::uint64_t failed = loop.Run(kOps, 0.30);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+
+  EXPECT_EQ(failed, 0u);
+  EXPECT_LT(allocs, kOps / 500) << static_cast<double>(allocs) / kOps
+                                << " heap allocations per IO";
+}
+
+/// E22's transaction mix on both wirings: the classic block stack over
+/// the page FTL, and the post-block stack (PCM WAL, host map, nameless
+/// checkpoints) over the append device.
+class DbAllocTest : public ::testing::TestWithParam<db::Wiring> {};
+
+TEST_P(DbAllocTest, TransactionsStayUnderThreeAllocationsEach) {
+  const bool vision = GetParam() == db::Wiring::kVision;
+  sim::Simulator sim;
+  Config c = Config::Small();
+  c.geometry.blocks_per_plane = 16;
+  if (vision) c.ftl = FtlKind::kVisionAppend;
+  Device dev(&sim, c);
+  db::StorageConfig cfg;
+  cfg.wiring = GetParam();
+  cfg.buffer_frames = 256;
+  db::StorageManager db(&sim, &dev, cfg);
+  if (vision) {
+    ASSERT_NE(db.host_map(), nullptr);
+  }
+
+  std::uint64_t failed = 0;
+  auto sync = [&](auto&& start) {
+    bool fired = false;
+    bool ok = false;
+    start([&](Status st) {
+      ok = st.ok();
+      fired = true;
+    });
+    if (!sim.RunUntilPredicate([&] { return fired; }) || !ok) ++failed;
+  };
+  using Cb = db::StorageManager::StatusCb;
+  constexpr std::uint64_t kKeys = 28'000;
+  sync([&](Cb cb) { db.Bootstrap(std::move(cb)); });
+  Rng rng(17);
+  for (std::uint64_t base = 0; base < kKeys; base += 100) {
+    std::vector<db::WalOp> ops;
+    for (std::uint64_t j = 0; j < 100; ++j) {
+      ops.push_back({db::WalOp::Kind::kPut, base + j, rng.Next() | 1});
+    }
+    sync([&](Cb cb) { db.CommitBatch(std::move(ops), std::move(cb)); });
+  }
+  sync([&](Cb cb) { db.Checkpoint(std::move(cb)); });
+  auto churn = [&](std::uint64_t txns) {
+    for (std::uint64_t i = 0; i < txns; ++i) {
+      const std::uint64_t k = rng.Uniform(kKeys);
+      if (rng.Bernoulli(0.15)) {
+        sync([&](Cb cb) { db.Delete(k, std::move(cb)); });
+      } else {
+        const std::uint64_t v = rng.Next() | 1;
+        sync([&](Cb cb) { db.Put(k, v, std::move(cb)); });
+      }
+      if (i % 60 == 59) sync([&](Cb cb) { db.Checkpoint(std::move(cb)); });
+    }
+  };
+  churn(3'000);  // warm-up
+  ASSERT_EQ(failed, 0u);
+
+  constexpr std::uint64_t kTxns = 3'000;
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  churn(kTxns);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+
+  EXPECT_EQ(failed, 0u);
+  EXPECT_LE(allocs, 3 * kTxns) << static_cast<double>(allocs) / kTxns
+                               << " heap allocations per transaction";
+}
+
+INSTANTIATE_TEST_SUITE_P(Wirings, DbAllocTest,
+                         ::testing::Values(db::Wiring::kClassic,
+                                           db::Wiring::kVision),
+                         [](const ::testing::TestParamInfo<db::Wiring>& i) {
+                           return std::string(db::WiringName(i.param));
+                         });
 
 }  // namespace
 }  // namespace postblock::ssd

@@ -6,6 +6,7 @@
 #include "sim/completion.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace postblock::sim {
@@ -258,6 +259,25 @@ TEST(ResourceTest, LongGrantChainsDoNotOverflowStack) {
   }
   sim.Run();
   EXPECT_EQ(done, 100000);
+}
+
+// --- Ring --------------------------------------------------------------
+
+TEST(RingTest, EraseKeepsOrderAcrossTheWrap) {
+  Ring<int> ring;
+  for (int v = 0; v < 6; ++v) ring.push_back(v);
+  for (int v = 0; v < 4; ++v) EXPECT_EQ(ring.pop_front(), v);
+  for (int v = 6; v < 12; ++v) ring.push_back(v);  // wraps the 8 slots
+  ASSERT_EQ(ring.size(), 8u);
+  EXPECT_EQ(ring[0], 4);
+  EXPECT_EQ(ring[7], 11);
+  EXPECT_EQ(ring.erase(5), 9);  // from the middle, across the wrap
+  EXPECT_EQ(ring.erase(0), 4);  // the front
+  const std::vector<int> want = {5, 6, 7, 8, 10, 11};
+  ASSERT_EQ(ring.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(ring[i], want[i]);
+  ring.push_back(12);
+  EXPECT_EQ(ring[6], 12);
 }
 
 // --- Completion --------------------------------------------------------

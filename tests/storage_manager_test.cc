@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +202,93 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Wiring::kClassic, Wiring::kVision),
     [](const ::testing::TestParamInfo<Wiring>& info) {
       return info.param == Wiring::kClassic ? "Classic" : "Vision";
+    });
+
+// --- Page-image store bound ------------------------------------------------
+
+// The page-image store holds only what the device can still return:
+// each page's last checkpointed image plus any written since. Over a
+// long run it stays at about one image per page instead of growing by
+// every checkpoint's pages.
+struct ImageBoundCase {
+  const char* name;
+  Wiring wiring;
+  ssd::FtlKind ftl;
+};
+
+class PageImageBoundTest : public ::testing::TestWithParam<ImageBoundCase> {
+};
+
+TEST_P(PageImageBoundTest, StoreHoldsAtMostTwoImagesPerPage) {
+  sim::Simulator sim;
+  ssd::Config c = DbSsd();
+  c.ftl = GetParam().ftl;
+  ssd::Device device(&sim, c);
+  StorageConfig cfg;
+  cfg.wiring = GetParam().wiring;
+  cfg.buffer_frames = 256;
+  StorageManager manager(&sim, &device, cfg);
+  auto sync = [&](auto&& start) {
+    Status out = Status::Internal("pending");
+    bool fired = false;
+    start([&](Status st) {
+      out = std::move(st);
+      fired = true;
+    });
+    EXPECT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+    return out;
+  };
+  using Cb = StorageManager::StatusCb;
+  ASSERT_TRUE(sync([&](Cb cb) { manager.Bootstrap(std::move(cb)); }).ok());
+  constexpr std::uint64_t kKeys = 5'000;
+  std::map<std::uint64_t, std::uint64_t> shadow;
+  Rng rng(23);
+  for (int i = 0; i < 3'000; ++i) {
+    const std::uint64_t k = rng.Uniform(kKeys);
+    if (rng.Bernoulli(0.15)) {
+      ASSERT_TRUE(sync([&](Cb cb) { manager.Delete(k, std::move(cb)); }).ok());
+      shadow.erase(k);
+    } else {
+      const std::uint64_t v = rng.Next() | 1;
+      ASSERT_TRUE(sync([&](Cb cb) { manager.Put(k, v, std::move(cb)); }).ok());
+      shadow[k] = v;
+    }
+    if (i % 60 == 59) {
+      ASSERT_TRUE(sync([&](Cb cb) { manager.Checkpoint(std::move(cb)); }).ok());
+    }
+  }
+  const PageImageStore& images = manager.page_images();
+  EXPECT_GT(images.pages(), 10u);
+  EXPECT_LE(images.size(), 2 * images.pages())
+      << images.size() << " images for " << images.pages() << " pages";
+
+  // Every page still reads back: nothing the device returns was freed.
+  ASSERT_TRUE(manager.SimulateCrash().ok());
+  ASSERT_TRUE(sync([&](Cb cb) { manager.Recover(std::move(cb)); }).ok());
+  for (const auto& [k, v] : shadow) {
+    bool fired = false;
+    StatusOr<std::uint64_t> got = Status::Internal("pending");
+    manager.Get(k, [&](StatusOr<std::uint64_t> r) {
+      got = std::move(r);
+      fired = true;
+    });
+    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+    ASSERT_TRUE(got.ok()) << k;
+    ASSERT_EQ(*got, v) << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wirings, PageImageBoundTest,
+    ::testing::Values(
+        ImageBoundCase{"ClassicPageMap", Wiring::kClassic,
+                       ssd::FtlKind::kPageMap},
+        ImageBoundCase{"VisionAtomic", Wiring::kVision,
+                       ssd::FtlKind::kPageMap},
+        ImageBoundCase{"VisionNameless", Wiring::kVision,
+                       ssd::FtlKind::kVisionAppend}),
+    [](const ::testing::TestParamInfo<ImageBoundCase>& i) {
+      return std::string(i.param.name);
     });
 
 // --- Cross-wiring comparisons (the paper's E7 in miniature) -------------------
