@@ -10,8 +10,8 @@
 //     per-block counters only and never garbage-collects on its own).
 //
 // Three axes, one table: commit latency, write amplification, and
-// mapping-table DRAM (device + host). Emits BENCH_crossover.json for
-// scripts/check_perf.sh gate 11:
+// mapping-table DRAM (device + host). Emits BENCH_crossover.json with
+// its gates (all sim-time observables, so exact):
 //   - "determinism_ok": each wiring digests identically across two
 //     runs (the post-block stack honors the schedule contract);
 //   - vision write amplification must undercut classic on this
@@ -222,6 +222,29 @@ int main() {
       static_cast<unsigned long long>(classic_map),
       static_cast<unsigned long long>(vision_map));
 
+  const std::vector<bench::Gate> gates = {
+      bench::CheckGate("crossover.determinism", deterministic),
+      // The classic side must pay for its hidden GC, or the WA
+      // comparison proves nothing.
+      bench::MakeGate("crossover.classic_wa", classic.wa,
+                      bench::Bound::kAbove, 1.0),
+      bench::MakeGate("crossover.vision_wa", vision.wa, bench::Bound::kBelow,
+                      classic.wa),
+      bench::MakeGate("crossover.vision_commit_mean_ns",
+                      vision.commit_mean_ns, bench::Bound::kBelow,
+                      classic.commit_mean_ns),
+      bench::MakeGate("crossover.classic_device_map_bytes",
+                      static_cast<double>(classic.device_map_bytes),
+                      bench::Bound::kAbove, 0),
+      bench::MakeGate("crossover.vision_host_map_bytes",
+                      static_cast<double>(vision.host_map_bytes),
+                      bench::Bound::kAbove, 0),
+      bench::MakeGate("crossover.vision_device_map_bytes",
+                      static_cast<double>(vision.device_map_bytes),
+                      bench::Bound::kBelow,
+                      static_cast<double>(classic.device_map_bytes)),
+  };
+
   std::FILE* f = std::fopen("BENCH_crossover.json", "w");
   if (f != nullptr) {
     const ssd::Config shape = CrossoverSsd(false);
@@ -248,10 +271,11 @@ int main() {
                  "  \"crossover\": {\"commit_speedup\": %.2f, "
                  "\"device_map_shrink\": %.3f, "
                  "\"classic_total_map_bytes\": %llu, "
-                 "\"vision_total_map_bytes\": %llu}\n",
+                 "\"vision_total_map_bytes\": %llu},\n",
                  speedup, device_map_shrink,
                  static_cast<unsigned long long>(classic_map),
                  static_cast<unsigned long long>(vision_map));
+    std::fputs(bench::GatesJson(gates).c_str(), f);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_crossover.json\n");

@@ -11,7 +11,6 @@
 // reads).
 
 #include <cstdio>
-#include <memory>
 
 #include "bench/bench_util.h"
 #include "common/table.h"
@@ -19,12 +18,6 @@
 
 namespace postblock {
 namespace {
-
-ssd::Config DeviceConfig() {
-  ssd::Config c = ssd::Config::Consumer2012();
-  c.over_provisioning = 0.10;
-  return c;
-}
 
 struct Observation {
   workload::RunResult reads;
@@ -35,50 +28,15 @@ struct Observation {
 
 Observation Measure(bool aged, bool concurrent_writes) {
   sim::Simulator sim;
-  ssd::Device device(&sim, DeviceConfig());
-  const std::uint64_t n = device.num_blocks();
-
-  bench::FillSequential(&sim, &device, n);
-  if (aged) {
-    workload::RandomPattern churn(0, n, /*is_write=*/true, 1, 99);
-    bench::Precondition(&sim, &device, &churn, 2 * n);
-  }
+  ssd::Device device(&sim, bench::Fig2Config());
+  bench::Fig2Age(&sim, &device, aged);
   const std::uint64_t base_moves =
       device.ftl()->counters().Get("gc_page_moves");
   const std::uint64_t base_erases =
       device.ftl()->counters().Get("gc_erases");
 
-  // Background writer: a continuous QD2 random-write stream that runs
-  // for as long as the read measurement does.
-  auto stop = std::make_shared<bool>(false);
-  auto writer_pattern = std::make_shared<workload::RandomPattern>(
-      0, n, /*is_write=*/true, 1, 7);
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [&sim, &device, stop, writer_pattern, issue]() {
-    if (*stop) return;
-    const workload::IoDesc d = writer_pattern->Next();
-    blocklayer::IoRequest w;
-    w.op = blocklayer::IoOp::kWrite;
-    w.lba = d.lba;
-    w.nblocks = 1;
-    w.tokens = {1};
-    w.on_complete = [issue, stop](const blocklayer::IoResult&) {
-      if (!*stop) (*issue)();
-    };
-    device.Submit(std::move(w));
-  };
-  if (concurrent_writes) {
-    (*issue)();
-    (*issue)();
-  }
-
   Observation out;
-  workload::RandomPattern reads(0, n, false, 1, 8);
-  out.reads = workload::RunClosedLoop(&sim, &device, &reads, 20000, 4);
-  *stop = true;
-  *issue = nullptr;  // break the self-reference
-  sim.Run();
-
+  out.reads = bench::Fig2Reads(&sim, &device, concurrent_writes);
   out.gc_moves = device.ftl()->counters().Get("gc_page_moves") - base_moves;
   out.gc_erases = device.ftl()->counters().Get("gc_erases") - base_erases;
   out.wa = device.WriteAmplification();

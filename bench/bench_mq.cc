@@ -2,14 +2,14 @@
 // CPU-cost-bound fig-E9-style workload, 1-queue neutrality of the mq
 // machinery, and per-IO allocation accounting.
 //
-// Emits BENCH_mq.json for scripts/check_perf.sh gate 6:
+// Emits BENCH_mq.json with its gates (all sim-time, so exact):
 //   - "schedule_identical": a default config and a config spelling out
 //     every mq knob at its neutral value must produce bit-identical
 //     schedules (the in-binary proxy for "1 queue == pre-mq layer");
 //   - "one_queue": deterministic sim-time IOPS of the 1-queue path,
-//     compared against bench/baselines/mq_baseline.json within 2% —
-//     the 1-queue overhead gate (any new per-IO cost on the default
-//     path shows up here);
+//     within 2% of the IOPS measured when the mq layer landed — the
+//     1-queue overhead gate (any new per-IO cost on the default path
+//     shows up here);
 //   - "scaling": IOPS at 1/2/4/8 queues with the per-queue submission
 //     lock as the bottleneck; 4 queues must beat 1 queue by >= 2x;
 //   - "allocs": steady-state CallbackSlab traffic per IO (the
@@ -207,7 +207,22 @@ int main() {
       "binds (>=2x at 4 queues); 1 queue is schedule-identical to the "
       "pre-mq layer; the hot path never allocates in steady state.\n");
 
-  // BENCH_mq.json for gate 6.
+  // 1-queue sim-time IOPS when the mq layer landed; the default path
+  // may lose at most kOneQueueTolerance of it.
+  constexpr double kOneQueueIops = 499985.3;
+  constexpr double kOneQueueTolerance = 0.02;
+  constexpr double kMinSpeedup4q = 2.0;
+  constexpr double kMaxChunkAllocsPerIo = 0.01;
+  const std::vector<bench::Gate> gates = {
+      bench::CheckGate("mq.schedule_identical", schedule_identical),
+      bench::MakeGate("mq.one_queue_iops", iops1, bench::Bound::kAtLeast,
+                      kOneQueueIops * (1.0 - kOneQueueTolerance)),
+      bench::MakeGate("mq.speedup_4q", speedup4, bench::Bound::kAtLeast,
+                      kMinSpeedup4q),
+      bench::MakeGate("mq.chunk_allocs_per_io", allocs_per_io,
+                      bench::Bound::kBelow, kMaxChunkAllocsPerIo),
+  };
+
   std::FILE* f = std::fopen("BENCH_mq.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n");
@@ -229,9 +244,10 @@ int main() {
     std::fprintf(f,
                  "  \"allocs\": {\"chunk_allocs_per_io\": %.5f, "
                  "\"chunk_reuses_per_io\": %.3f, \"oversize_allocs\": "
-                 "%llu}\n",
+                 "%llu},\n",
                  allocs_per_io, reuses_per_io,
                  static_cast<unsigned long long>(slab.oversize_allocs));
+    std::fputs(bench::GatesJson(gates).c_str(), f);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_mq.json\n");

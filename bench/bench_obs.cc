@@ -1,25 +1,26 @@
 // Observability-overhead benchmark: what do the src/obs instruments
 // cost, and do they stay schedule-neutral?
 //
-// Part A — obs::EngineProfiler on the sharded engine. The gate-10
-// workload (the full ssd::Device, aged, on one shard per channel plus
-// the controller shard) runs detached and with the profiler attached,
-// best-of-N with rotating in-rep order, at workers = 0 (the sequential
-// reference — wall-clock-stable on any machine). The attached run must
-// cost <= 2% and its committed schedule fingerprint must be
-// byte-identical to detached; an extra attached run at workers = 2 must
-// also match (the observer may not perturb the parallel schedule
-// either).
+// Part A — obs::EngineProfiler on the sharded engine. The
+// sharded-device workload (E21: the full ssd::Device, aged, on one
+// shard per channel plus the controller shard) runs detached, detached
+// again (the A/A arm) and with the profiler attached, in interleaved
+// reps under bench_util.h's wall-clock rule, at workers = 0 (the
+// sequential reference — wall-clock-stable on any machine). The
+// attached run must cost <= 2% and its committed schedule fingerprint
+// must be byte-identical to detached; an extra attached run at
+// workers = 2 must also match (the observer may not perturb the
+// parallel schedule either). This row stays here rather than in
+// bench_neutrality because it observes the sharded engine, which the
+// fig2 workload does not run.
 //
 // Part B — obs::SloWatchdog determinism. A deterministic device
 // workload runs twice with the watchdog attached to the sampler under
 // an intentionally breached p99 bound; both runs must detect breaches
 // (> 0) and produce bit-identical breach digests.
 //
-// Emits BENCH_obs.json for scripts/check_perf.sh gate 9.
+// Emits BENCH_obs.json with its gates.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -38,29 +39,6 @@
 
 namespace postblock {
 namespace {
-
-// --- Part A: profiler overhead + neutrality -------------------------------
-
-struct EngineOut {
-  double seconds = 0;
-  std::uint64_t events = 0;
-  std::uint64_t fingerprint = 0;
-};
-
-EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios,
-                    obs::EngineProfiler* profiler) {
-  ssd::ShardedDeviceSim sim(
-      bench::ShardedDeviceConfig(),
-      bench::ShardedDeviceWorkload(workers, ios, profiler));
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.Run();
-  const auto t1 = std::chrono::steady_clock::now();
-  EngineOut out;
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = sim.engine()->events_executed();
-  out.fingerprint = sim.CombinedFingerprint();
-  return out;
-}
 
 // --- Part B: watchdog determinism -----------------------------------------
 
@@ -116,51 +94,51 @@ WatchOut RunWatchdog() {
 int main() {
   using namespace postblock;
   bench::Banner("obs",
-                "observability cost over the gate-10 sharded device",
+                "observability cost over the sharded device",
                 "profiler attached <= 2% wall clock and schedule "
                 "byte-identical; watchdog breach stream deterministic");
 
   constexpr std::uint64_t kIos = 60'000;
-  constexpr int kReps = 5;
+  constexpr double kMaxProfilerOverhead = 0.02;
 
-  // Part A: best-of-N detached vs attached, rotating in-rep order so
-  // neither mode always pays allocator warm-up / frequency drift.
-  double best[2] = {1e30, 1e30};
-  EngineOut last[2];
+  // Part A: detached, detached again (A/A) and attached, interleaved.
+  bench::ShardedDeviceRow last[3];
   obs::EngineProfiler profiler;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (int i = 0; i < 2; ++i) {
-      const int m = (i + rep) % 2;
-      if (m == 1) profiler.Reset();
-      const EngineOut out =
-          RunEngine(/*workers=*/0, kIos, m == 1 ? &profiler : nullptr);
-      best[m] = std::min(best[m], out.seconds);
-      last[m] = out;
-    }
-  }
-  const double overhead = best[0] > 0 ? best[1] / best[0] - 1.0 : 0;
+  const auto seconds = bench::InterleavedReps(
+      3, bench::kWallClockReps, [&](int arm) {
+        if (arm == 2) profiler.Reset();
+        last[arm] = bench::RunShardedDevice(/*workers=*/0, kIos,
+                                            arm == 2 ? &profiler : nullptr);
+        return last[arm].seconds;
+      });
+  const std::vector<double> ratios = bench::Ratios(seconds[2], seconds[0]);
+  const std::vector<double> aa = bench::Ratios(seconds[1], seconds[0]);
+  const double overhead = bench::Median(ratios) - 1.0;
+  const double detached_s = bench::Median(seconds[0]);
+  const double attached_s = bench::Median(seconds[2]);
 
   // Neutrality: attached fingerprints (sequential and parallel) must
   // equal the detached sequential reference.
   obs::EngineProfiler par_profiler;
-  const EngineOut par = RunEngine(/*workers=*/2, kIos, &par_profiler);
-  const bool neutral = last[1].fingerprint == last[0].fingerprint &&
-                       last[1].events == last[0].events &&
+  const bench::ShardedDeviceRow par =
+      bench::RunShardedDevice(/*workers=*/2, kIos, &par_profiler);
+  const bool neutral = last[2].fingerprint == last[0].fingerprint &&
+                       last[2].events == last[0].events &&
                        par.fingerprint == last[0].fingerprint &&
                        par.events == last[0].events;
 
-  Table table({"mode", "best wall s", "overhead", "events",
+  Table table({"mode", "median wall s", "overhead", "events",
                "fingerprint"});
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(last[0].fingerprint));
-  table.AddRow({"detached", Table::Num(best[0], 3), "0.00%",
+  table.AddRow({"detached", Table::Num(detached_s, 3), "0.00%",
                 Table::Int(last[0].events), fp});
   std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(last[1].fingerprint));
-  table.AddRow({"attached", Table::Num(best[1], 3),
+                static_cast<unsigned long long>(last[2].fingerprint));
+  table.AddRow({"attached", Table::Num(attached_s, 3),
                 Table::Num(overhead * 100.0, 2) + "%",
-                Table::Int(last[1].events), fp});
+                Table::Int(last[2].events), fp});
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(par.fingerprint));
   table.AddRow({"attached w=2", Table::Num(par.seconds, 3), "-",
@@ -197,18 +175,30 @@ int main() {
                  "  \"profiler\": {\"detached_seconds\": %.4f, "
                  "\"attached_seconds\": %.4f, \"overhead\": %.4f, "
                  "\"neutral\": %s, \"windows\": %llu, \"events\": %llu},\n",
-                 best[0], best[1], overhead, neutral ? "true" : "false",
+                 detached_s, attached_s, overhead,
+                 neutral ? "true" : "false",
                  static_cast<unsigned long long>(
                      profiler.windows_observed()),
-                 static_cast<unsigned long long>(last[1].events));
+                 static_cast<unsigned long long>(last[2].events));
     std::fprintf(f,
                  "  \"watchdog\": {\"breaches\": %llu, \"digest\": "
                  "\"%016llx\", \"digest_identical\": %s, "
-                 "\"deterministic\": %s}\n}\n",
+                 "\"deterministic\": %s},\n",
                  static_cast<unsigned long long>(w1.breaches),
                  static_cast<unsigned long long>(w1.digest),
                  w1.digest == w2.digest ? "true" : "false",
                  watchdog_ok ? "true" : "false");
+    const std::vector<bench::Gate> gates = {
+        bench::OverheadGate("obs.profiler.overhead", ratios, aa,
+                            kMaxProfilerOverhead),
+        bench::CheckGate("obs.profiler.neutral", neutral),
+        bench::MakeGate("obs.watchdog.breaches",
+                        static_cast<double>(w1.breaches),
+                        bench::Bound::kAbove, 0),
+        bench::CheckGate("obs.watchdog.deterministic", watchdog_ok),
+    };
+    std::fputs(bench::GatesJson(gates).c_str(), f);
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_obs.json\n");
   }

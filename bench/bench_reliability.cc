@@ -1,36 +1,23 @@
-// Reliability-layer cost benchmark: what do the fault-injection hooks
-// and the recovery machinery cost a healthy device, and what does
-// recovery cost when faults actually fire?
+// Reliability-layer pricing: what does recovery cost when faults
+// actually fire? (That an attached but silent injector costs a healthy
+// device nothing is bench_neutrality's silent_injector row.)
 //
-// Three questions, three sections:
+// Two questions, two sections:
 //
-//   1. Hook overhead. The fig2 GC-interference workload runs twice:
-//      with no injector wired (the shipped default) and with an
-//      attached-but-empty injector. Both must produce a byte-identical
-//      simulated schedule (same end time, same IOs, same GC moves, same
-//      pages programmed) — the injector is consulted *before* the
-//      stochastic model precisely so it consumes no Rng draws — and the
-//      attached run must cost <= 1% wall clock.
-//
-//   2. Retry-ladder tax. Every page of a small device gets a scripted
+//   1. Retry-ladder tax. Every page of a small device gets a scripted
 //      first-attempt read failure; mean simulated read latency is
 //      compared against a clean run of the same reads. This prices one
 //      rung of the ladder (re-sense + escalated tR).
 //
-//   3. Lifetime to spares exhaustion. With every block's first erase
+//   2. Lifetime to spares exhaustion. With every block's first erase
 //      scripted to fail and a small spare budget, the device accepts
 //      writes until retirement drains the spares and it drops to
 //      read-only. The accepted-write count is deterministic and is the
 //      device's usable lifetime under that fault load.
 //
-// Emits BENCH_reliability.json for the scripts/check_perf.sh gate
-// (schedule identical + hook overhead <= 1%).
+// Emits BENCH_reliability.json.
 
-#include <chrono>
 #include <cstdio>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -38,78 +25,9 @@
 #include "flash/fault_injector.h"
 #include "ftl/page_ftl.h"
 #include "sim/completion.h"
-#include "workload/patterns.h"
 
 namespace postblock {
 namespace {
-
-ssd::Config DeviceConfig() {
-  ssd::Config c = ssd::Config::Consumer2012();
-  c.over_provisioning = 0.10;
-  return c;
-}
-
-struct RunOut {
-  double seconds = 0;
-  SimTime sim_end = 0;
-  std::uint64_t ios = 0;
-  std::uint64_t gc_moves = 0;
-  std::uint64_t pages_programmed = 0;
-};
-
-/// The fig2 workload from bench_metrics_overhead: aged device, QD2
-/// random-write stream keeping GC live, QD4 random reads on top.
-RunOut RunOnce(bool attach_injector) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  sim::Simulator sim;
-  ssd::Config config = DeviceConfig();
-  flash::FaultInjector injector(config.geometry);
-  config.fault_injector = attach_injector ? &injector : nullptr;
-  ssd::Device device(&sim, config);
-  const std::uint64_t n = device.num_blocks();
-
-  bench::FillSequential(&sim, &device, n);
-  workload::RandomPattern churn(0, n, /*is_write=*/true, 1, 99);
-  bench::Precondition(&sim, &device, &churn, 2 * n);
-
-  auto stop = std::make_shared<bool>(false);
-  auto writer_pattern = std::make_shared<workload::RandomPattern>(
-      0, n, /*is_write=*/true, 1, 7);
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [&sim, &device, stop, writer_pattern, issue]() {
-    if (*stop) return;
-    const workload::IoDesc d = writer_pattern->Next();
-    blocklayer::IoRequest w;
-    w.op = blocklayer::IoOp::kWrite;
-    w.lba = d.lba;
-    w.nblocks = 1;
-    w.tokens = {1};
-    w.on_complete = [issue, stop](const blocklayer::IoResult&) {
-      if (!*stop) (*issue)();
-    };
-    device.Submit(std::move(w));
-  };
-  (*issue)();
-  (*issue)();
-
-  workload::RandomPattern reads(0, n, false, 1, 8);
-  (void)workload::RunClosedLoop(&sim, &device, &reads, 20000, 4);
-  *stop = true;
-  *issue = nullptr;  // break the self-reference
-  sim.Run();
-
-  RunOut out;
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
-  out.sim_end = sim.Now();
-  out.ios = device.counters().Get("completions");
-  out.gc_moves = device.ftl()->counters().Get("gc_page_moves");
-  out.pages_programmed =
-      device.controller()->counters().Get("pages_programmed");
-  return out;
-}
 
 /// Mean simulated latency of one read per page, optionally with every
 /// page's first read attempt scripted to fail (one ladder rung each).
@@ -191,44 +109,10 @@ LifetimeOut LifetimeToReadOnly() {
 int main() {
   using namespace postblock;
   bench::Banner(
-      "reliability",
-      "fault-injection hook cost + recovery-path pricing",
-      "error recovery must be free on a healthy device: an attached but "
-      "silent injector may not perturb the simulated schedule and must "
-      "cost <= 1% wall clock");
-
-  constexpr int kReps = 5;
-  double best[2] = {1e30, 1e30};
-  RunOut last[2];
-  // Rotate in-rep order so neither mode always pays warm-up.
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (int i = 0; i < 2; ++i) {
-      const int m = (i + rep) % 2;
-      const RunOut out = RunOnce(/*attach_injector=*/m == 1);
-      best[m] = std::min(best[m], out.seconds);
-      last[m] = out;
-    }
-  }
-
-  bool identical =
-      last[1].sim_end == last[0].sim_end && last[1].ios == last[0].ios &&
-      last[1].gc_moves == last[0].gc_moves &&
-      last[1].pages_programmed == last[0].pages_programmed;
-  if (!identical) {
-    std::printf(
-        "DETERMINISM VIOLATION: attached-injector run diverged "
-        "(sim_end %llu vs %llu, ios %llu vs %llu, gc_moves %llu vs "
-        "%llu, programmed %llu vs %llu)\n",
-        static_cast<unsigned long long>(last[1].sim_end),
-        static_cast<unsigned long long>(last[0].sim_end),
-        static_cast<unsigned long long>(last[1].ios),
-        static_cast<unsigned long long>(last[0].ios),
-        static_cast<unsigned long long>(last[1].gc_moves),
-        static_cast<unsigned long long>(last[0].gc_moves),
-        static_cast<unsigned long long>(last[1].pages_programmed),
-        static_cast<unsigned long long>(last[0].pages_programmed));
-  }
-  const double overhead = best[1] / best[0] - 1.0;
+      "reliability", "recovery-path pricing",
+      "error recovery is priced end to end: one retry rung adds an "
+      "escalated re-sense to a read, and scripted erase faults drain the "
+      "spare pool until the device drops to read-only");
 
   const SimTime clean_ns = MeanReadLatency(/*faulty=*/false);
   const SimTime faulty_ns = MeanReadLatency(/*faulty=*/true);
@@ -238,8 +122,6 @@ int main() {
   const LifetimeOut life = LifetimeToReadOnly();
 
   Table table({"section", "value", "notes"});
-  table.AddRow({"hook overhead", Table::Num(overhead * 100.0, 2) + "%",
-                identical ? "schedule identical" : "SCHEDULE DIVERGED"});
   table.AddRow({"clean read", Table::Int(clean_ns) + " ns", "no faults"});
   table.AddRow({"1-rung read", Table::Int(faulty_ns) + " ns",
                 "x" + Table::Num(tax, 2) + " latency tax"});
@@ -249,27 +131,21 @@ int main() {
 
   std::FILE* f = std::fopen("BENCH_reliability.json", "w");
   if (f != nullptr) {
-    const ssd::Config config = DeviceConfig();
+    const ssd::Config config = ssd::Config::Small();
     std::fprintf(f, "{\n");
     bench::WriteJsonMeta(f, &config);
     std::fprintf(f,
-                 "  \"none\": {\"seconds\": %.4f},\n"
-                 "  \"attached\": {\"seconds\": %.4f, "
-                 "\"overhead_vs_none\": %.4f},\n"
                  "  \"retry\": {\"clean_read_ns\": %llu, "
                  "\"one_rung_read_ns\": %llu, \"latency_tax\": %.3f},\n"
                  "  \"lifetime\": {\"writes_until_read_only\": %llu, "
-                 "\"blocks_retired\": %llu},\n"
-                 "  \"deterministic\": %s\n"
+                 "\"blocks_retired\": %llu}\n"
                  "}\n",
-                 best[0], best[1], overhead,
                  static_cast<unsigned long long>(clean_ns),
                  static_cast<unsigned long long>(faulty_ns), tax,
                  static_cast<unsigned long long>(life.writes_accepted),
-                 static_cast<unsigned long long>(life.blocks_retired),
-                 identical ? "true" : "false");
+                 static_cast<unsigned long long>(life.blocks_retired));
     std::fclose(f);
     std::printf("\nwrote BENCH_reliability.json\n");
   }
-  return identical ? 0 : 1;
+  return 0;
 }

@@ -13,13 +13,13 @@
 // busy/idle/barrier table and lookahead-slack histogram say where the
 // wall time went.
 //
-// Emits BENCH_sharded_device.json and BENCH_sharded_device.profile.json;
-// scripts/check_perf.sh gate 10 enforces the determinism bit
-// unconditionally and the >= 1.5x events/sec floor at 4 workers when
-// the machine actually has >= 4 hardware threads (the meta stamp
-// records both counts).
+// The 4-worker speed-up follows bench_util.h's wall-clock rule:
+// interleaved reps of workers = 0, workers = 0 again (the A/A arm) and
+// workers = 4. Emits BENCH_sharded_device.json (with its gates: the
+// determinism bit, GC activity, and the >= 1.5x 4-worker floor, SKIPPED
+// on a host with fewer than 4 hardware threads; the meta stamp records
+// both counts) and BENCH_sharded_device.profile.json.
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -34,38 +34,8 @@
 namespace postblock::ssd {
 namespace {
 
-struct Row {
-  std::uint32_t workers = 0;
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;
-  double seconds = 0;
-  std::uint64_t fingerprint = 0;
-  SimTime sim_end_ns = 0;
-  double wa = 0;
-
-  double eps() const { return seconds > 0 ? events / seconds : 0; }
-};
-
-Row RunOnce(std::uint32_t workers, std::uint64_t ios,
-            obs::EngineProfiler* profiler = nullptr) {
-  ShardedDeviceSim sim(bench::ShardedDeviceConfig(),
-                       bench::ShardedDeviceWorkload(workers, ios, profiler));
-  const auto t0 = std::chrono::steady_clock::now();
-  const SimTime end = sim.Run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  Row row;
-  row.workers = workers;
-  row.events = sim.engine()->events_executed();
-  row.messages = sim.engine()->messages_delivered();
-  row.rounds = sim.engine()->rounds();
-  row.seconds = std::chrono::duration<double>(t1 - t0).count();
-  row.fingerprint = sim.CombinedFingerprint();
-  row.sim_end_ns = end;
-  row.wa = sim.device()->WriteAmplification();
-  return row;
-}
+using Row = bench::ShardedDeviceRow;
+using bench::RunShardedDevice;
 
 int Main() {
   constexpr std::uint64_t kIos = 120'000;
@@ -84,19 +54,38 @@ int Main() {
                 row.workers, row.eps() / 1e6, row.events, row.messages,
                 row.rounds, row.wa, row.seconds);
   };
-  const std::vector<std::uint32_t> worker_counts = {0, 1, 2, 4};
-  std::vector<Row> rows;
-  for (const std::uint32_t w : worker_counts) {
-    // Warm-up at a fraction of the size, then the measured run.
-    RunOnce(w, kIos / 10);
-    rows.push_back(RunOnce(w, kIos));
-    print_row(rows.back());
+  // workers = 0 and 4 feed the speed-up gate: interleaved reps with an
+  // A/A arm. The other counts are one warmed-up run each.
+  constexpr std::uint32_t kGatedWorkers = 4;
+  constexpr double kMinSpeedup4w = 1.5;
+  const std::uint32_t arm_workers[] = {0, 0, kGatedWorkers};
+  Row arm_rows[3];
+  for (const std::uint32_t w : {0u, kGatedWorkers}) {
+    RunShardedDevice(w, kIos / 10);  // warm-up
   }
+  const auto seconds = bench::InterleavedReps(
+      3, bench::kWallClockReps, [&](int arm) {
+        arm_rows[arm] = RunShardedDevice(arm_workers[arm], kIos);
+        return arm_rows[arm].seconds;
+      });
+  arm_rows[0].seconds = bench::Median(seconds[0]);
+  arm_rows[2].seconds = bench::Median(seconds[2]);
+  const std::vector<double> speedups = bench::Ratios(seconds[0], seconds[2]);
+  const std::vector<double> aa = bench::Ratios(seconds[1], seconds[0]);
+
+  std::vector<Row> rows = {arm_rows[0]};
+  for (const std::uint32_t w : {1u, 2u}) {
+    // Warm-up at a fraction of the size, then the measured run.
+    RunShardedDevice(w, kIos / 10);
+    rows.push_back(RunShardedDevice(w, kIos));
+  }
+  rows.push_back(arm_rows[2]);
+  for (const Row& r : rows) print_row(r);
 
   // Profiled run: the profiler attached (default window sampling) at
-  // the highest worker count, then the per-shard wall attribution.
+  // the gated worker count, then the per-shard wall attribution.
   obs::EngineProfiler profiler;
-  const Row profiled = RunOnce(worker_counts.back(), kIos, &profiler);
+  const Row profiled = RunShardedDevice(kGatedWorkers, kIos, &profiler);
   std::printf("\nprofiled run (obs::EngineProfiler attached):\n");
   print_row(profiled);
   const Config config = bench::ShardedDeviceConfig();
@@ -127,12 +116,10 @@ int Main() {
     }
   };
   for (const Row& r : rows) check(r);
+  check(arm_rows[1]);
   check(profiled);
 
-  const double speedup_4w =
-      seq.seconds > 0 && rows.back().seconds > 0
-          ? seq.seconds / rows.back().seconds
-          : 0;
+  const double speedup_4w = bench::Median(speedups);
   std::printf("\ndeterminism: %s\n",
               determinism_ok
                   ? "all worker counts byte-identical, profiled run included"
@@ -184,7 +171,17 @@ int Main() {
                slack.count(), slack.P50(), slack.P99(), slack.max());
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
-  std::fprintf(f, "  \"speedup_4w\": %.3f\n", speedup_4w);
+  std::fprintf(f, "  \"speedup_4w\": %.3f,\n", speedup_4w);
+  const std::vector<bench::Gate> gates = {
+      bench::CheckGate("sharded_device.determinism", determinism_ok),
+      // Real GC must run, or relocation traffic never crossed the seam
+      // and the determinism bit proves less than it claims.
+      bench::MakeGate("sharded_device.write_amplification", seq.wa,
+                      bench::Bound::kAbove, 1.0),
+      bench::WorkerSpeedupGate("sharded_device.speedup_4w", speedups, aa,
+                               kMinSpeedup4w, kGatedWorkers, hw),
+  };
+  std::fputs(bench::GatesJson(gates).c_str(), f);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_sharded_device.json\n");
@@ -192,7 +189,7 @@ int Main() {
   // The full git-SHA-stamped profile report rides alongside.
   if (profiler
           .WriteReport("BENCH_sharded_device.profile.json",
-                       bench::MetaJsonFields(&config, worker_counts.back()))
+                       bench::MetaJsonFields(&config, kGatedWorkers))
           .ok()) {
     std::printf("wrote BENCH_sharded_device.profile.json\n");
   }

@@ -12,8 +12,13 @@
 //   wide_horizon  pseudo-random deltas up to ~100 s, past the wheel
 //                 horizon (cascade + overflow paths).
 //
-// Emits BENCH_sim_core.json for scripts/check_perf.sh and prints a
-// table. Both cores run every workload and must agree on final Now().
+// Each workload runs bench::kWallClockReps interleaved reps of three
+// arms: the reference core, the wheel, and the wheel again (the A/A arm
+// whose spread is the noise floor). The speed-up is the median per-rep
+// wheel-vs-reference ratio: both cores run seconds apart in one process,
+// so machine-speed drift mostly cancels out of it while a relative
+// slowdown of the wheel path shows. Both cores must agree on final
+// Now(). Emits BENCH_sim_core.json with its gates and prints a table.
 
 #include <atomic>
 #include <chrono>
@@ -93,20 +98,24 @@ struct RunStats {
   std::uint64_t allocs = 0;
   SimTime final_now = 0;
 
-  double eps() const { return seconds > 0 ? events / seconds : 0; }
   double allocs_per_event() const {
     return events > 0 ? static_cast<double>(allocs) / events : 0;
   }
 };
 
-template <typename Fn>
-RunStats Measure(std::uint64_t events, Fn&& run) {
+/// Runs one workload on a fresh simulator of type `Sim`: `warm` first
+/// (unmeasured; primes internal vectors and allocator caches so the
+/// measured phase is steady state), then `work`, measured.
+template <typename Sim, typename Warm, typename Work>
+RunStats Measure(std::uint64_t events, Warm& warm, Work& work) {
+  Sim sim;
+  warm(sim);
   RunStats s;
   s.events = events;
   const std::uint64_t alloc0 =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  s.final_now = run();
+  s.final_now = work(sim);
   const auto t1 = std::chrono::steady_clock::now();
   s.allocs = g_alloc_count.load(std::memory_order_relaxed) - alloc0;
   s.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -190,27 +199,73 @@ SimTime WideHorizon(Sim& sim, std::uint64_t total, unsigned chains) {
   return sim.Run();
 }
 
+// Same-run speed-ups over the reference core measured when the wheel
+// landed; a rep median more than kSpeedupTolerance below one is a wheel
+// regression.
+constexpr double kPingPongSpeedup = 3.738;
+constexpr double kBurstSpeedup = 2.412;
+constexpr double kWideHorizonSpeedup = 1.879;
+constexpr double kSpeedupTolerance = 0.15;
+// The event-core rework's hard floors: the pingpong steady state runs
+// >= 3x the reference core and does not allocate.
+constexpr double kMinPingPongSpeedup = 3.0;
+constexpr double kMaxWheelAllocsPerEvent = 0.005;
+
 struct Comparison {
   std::string name;
-  RunStats reference;
+  double landed_speedup = 0;  // the speed-up measured when the wheel landed
+  RunStats reference;  // last rep; counts and final Now() are exact
   RunStats wheel;
-  double speedup() const {
-    return reference.seconds > 0 && wheel.seconds > 0
-               ? wheel.eps() / reference.eps()
-               : 0;
+  double reference_seconds = 0;  // median over reps
+  double wheel_seconds = 0;
+  std::vector<double> speedups;   // reference / wheel seconds, per rep
+  std::vector<double> aa_ratios;  // wheel again / wheel seconds, per rep
+
+  double reference_eps() const {
+    return reference.events / reference_seconds;
+  }
+  double wheel_eps() const { return wheel.events / wheel_seconds; }
+  double speedup() const { return postblock::bench::Median(speedups); }
+  bool cores_agree() const {
+    return reference.final_now == wheel.final_now;
   }
 };
+
+template <typename Warm, typename Work>
+Comparison Compare(std::string name, double landed_speedup,
+                   std::uint64_t events, Warm warm, Work work) {
+  Comparison c;
+  c.name = std::move(name);
+  c.landed_speedup = landed_speedup;
+  RunStats wheel_again;
+  const auto seconds = postblock::bench::InterleavedReps(
+      3, postblock::bench::kWallClockReps, [&](int arm) {
+        RunStats& s = arm == 0   ? c.reference
+                      : arm == 1 ? c.wheel
+                                 : wheel_again;
+        s = arm == 0 ? Measure<RefSimulator>(events, warm, work)
+                     : Measure<Simulator>(events, warm, work);
+        return s.seconds;
+      });
+  c.reference_seconds = postblock::bench::Median(seconds[0]);
+  c.wheel_seconds = postblock::bench::Median(seconds[1]);
+  c.speedups = postblock::bench::Ratios(seconds[0], seconds[1]);
+  c.aa_ratios = postblock::bench::Ratios(seconds[2], seconds[1]);
+  return c;
+}
 
 void Print(const Comparison& c) {
   std::printf(
       "%-13s ref: %9.2fM ev/s  %5.2f allocs/ev | wheel: %9.2fM ev/s  "
       "%5.2f allocs/ev | speedup %.2fx\n",
-      c.name.c_str(), c.reference.eps() / 1e6,
-      c.reference.allocs_per_event(), c.wheel.eps() / 1e6,
+      c.name.c_str(), c.reference_eps() / 1e6,
+      c.reference.allocs_per_event(), c.wheel_eps() / 1e6,
       c.wheel.allocs_per_event(), c.speedup());
 }
 
-void EmitJson(const std::vector<Comparison>& rows, const char* path) {
+void EmitJson(const std::vector<Comparison>& rows,
+              const std::vector<postblock::bench::Gate>& gates,
+              const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -218,24 +273,24 @@ void EmitJson(const std::vector<Comparison>& rows, const char* path) {
   }
   std::fprintf(f, "{\n");
   postblock::bench::WriteJsonMeta(f);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Comparison& c = rows[i];
+  for (const Comparison& c : rows) {
     std::fprintf(
         f,
         "  \"%s\": {\"events\": %llu, \"reference_eps\": %.0f, "
         "\"wheel_eps\": %.0f, \"speedup\": %.3f, "
         "\"reference_allocs_per_event\": %.4f, "
-        "\"wheel_allocs_per_event\": %.4f}%s\n",
+        "\"wheel_allocs_per_event\": %.4f},\n",
         c.name.c_str(), static_cast<unsigned long long>(c.wheel.events),
-        c.reference.eps(), c.wheel.eps(), c.speedup(),
-        c.reference.allocs_per_event(), c.wheel.allocs_per_event(),
-        i + 1 < rows.size() ? "," : "");
+        c.reference_eps(), c.wheel_eps(), c.speedup(),
+        c.reference.allocs_per_event(), c.wheel.allocs_per_event());
   }
+  std::fputs(postblock::bench::GatesJson(gates).c_str(), f);
   std::fprintf(f, "}\n");
   std::fclose(f);
 }
 
 int Main() {
+  namespace bench = postblock::bench;
   constexpr std::uint64_t kPingPongEvents = 4'000'000;
   constexpr unsigned kActors = 4096;
   constexpr unsigned kRounds = 2000;
@@ -248,68 +303,25 @@ int Main() {
       "  reference = binary heap + std::function (pre-change core)\n"
       "  wheel     = hierarchical timing wheel + InplaceCallback\n\n");
 
+  const auto no_warm = [](auto&) {};
   std::vector<Comparison> rows;
-
-  {
-    Comparison c{"pingpong", {}, {}};
-    {
-      RefSimulator sim;
-      // Warm the same instance: primes internal vectors and allocator
-      // caches so the measured phase is steady state for both cores.
-      PingPong(sim, kPingPongEvents / 10, kActors);
-      c.reference = Measure(kPingPongEvents + kActors,
-                            [&] { return PingPong(sim, kPingPongEvents,
-                                                  kActors); });
-    }
-    {
-      Simulator sim;
-      PingPong(sim, kPingPongEvents / 10, kActors);
-      c.wheel = Measure(kPingPongEvents + kActors,
-                        [&] { return PingPong(sim, kPingPongEvents,
-                                              kActors); });
-    }
-    Print(c);
-    rows.push_back(std::move(c));
-  }
-
-  {
-    Comparison c{"burst", {}, {}};
-    {
-      RefSimulator sim;
-      c.reference =
-          Measure(std::uint64_t{kRounds} * kBurst,
-                  [&] { return Burst(sim, kRounds, kBurst); });
-    }
-    {
-      Simulator sim;
-      c.wheel = Measure(std::uint64_t{kRounds} * kBurst,
-                        [&] { return Burst(sim, kRounds, kBurst); });
-    }
-    Print(c);
-    rows.push_back(std::move(c));
-  }
-
-  {
-    Comparison c{"wide_horizon", {}, {}};
-    {
-      RefSimulator sim;
-      c.reference = Measure(kWideEvents, [&] {
-        return WideHorizon(sim, kWideEvents, kChains);
-      });
-    }
-    {
-      Simulator sim;
-      c.wheel = Measure(kWideEvents, [&] {
-        return WideHorizon(sim, kWideEvents, kChains);
-      });
-    }
-    Print(c);
-    rows.push_back(std::move(c));
-  }
+  rows.push_back(Compare(
+      "pingpong", kPingPongSpeedup, kPingPongEvents + kActors,
+      [&](auto& sim) { PingPong(sim, kPingPongEvents / 10, kActors); },
+      [&](auto& sim) { return PingPong(sim, kPingPongEvents, kActors); }));
+  Print(rows.back());
+  rows.push_back(
+      Compare("burst", kBurstSpeedup, std::uint64_t{kRounds} * kBurst, no_warm,
+              [&](auto& sim) { return Burst(sim, kRounds, kBurst); }));
+  Print(rows.back());
+  rows.push_back(Compare(
+      "wide_horizon", kWideHorizonSpeedup, kWideEvents, no_warm,
+      [&](auto& sim) { return WideHorizon(sim, kWideEvents, kChains); }));
+  Print(rows.back());
 
   bool ok = true;
   for (const Comparison& c : rows) {
-    if (c.reference.final_now != c.wheel.final_now) {
+    if (!c.cores_agree()) {
       std::printf("DETERMINISM MISMATCH in %s: ref Now()=%llu wheel "
                   "Now()=%llu\n",
                   c.name.c_str(),
@@ -321,7 +333,23 @@ int Main() {
   std::printf("\nfinal simulated times: %s\n",
               ok ? "identical across cores" : "MISMATCH");
 
-  EmitJson(rows, "BENCH_sim_core.json");
+  std::vector<bench::Gate> gates;
+  gates.push_back(bench::CheckGate("sim_core.cores_agree", ok));
+  const Comparison& pingpong = rows[0];
+  gates.push_back(bench::SpeedupGate("sim_core.pingpong.speedup_floor",
+                                     pingpong.speedups, pingpong.aa_ratios,
+                                     kMinPingPongSpeedup));
+  gates.push_back(bench::MakeGate("sim_core.pingpong.wheel_allocs_per_event",
+                                  pingpong.wheel.allocs_per_event(),
+                                  bench::Bound::kBelow,
+                                  kMaxWheelAllocsPerEvent));
+  for (const Comparison& c : rows) {
+    gates.push_back(bench::SpeedupGate(
+        "sim_core." + c.name + ".speedup", c.speedups, c.aa_ratios,
+        c.landed_speedup * (1.0 - kSpeedupTolerance)));
+  }
+
+  EmitJson(rows, gates, "BENCH_sim_core.json");
   std::printf("wrote BENCH_sim_core.json\n");
   return ok ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // E19 — multi-tenant virtual block devices: the blkif-style
 // front-end/back-end split multiplexing many tenants onto one device.
 //
-// Emits BENCH_vbd.json for scripts/check_perf.sh gate 8:
+// Emits BENCH_vbd.json with its gates:
 //   - "neutral": a single pass-through tenant (whole device, no QoS
 //     gate) must produce a schedule bit-identical to driving the
 //     device directly — the in-binary proxy for "all 12 paper benches
@@ -15,7 +15,8 @@
 //     collapses (the motivating number); with DRR QoS weights on the
 //     backend's admission gate, the aggressor is starved of device
 //     slots, never pushes the device over the GC cliff, and the
-//     victim's p999 stays < 2x its solo run — the gate 8 bound.
+//     victim's p999 stays < 2x its solo run — the
+//     vbd.noisy.p999_ratio_qos bound.
 
 #include <cstdint>
 #include <cstdio>
@@ -348,7 +349,7 @@ int main() {
   bench::Section("noisy neighbor (flash, victim reads qd32 vs GC-heavy "
                  "random writes)");
   const NoisyScene solo = RunNoisy(false, false);
-  // Declare the gate-8 objective as a live SLO: victim per-window read
+  // Declare the same objective as a live SLO: victim per-window read
   // p999 <= 2x its solo p999, watched by obs::SloWatchdog on both
   // shared scenes. The unthrottled scene is the intentional breacher.
   const std::uint64_t slo_bound_ns = 2 * solo.p999_ns;
@@ -388,7 +389,14 @@ int main() {
       static_cast<unsigned long long>(noqos.slo_digest),
       static_cast<unsigned long long>(qos.slo_digest));
 
-  // BENCH_vbd.json for gate 8.
+  constexpr double kMaxQosP999Ratio = 2.0;
+  const std::vector<bench::Gate> gates = {
+      bench::CheckGate("vbd.neutral.schedule_identical", schedule_identical),
+      bench::CheckGate("vbd.scaling.digest_identical_256", digest_identical),
+      bench::MakeGate("vbd.noisy.p999_ratio_qos", ratio_qos,
+                      bench::Bound::kBelow, kMaxQosP999Ratio),
+  };
+
   std::FILE* f = std::fopen("BENCH_vbd.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n");
@@ -423,12 +431,13 @@ int main() {
                  "  \"slo\": {\"bound_ns\": %llu, "
                  "\"breaches_noqos\": %llu, \"breaches_qos\": %llu, "
                  "\"digest_noqos\": \"%016llx\", \"digest_qos\": "
-                 "\"%016llx\"}\n",
+                 "\"%016llx\"},\n",
                  static_cast<unsigned long long>(slo_bound_ns),
                  static_cast<unsigned long long>(noqos.slo_breaches),
                  static_cast<unsigned long long>(qos.slo_breaches),
                  static_cast<unsigned long long>(noqos.slo_digest),
                  static_cast<unsigned long long>(qos.slo_digest));
+    std::fputs(bench::GatesJson(gates).c_str(), f);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_vbd.json\n");

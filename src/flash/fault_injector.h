@@ -21,8 +21,8 @@ namespace postblock::flash {
 /// half of reliability testing. Scripts are consumed deterministically:
 /// no Rng is involved, and a FlashArray with an attached-but-empty
 /// injector consumes exactly the same Rng draws as one with none, so
-/// clean runs stay schedule-identical (the check_perf gate relies on
-/// this).
+/// clean runs stay schedule-identical (the
+/// neutrality.silent_injector.neutral gate relies on this).
 ///
 /// Read faults count *attempts*: the controller's retry ladder re-reads
 /// the same PPA, and each attempt advances the per-PPA sequence number.

@@ -104,7 +104,8 @@ struct EngineProfilerConfig {
 /// Neutrality: the profiler only reads engine state (the slack probe
 /// is Simulator::MinPendingTime, non-committing) and nothing it
 /// computes feeds back — attaching it is schedule-byte-identical,
-/// proven in tests/obs_test.cc and held by check_perf gate 9.
+/// proven in tests/obs_test.cc and held by the obs.profiler.neutral
+/// gate.
 class EngineProfiler final : public sim::EngineObserver {
  public:
   explicit EngineProfiler(EngineProfilerConfig config = {});

@@ -61,7 +61,8 @@ struct SloBreach {
 /// schedules nothing, and mutates no metric, so attaching it cannot
 /// perturb the device schedule, and two runs of the same workload
 /// produce byte-identical breach sequences (tests hold Digest() equal
-/// across runs; gate 9 holds breach detection deterministic).
+/// across runs; the obs.watchdog.deterministic gate holds breach
+/// detection deterministic).
 class SloWatchdog final : public metrics::SampleObserver {
  public:
   explicit SloWatchdog(std::vector<SloSpec> specs);

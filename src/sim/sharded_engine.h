@@ -21,7 +21,8 @@ struct ShardedConfig;
 /// wall-clock nanoseconds (steady_clock). The engine reads the wall
 /// clock *only* when an observer is attached, and nothing an observer
 /// returns feeds back into windowing or merge decisions — attaching
-/// one is schedule-byte-identical by construction (gate 9 holds this).
+/// one is schedule-byte-identical by construction (the
+/// obs.profiler.neutral gate holds this).
 ///
 /// Threading contract:
 ///   - OnAttach / OnWindowBegin / OnWindowEnd / OnMessage run on the
@@ -135,9 +136,9 @@ struct ShardedConfig {
 /// total — so the committed global schedule is byte-identical at any
 /// worker count, including the workers=0 sequential reference. Every
 /// shard always fingerprints its executed events; those fingerprints
-/// (plus model observables) are the checkable witness, and gate 10 in
-/// scripts/check_perf.sh holds the full ssd::Device at 1/2/4 workers
-/// to the workers=0 fingerprint.
+/// (plus model observables) are the checkable witness, and the
+/// sharded_device.determinism gate holds the full ssd::Device at 1/2/4
+/// workers to the workers=0 fingerprint.
 class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedConfig& config);

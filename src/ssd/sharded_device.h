@@ -20,8 +20,9 @@ namespace postblock::ssd {
 /// mix at fixed queue depth) driving the full ssd::Device — FTL, GC,
 /// write buffer, reliability ladder included — on a ShardPlan-derived
 /// sharded engine. Identical parameters must commit an identical
-/// schedule at every worker count; gate 10 and the sharded-device test
-/// hold ModelFingerprint()/CombinedFingerprint() to that.
+/// schedule at every worker count; the sharded_device.determinism gate
+/// and the sharded-device test hold ModelFingerprint()/
+/// CombinedFingerprint() to that.
 struct ShardedDeviceRun {
   std::uint32_t workers = 0;  // 0 = the sequential reference loop
   std::uint32_t queue_depth = 32;
@@ -68,7 +69,8 @@ class ShardedDeviceSim {
   /// equal digests.
   std::uint64_t ModelFingerprint() const;
   /// ModelFingerprint folded with the engine's committed-schedule
-  /// fingerprint — the witness gate 10 compares across worker counts.
+  /// fingerprint — the witness the sharded_device.determinism gate
+  /// compares across worker counts.
   std::uint64_t CombinedFingerprint() const;
 
  private:

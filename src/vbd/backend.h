@@ -49,7 +49,8 @@ namespace postblock::vbd {
 /// Neutrality: with shared_depth == 0 a single tenant spanning the
 /// whole device adds no simulated cost and no reordering — the lower
 /// device sees the exact request sequence it would see directly
-/// (gate 8's fingerprint). With no tenants, the Backend is idle state.
+/// (the vbd.neutral.schedule_identical gate's fingerprint). With no
+/// tenants, the Backend is idle state.
 class Backend {
  public:
   Backend(sim::Simulator* sim, blocklayer::BlockDevice* lower,

@@ -89,7 +89,8 @@ struct TenantConfig {
 /// Backend-wide knobs. Every default is neutral: a single pass-through
 /// tenant spanning the whole lower device produces a schedule
 /// byte-identical to submitting at the lower device directly
-/// (bench_vbd's neutrality fingerprint, check_perf gate 8).
+/// (bench_vbd's neutrality fingerprint, the
+/// vbd.neutral.schedule_identical gate).
 struct BackendConfig {
   /// Shared in-flight device-slot budget across all tenants,
   /// arbitrated by deficit-round-robin over TenantConfig::qos_weight.

@@ -5,8 +5,8 @@
 // runs — with GC active, with scripted faults, and with per-shard
 // trace rings attached. The engine-level invariant sharded_sim_test
 // holds on synthetic worlds, here on the real controller/FTL/channel
-// stack (gate 10 holds the same bit at bench scale in
-// scripts/check_perf.sh).
+// stack (the sharded_device.determinism gate holds the same bit at
+// bench scale).
 
 #include <algorithm>
 #include <cstdint>
