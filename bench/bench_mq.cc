@@ -12,12 +12,17 @@
 //     shows up here);
 //   - "scaling": IOPS at 1/2/4/8 queues with the per-queue submission
 //     lock as the bottleneck; 4 queues must beat 1 queue by >= 2x;
-//   - "allocs": steady-state CallbackSlab traffic per IO (the
-//     InplaceCallback-backed completion path must not hit the heap).
+//   - "allocs": steady-state heap allocations per IO — every one in the
+//     process, counted by the operator new below — and the CallbackSlab
+//     chunk traffic among them (the InplaceCallback-backed completion
+//     path must not hit the heap).
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,29 @@
 #include "common/table.h"
 #include "sim/inplace_callback.h"
 #include "workload/patterns.h"
+
+// --- Counting allocator hook -------------------------------------------
+// Global operator new/delete overrides local to this binary; every heap
+// allocation anywhere in the process bumps the counter.
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace postblock {
 namespace {
@@ -182,12 +210,18 @@ int main() {
 
   // 3. Steady-state allocations per IO. The first run warms the
   // CallbackSlab free list; the measured run must serve every boxed
-  // callback from it.
+  // callback from it. The heap count covers the whole measured run,
+  // including building its simulator, device and block layer.
   sim::CallbackSlab::ResetStats();
   const std::uint64_t kAllocOps = 50000;
   (void)RunQueues(4, kAllocOps);  // warm
   sim::CallbackSlab::ResetStats();
+  const std::uint64_t heap0 = g_alloc_count.load(std::memory_order_relaxed);
   (void)RunQueues(4, kAllocOps);  // measured
+  const double heap_allocs_per_io =
+      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
+                          heap0) /
+      kAllocOps;
   const auto slab = sim::CallbackSlab::stats();
   const double allocs_per_io =
       static_cast<double>(slab.chunk_allocs) / kAllocOps;
@@ -213,6 +247,7 @@ int main() {
   constexpr double kOneQueueTolerance = 0.02;
   constexpr double kMinSpeedup4q = 2.0;
   constexpr double kMaxChunkAllocsPerIo = 0.01;
+  constexpr double kMaxHeapAllocsPerIo = 0.1;
   const std::vector<bench::Gate> gates = {
       bench::CheckGate("mq.schedule_identical", schedule_identical),
       bench::MakeGate("mq.one_queue_iops", iops1, bench::Bound::kAtLeast,
@@ -221,6 +256,8 @@ int main() {
                       kMinSpeedup4q),
       bench::MakeGate("mq.chunk_allocs_per_io", allocs_per_io,
                       bench::Bound::kBelow, kMaxChunkAllocsPerIo),
+      bench::MakeGate("mq.heap_allocs_per_io", heap_allocs_per_io,
+                      bench::Bound::kBelow, kMaxHeapAllocsPerIo),
   };
 
   std::FILE* f = std::fopen("BENCH_mq.json", "w");
@@ -242,10 +279,11 @@ int main() {
     }
     std::fprintf(f, ", \"speedup_4q\": %.3f},\n", speedup4);
     std::fprintf(f,
-                 "  \"allocs\": {\"chunk_allocs_per_io\": %.5f, "
+                 "  \"allocs\": {\"heap_allocs_per_io\": %.5f, "
+                 "\"chunk_allocs_per_io\": %.5f, "
                  "\"chunk_reuses_per_io\": %.3f, \"oversize_allocs\": "
                  "%llu},\n",
-                 allocs_per_io, reuses_per_io,
+                 heap_allocs_per_io, allocs_per_io, reuses_per_io,
                  static_cast<unsigned long long>(slab.oversize_allocs));
     std::fputs(bench::GatesJson(gates).c_str(), f);
     std::fprintf(f, "}\n");

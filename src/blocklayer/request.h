@@ -3,9 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
+#include "common/tokens.h"
 #include "common/types.h"
 #include "sim/inplace_callback.h"
 #include "trace/trace.h"
@@ -29,7 +29,7 @@ const char* IoOpName(IoOp op);
 /// flash::PageData).
 struct IoResult {
   Status status;
-  std::vector<std::uint64_t> tokens;
+  Tokens tokens;
 };
 
 /// Completion callable for one IO: the shared sim::InplaceFunction
@@ -80,7 +80,7 @@ struct IoRequest {
   Lba lba = 0;
   std::uint32_t nblocks = 1;
   /// Payload tokens for writes; size must equal nblocks.
-  std::vector<std::uint64_t> tokens;
+  Tokens tokens;
   /// Scheduling priority (higher dispatches first under the priority
   /// scheduler) — the database-IO-priority idea of the paper's ref
   /// [13] (Hall & Bonnet): commit-critical log writes must not queue

@@ -8,6 +8,7 @@
 
 #include "blocklayer/request.h"
 #include "common/status.h"
+#include "common/tokens.h"
 #include "common/types.h"
 #include "trace/trace.h"
 
@@ -105,7 +106,7 @@ struct Command {
   CommandKind kind = CommandKind::kRead;
   Lba lba = 0;
   std::uint32_t nblocks = 1;
-  std::vector<std::uint64_t> tokens;
+  Tokens tokens;
   std::uint8_t priority = 0;
   std::uint8_t stream = 0;
   /// kAtomicGroup extents.
@@ -125,8 +126,7 @@ struct Command {
     c.on_complete = std::move(cb);
     return c;
   }
-  static Command Write(Lba lba, std::vector<std::uint64_t> tokens,
-                       blocklayer::IoCallback cb) {
+  static Command Write(Lba lba, Tokens tokens, blocklayer::IoCallback cb) {
     Command c;
     c.kind = CommandKind::kWrite;
     c.lba = lba;

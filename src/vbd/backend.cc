@@ -341,8 +341,7 @@ void Backend::ServeThinRead(Frontend* fe, Tenant& t, IoRequest request) {
                                  span, 0, track, start, now, lba);
         }
         if (cb) {
-          cb(IoResult{Status::Ok(),
-                      std::vector<std::uint64_t>(nblocks, 0)});
+          cb(IoResult{Status::Ok(), Tokens(nblocks, 0)});
         }
       });
 }

@@ -48,8 +48,7 @@ TEST(SimpleDeviceTest, RoundTripAndTrim) {
   r.op = IoOp::kRead;
   r.lba = 3;
   r.nblocks = 2;
-  EXPECT_EQ(RunOne(&sim, &dev, std::move(r)).tokens,
-            (std::vector<std::uint64_t>{5, 6}));
+  EXPECT_EQ(RunOne(&sim, &dev, std::move(r)).tokens, (Tokens{5, 6}));
   IoRequest t;
   t.op = IoOp::kTrim;
   t.lba = 3;
@@ -59,8 +58,7 @@ TEST(SimpleDeviceTest, RoundTripAndTrim) {
   r2.op = IoOp::kRead;
   r2.lba = 3;
   r2.nblocks = 2;
-  EXPECT_EQ(RunOne(&sim, &dev, std::move(r2)).tokens,
-            (std::vector<std::uint64_t>{0, 6}));
+  EXPECT_EQ(RunOne(&sim, &dev, std::move(r2)).tokens, (Tokens{0, 6}));
 }
 
 TEST(SimpleDeviceTest, LatencyMatchesConfig) {
@@ -126,13 +124,13 @@ TEST(IoSchedulerTest, MergeCoalescesContiguousSameOp) {
   EXPECT_EQ(s.depth(), 1u);
   const IoRequest merged = s.Dequeue();
   EXPECT_EQ(merged.nblocks, 3u);
-  EXPECT_EQ(merged.tokens, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(merged.tokens, (Tokens{1, 2, 3}));
   EXPECT_EQ(s.counters().Get("back_merges"), 1u);
 }
 
 TEST(IoSchedulerTest, MergedCompletionsFanOutTokenSlices) {
   IoScheduler s(SchedulerKind::kMerge);
-  std::vector<std::uint64_t> first_tokens, second_tokens;
+  Tokens first_tokens, second_tokens;
   IoRequest a;
   a.op = IoOp::kRead;
   a.lba = 10;
@@ -147,8 +145,8 @@ TEST(IoSchedulerTest, MergedCompletionsFanOutTokenSlices) {
   s.Enqueue(std::move(b));
   IoRequest merged = s.Dequeue();
   merged.on_complete(IoResult{Status::Ok(), {100, 101, 102}});
-  EXPECT_EQ(first_tokens, (std::vector<std::uint64_t>{100, 101}));
-  EXPECT_EQ(second_tokens, (std::vector<std::uint64_t>{102}));
+  EXPECT_EQ(first_tokens, (Tokens{100, 101}));
+  EXPECT_EQ(second_tokens, (Tokens{102}));
 }
 
 TEST(IoSchedulerTest, NonContiguousOrDifferentOpNotMerged) {

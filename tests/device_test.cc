@@ -40,7 +40,7 @@ class DeviceTest : public ::testing::Test {
     return out;
   }
 
-  IoResult Write(Lba lba, std::vector<std::uint64_t> tokens) {
+  IoResult Write(Lba lba, Tokens tokens) {
     IoRequest r;
     r.op = IoOp::kWrite;
     r.lba = lba;
@@ -80,14 +80,14 @@ TEST_F(DeviceTest, MultiBlockWriteReadRoundTrip) {
   ASSERT_TRUE(Write(10, {1, 2, 3, 4}).status.ok());
   const IoResult r = Read(10, 4);
   ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.tokens, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(r.tokens, (Tokens{1, 2, 3, 4}));
 }
 
 TEST_F(DeviceTest, PartialOverlapReadsMixedState) {
   ASSERT_TRUE(Write(10, {7, 8}).status.ok());
   const IoResult r = Read(9, 4);  // 9 unwritten, 10-11 written, 12 not
   ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.tokens, (std::vector<std::uint64_t>{0, 7, 8, 0}));
+  EXPECT_EQ(r.tokens, (Tokens{0, 7, 8, 0}));
 }
 
 TEST_F(DeviceTest, WriteTokenCountMismatchRejected) {
@@ -136,7 +136,7 @@ TEST_F(DeviceTest, EveryFtlKindWorksThroughTheDevice) {
     ASSERT_TRUE(Write(3, {11, 22}).status.ok()) << FtlKindName(kind);
     const IoResult r = Read(3, 2);
     ASSERT_TRUE(r.status.ok()) << FtlKindName(kind);
-    EXPECT_EQ(r.tokens, (std::vector<std::uint64_t>{11, 22}))
+    EXPECT_EQ(r.tokens, (Tokens{11, 22}))
         << FtlKindName(kind);
   }
 }
@@ -241,7 +241,7 @@ TEST_F(DeviceTest, PowerCycleKeepsDurableData) {
   ASSERT_TRUE(device_->PowerCycle().ok());
   const IoResult r = Read(0, 3);
   ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.tokens, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(r.tokens, (Tokens{1, 2, 3}));
 }
 
 TEST_F(DeviceTest, BatteryBackedBufferSurvivesPowerCycle) {
@@ -349,7 +349,7 @@ TEST_F(DeviceTest, StaleCompletionNeverCompletesRecycledRecord) {
   EXPECT_EQ(stale_completions, 0);
   EXPECT_EQ(read_completions, 1);
   ASSERT_TRUE(got.status.ok());
-  EXPECT_EQ(got.tokens, (std::vector<std::uint64_t>{77}));
+  EXPECT_EQ(got.tokens, (Tokens{77}));
 }
 
 TEST_F(DeviceTest, RepeatedPowerCyclesDoNotGrowTheRecordPool) {

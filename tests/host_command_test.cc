@@ -239,7 +239,7 @@ TEST(HostCommandTest, BlockExpressibleCommandsLowerToSubmit) {
       7, {1234}, [&wst](const IoResult& r) { wst = r.status; }));
   sim.Run();
   EXPECT_TRUE(wst.ok());
-  std::vector<std::uint64_t> tokens;
+  Tokens tokens;
   dev.Execute(host::Command::Read(7, 1, [&tokens](const IoResult& r) {
     ASSERT_TRUE(r.status.ok());
     tokens = r.tokens;

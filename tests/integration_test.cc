@@ -188,7 +188,7 @@ TEST(DirectPathTest, SameDataThroughBothPaths) {
   bool read = false;
   r.on_complete = [&](const blocklayer::IoResult& res) {
     ASSERT_TRUE(res.status.ok());
-    EXPECT_EQ(res.tokens, (std::vector<std::uint64_t>{5, 6}));
+    EXPECT_EQ(res.tokens, (Tokens{5, 6}));
     read = true;
   };
   direct.Submit(std::move(r));

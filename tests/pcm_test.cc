@@ -218,8 +218,7 @@ TEST(HddTest, RoundTrip) {
   r.op = blocklayer::IoOp::kRead;
   r.lba = 100;
   r.nblocks = 2;
-  EXPECT_EQ(RunHdd(&sim, &dev, std::move(r)).tokens,
-            (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(RunHdd(&sim, &dev, std::move(r)).tokens, (Tokens{4, 5}));
 }
 
 TEST(HddTest, StreamingSkipsSeekAndRotation) {

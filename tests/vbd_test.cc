@@ -100,8 +100,7 @@ Schedule RunSchedule(sim::Simulator* sim, blocklayer::BlockDevice* dev,
 
 /// Submits one op synchronously and runs the sim until it completes.
 IoResult RunOne(sim::Simulator* sim, blocklayer::BlockDevice* dev, IoOp op,
-                Lba lba, std::uint32_t nblocks,
-                std::vector<std::uint64_t> tokens = {}) {
+                Lba lba, std::uint32_t nblocks, Tokens tokens = {}) {
   IoResult out;
   bool done = false;
   IoRequest r;
