@@ -9,8 +9,13 @@
 //                 state of every device model in this repo). Acceptance:
 //                 wheel >= 3x reference events/sec, 0 allocs/event.
 //   burst         same-timestamp bursts (tie-break machinery).
-//   wide_horizon  pseudo-random deltas up to ~100 s, past the wheel
-//                 horizon (cascade + overflow paths).
+//   wide_horizon  pseudo-random deltas up to ~100 s across every wheel
+//                 level (cascade paths; overflow only near a horizon
+//                 boundary).
+//
+// Each row also prints the wheel's placements per event (one per push,
+// plus one per cascade or overflow pull that moved the event), an exact
+// count of how hard the wheel's level layout makes it work.
 //
 // Each workload runs bench::kWallClockReps interleaved reps of three
 // arms: the reference core, the wheel, and the wheel again (the A/A arm
@@ -29,6 +34,7 @@
 #include <new>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/types.h"
@@ -96,10 +102,14 @@ struct RunStats {
   std::uint64_t events = 0;
   double seconds = 0;
   std::uint64_t allocs = 0;
+  std::uint64_t placements = 0;  // wheel only: the heap has no levels
   SimTime final_now = 0;
 
   double allocs_per_event() const {
     return events > 0 ? static_cast<double>(allocs) / events : 0;
+  }
+  double placements_per_event() const {
+    return events > 0 ? static_cast<double>(placements) / events : 0;
   }
 };
 
@@ -114,11 +124,16 @@ RunStats Measure(std::uint64_t events, Warm& warm, Work& work) {
   s.events = events;
   const std::uint64_t alloc0 =
       g_alloc_count.load(std::memory_order_relaxed);
+  std::uint64_t placements0 = 0;
+  if constexpr (std::is_same_v<Sim, Simulator>) placements0 = sim.placements();
   const auto t0 = std::chrono::steady_clock::now();
   s.final_now = work(sim);
   const auto t1 = std::chrono::steady_clock::now();
   s.allocs = g_alloc_count.load(std::memory_order_relaxed) - alloc0;
   s.seconds = std::chrono::duration<double>(t1 - t0).count();
+  if constexpr (std::is_same_v<Sim, Simulator>) {
+    s.placements = sim.placements() - placements0;
+  }
   return s;
 }
 
@@ -172,7 +187,7 @@ SimTime Burst(Sim& sim, unsigned rounds, unsigned burst) {
 }
 
 /// Chains with pseudo-random deltas spanning ns to ~100 s: most events
-/// land in coarse wheel levels or the overflow map and cascade down.
+/// land in coarse wheel levels and cascade down.
 template <typename Sim>
 SimTime WideHorizon(Sim& sim, std::uint64_t total, unsigned chains) {
   struct Ctx {
@@ -257,10 +272,11 @@ Comparison Compare(std::string name, double landed_speedup,
 void Print(const Comparison& c) {
   std::printf(
       "%-13s ref: %9.2fM ev/s  %5.2f allocs/ev | wheel: %9.2fM ev/s  "
-      "%5.2f allocs/ev | speedup %.2fx\n",
+      "%5.2f allocs/ev | speedup %.2fx  placements/ev %.2f\n",
       c.name.c_str(), c.reference_eps() / 1e6,
       c.reference.allocs_per_event(), c.wheel_eps() / 1e6,
-      c.wheel.allocs_per_event(), c.speedup());
+      c.wheel.allocs_per_event(), c.speedup(),
+      c.wheel.placements_per_event());
 }
 
 void EmitJson(const std::vector<Comparison>& rows,
@@ -279,10 +295,12 @@ void EmitJson(const std::vector<Comparison>& rows,
         "  \"%s\": {\"events\": %llu, \"reference_eps\": %.0f, "
         "\"wheel_eps\": %.0f, \"speedup\": %.3f, "
         "\"reference_allocs_per_event\": %.4f, "
-        "\"wheel_allocs_per_event\": %.4f},\n",
+        "\"wheel_allocs_per_event\": %.4f, "
+        "\"wheel_placements_per_event\": %.3f},\n",
         c.name.c_str(), static_cast<unsigned long long>(c.wheel.events),
         c.reference_eps(), c.wheel_eps(), c.speedup(),
-        c.reference.allocs_per_event(), c.wheel.allocs_per_event());
+        c.reference.allocs_per_event(), c.wheel.allocs_per_event(),
+        c.wheel.placements_per_event());
   }
   std::fputs(postblock::bench::GatesJson(gates).c_str(), f);
   std::fprintf(f, "}\n");

@@ -105,16 +105,7 @@ class InplaceFunction<void(Args...)> {
                 !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
   InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (fits<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      void* p = CallbackSlab::Allocate(sizeof(D));
-      ::new (p) D(std::forward<F>(f));
-      ::new (static_cast<void*>(buf_)) void*(p);
-      ops_ = &kBoxedOps<D>;
-    }
+    Init(std::forward<F>(f));
   }
 
   InplaceFunction(InplaceFunction&& other) noexcept : ops_(other.ops_) {
@@ -146,6 +137,20 @@ class InplaceFunction<void(Args...)> {
 
   ~InplaceFunction() { Reset(); }
 
+  /// Replaces the target with `f`, constructed directly in this object:
+  /// no temporary InplaceFunction and no relocation (the event queue
+  /// builds each callback in its node this way). Another InplaceFunction
+  /// is move-assigned.
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_base_of_v<InplaceFunction, std::decay_t<F>>) {
+      *this = std::forward<F>(f);
+    } else {
+      Reset();
+      Init(std::forward<F>(f));
+    }
+  }
+
   explicit operator bool() const { return ops_ != nullptr; }
 
   /// True when the callable lives in the inline buffer (no slab chunk).
@@ -167,6 +172,21 @@ class InplaceFunction<void(Args...)> {
     bool trivial_relocate;
   };
 
+  /// Constructs `f` into an empty object: inline if it fits, else boxed.
+  template <typename F>
+  void Init(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (fits<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      void* p = CallbackSlab::Allocate(sizeof(D));
+      ::new (p) D(std::forward<F>(f));
+      ::new (static_cast<void*>(buf_)) void*(p);
+      ops_ = &kBoxedOps<D>;
+    }
+  }
+
   void Reset() {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -176,9 +196,10 @@ class InplaceFunction<void(Args...)> {
 
   /// Moves the callable out of `other`'s buffer. Hot-path captures are
   /// plain pointer/integer bundles, so a fixed-size memcpy (a couple of
-  /// vector moves) usually replaces the indirect relocate call — the
-  /// timing wheel relocates each entry on every cascade, so this is on
-  /// the per-event path.
+  /// vector moves) usually replaces the indirect relocate call. The
+  /// event queue moves each callback once, out of its node at pop time
+  /// (a cascade relinks node indices and never relocates a callback),
+  /// so this is on the per-event path.
   void Relocate(InplaceFunction& other) {
     if (ops_->trivial_relocate) {
       std::memcpy(buf_, other.buf_, kInlineBytes);

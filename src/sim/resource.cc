@@ -1,5 +1,6 @@
 #include "sim/resource.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -18,11 +19,17 @@ void Resource::AccrueBusy() const {
   busy_since_ = sim_->Now();
 }
 
+void Resource::RecordWait(SimTime wait) {
+  ++wait_count_;
+  wait_total_ns_ += wait;
+  wait_max_ns_ = std::max(wait_max_ns_, wait);
+}
+
 void Resource::Acquire(Grant on_grant) {
   if (in_use_ < capacity_) {
     AccrueBusy();
     ++in_use_;
-    wait_hist_.Record(0);
+    RecordWait(0);
     on_grant();
     return;
   }
@@ -58,7 +65,7 @@ void Resource::GrantNextReady() {
 void Resource::GrantTo(Waiter w) {
   // The slot was carried over from the releasing holder; in_use_ is
   // already counted.
-  wait_hist_.Record(sim_->Now() - w.enqueued_at);
+  RecordWait(sim_->Now() - w.enqueued_at);
   w.grant();
 }
 

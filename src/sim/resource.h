@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/types.h"
 #include "sim/inplace_callback.h"
 #include "sim/pool.h"
@@ -57,8 +56,11 @@ class Resource {
 
   /// Total slot-nanoseconds the resource was held.
   std::uint64_t busy_ns() const;
-  /// Queueing delay distribution (time between Acquire and grant).
-  const Histogram& wait_hist() const { return wait_hist_; }
+  /// Queueing delay (time between Acquire and grant) over every grant:
+  /// how many, their sum and their maximum, in ns.
+  std::uint64_t wait_count() const { return wait_count_; }
+  std::uint64_t wait_total_ns() const { return wait_total_ns_; }
+  std::uint64_t wait_max_ns() const { return wait_max_ns_; }
   /// Fraction of [0, Now()] the resource was busy (capacity-weighted).
   double Utilization() const;
 
@@ -91,9 +93,12 @@ class Resource {
 
   mutable std::uint64_t busy_ns_ = 0;
   mutable SimTime busy_since_ = 0;  // last time in_use_ changed
-  Histogram wait_hist_;
+  std::uint64_t wait_count_ = 0;
+  std::uint64_t wait_total_ns_ = 0;
+  std::uint64_t wait_max_ns_ = 0;
 
   void AccrueBusy() const;
+  void RecordWait(SimTime wait);
 };
 
 }  // namespace postblock::sim

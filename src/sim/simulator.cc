@@ -4,6 +4,8 @@ namespace postblock::sim {
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;
+  // NextTime finds the event (or returns the one RunUntil's peek found)
+  // and Pop takes that same event without searching again.
   now_ = queue_.NextTime();
   auto cb = queue_.Pop();
   ++events_executed_;

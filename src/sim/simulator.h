@@ -69,6 +69,10 @@ class Simulator {
 
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_executed() const { return events_executed_; }
+  /// Event-queue placements so far (see EventQueue::placements): one
+  /// per schedule plus one per cascade. Divided by events_executed(), it
+  /// says how many times the wheel handled each event.
+  std::uint64_t placements() const { return queue_.placements(); }
   /// Times ScheduleAt was called with a timestamp already in the past
   /// (the sim.schedule_clamped stat; nonzero means a latent time bug).
   std::uint64_t schedule_clamped() const { return schedule_clamped_; }

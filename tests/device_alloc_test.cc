@@ -4,14 +4,20 @@
 // the fixed-latency SimpleBlockDevice make no heap allocation per IO —
 // the caller's own write payload included, since a one-block IO's token
 // lives inline in its Tokens. What remains is capacity growth: a ring,
-// pool or event-wheel slot reaching a new high-water mark, a handful
-// per ten thousand IOs and falling — so the gate is "rounds to zero",
-// two orders of magnitude below a single allocating call site.
+// pool or the event queue's node arena reaching a new high-water mark,
+// a handful per ten thousand IOs and falling — so the gate is "rounds
+// to zero", two orders of magnitude below a single allocating call site.
 //
 // The database path gets a per-transaction bound instead, a quarter of
 // an allocation: what is left there (merged requests spilling their
 // tokens, host maps and pools reaching a new size) comes to about one
 // allocation per ten transactions.
+//
+// Fresh instances get growth bounds: the event core and the record pools
+// grow geometrically, so a new Simulator or a new sharded device makes
+// O(log n) allocations over a run, not one per slot or record. The aged
+// device's set-up also bounds how often the event core's timing wheel
+// handles each event (placements per event).
 //
 // Its own binary: the global operator new below counts every heap
 // allocation in the process.
@@ -33,6 +39,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
+#include "ssd/sharded_device.h"
 #include "vbd/backend.h"
 
 namespace {
@@ -141,6 +148,13 @@ TEST(DeviceAllocTest, AgedMixedIoMakesNoHeapAllocations) {
   Loop loop(&sim, &dev, /*depth=*/32, /*seed=*/7);
   // Age: overwrite twice the capacity at random, so every LUN runs GC.
   ASSERT_EQ(loop.Run(3 * n, 1.0), 0u);
+  // Flash latencies (20 us transfers, 40 us reads, 400 us programs, 2 ms
+  // erases) must land at most two wheel levels up: on average an event
+  // is placed well under twice (once when scheduled, once per cascade).
+  const double placements_per_event =
+      static_cast<double>(sim.placements()) /
+      static_cast<double>(sim.events_executed());
+  EXPECT_LE(placements_per_event, 1.9);
   // Warm-up: pools, rings and scratch vectors reach their working size.
   ASSERT_EQ(loop.Run(20'000, 0.30), 0u);
 
@@ -229,6 +243,65 @@ TEST(DeviceAllocTest, SimpleBlockDeviceMakesNoHeapAllocations) {
   EXPECT_EQ(failed, 0u);
   EXPECT_LT(allocs, kOps / 500) << static_cast<double>(allocs) / kOps
                                 << " heap allocations per IO";
+}
+
+TEST(DeviceAllocTest, FreshSimulatorPingPongAllocatesLogarithmically) {
+  // K actors, each rescheduling itself 100 ns ahead until 1M events have
+  // run, on a Simulator built inside the measured window.
+  for (const std::uint64_t actors : {32u, 4096u}) {
+    struct World {
+      sim::Simulator sim;
+      std::uint64_t remaining = 1'000'000;
+      void Fire(std::uint64_t id) {
+        if (remaining == 0) return;
+        --remaining;
+        sim.Schedule(100, [this, id] { Fire(id); });
+      }
+    };
+    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    std::uint64_t events = 0;
+    {
+      auto world = std::make_unique<World>();
+      for (std::uint64_t id = 0; id < actors; ++id) {
+        world->sim.Schedule(id % 997, [w = world.get(), id] { w->Fire(id); });
+      }
+      world->sim.Run();
+      events = world->sim.events_executed();
+    }
+    const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+    EXPECT_EQ(events, 1'000'000 + actors);
+    EXPECT_LE(allocs, 64u) << actors << " actors";
+  }
+}
+
+TEST(DeviceAllocTest, FreshShardedDeviceRunUnderFiftiethAllocationPerIo) {
+  // perfbench sharded_mix's shape: a new sequential-engine device, a 70%
+  // sequential fill, then 20k random IOs (40% writes) at QD 32. All of
+  // the run's growth is measured, the fill's included.
+  Config c;
+  c.geometry.channels = 4;
+  c.geometry.luns_per_channel = 4;
+  c.geometry.planes_per_lun = 1;
+  c.geometry.blocks_per_plane = 64;
+  c.geometry.pages_per_block = 32;
+  c.geometry.page_size_bytes = 4096;
+  ShardedDeviceRun run;
+  run.workers = 0;
+  run.queue_depth = 32;
+  run.total_ios = 20'000;
+  run.write_percent = 40;
+  run.fill_fraction = 0.7;
+  ShardedDeviceSim sim(c, run);
+
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  sim.Run();
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+
+  EXPECT_EQ(sim.io_errors(), 0u);
+  const double per_io =
+      static_cast<double>(allocs) / static_cast<double>(sim.ios_completed());
+  EXPECT_LT(per_io, 0.02) << allocs << " heap allocations over "
+                          << sim.ios_completed() << " IOs";
 }
 
 /// E22's transaction mix on both wirings: the classic block stack over

@@ -18,7 +18,8 @@
 namespace postblock::sim {
 namespace {
 
-constexpr SimTime kHorizon = 1ull << 36;  // 64^6 ns: wheel coverage
+// The wheel's coverage: draws past it must reach the overflow list.
+constexpr SimTime kHorizon = EventQueue::kHorizon;
 
 struct PopRecord {
   SimTime when;
@@ -27,15 +28,29 @@ struct PopRecord {
 };
 
 /// Delay mixture covering every queue path: heavy same-timestamp ties,
-/// short and medium delays across wheel levels, and a tail past the
-/// wheel horizon that must overflow into the sorted map.
-SimTime DrawDelay(std::mt19937_64& rng) {
-  switch (rng() % 100) {
-    case 0:  // beyond the horizon: overflow map
-      return kHorizon + rng() % (2 * kHorizon);
+/// short and medium delays across wheel levels, deltas on each level's
+/// edges, and a tail (`far_percent` of draws) past the wheel horizon
+/// that must go to the overflow list.
+SimTime DrawDelay(std::mt19937_64& rng, SimTime now, unsigned far_percent) {
+  const auto pick = rng() % 100;
+  if (pick < far_percent) {  // beyond the horizon: overflow list
+    return kHorizon + rng() % (2 * kHorizon);
+  }
+  switch (pick) {
     case 1:
     case 2:  // coarse levels
       return rng() % (kHorizon / 4);
+    case 3: {  // one slot width of a level (or the horizon) +- 1 ns
+      const SimTime w = EventQueue::SlotWidth(
+          static_cast<int>(rng() % (EventQueue::kLevels + 1)));
+      return w - 1 + rng() % 3;
+    }
+    case 4: {  // the next block boundary of a level +- 1 ns
+      const SimTime w = EventQueue::SlotWidth(
+          static_cast<int>(rng() % (EventQueue::kLevels + 1)));
+      const SimTime edge = (now / w + 1) * w;
+      return edge - now - 1 + rng() % 3;
+    }
     default: {
       const auto r = rng() % 97;
       if (r < 30) return 0;  // same-timestamp burst
@@ -46,8 +61,11 @@ SimTime DrawDelay(std::mt19937_64& rng) {
 }
 
 /// Drives both queues through an identical randomized push/pop
-/// interleaving and compares the full (when, id) pop sequences.
-void RunInterleaving(std::uint64_t seed, std::uint64_t pushes) {
+/// interleaving and compares the full (when, id) pop sequences. Pops are
+/// forced while more than `max_pending` events wait.
+void RunInterleaving(std::uint64_t seed, std::uint64_t pushes,
+                     std::size_t max_pending = 50'000,
+                     unsigned far_percent = 1) {
   std::mt19937_64 rng(seed);
   EventQueue wheel;
   ReferenceEventQueue ref;
@@ -72,6 +90,13 @@ void RunInterleaving(std::uint64_t seed, std::uint64_t pushes) {
   };
 
   while (pushed < pushes || !wheel.empty()) {
+    if (!wheel.empty() && rng() % 16 == 0) {
+      // The sharded engine's non-committing probe: a pure read that
+      // must name the reference's earliest timestamp.
+      ASSERT_EQ(wheel.MinPendingTime(), ref.NextTime())
+          << "MinPendingTime diverged after " << wheel_log.size()
+          << " pops";
+    }
     if (rng() % 16 == 0) {
       // Deadline-bounded peek, as Simulator::RunUntil issues. Both
       // implementations must agree; on a hit RunUntil pops the event,
@@ -79,7 +104,7 @@ void RunInterleaving(std::uint64_t seed, std::uint64_t pushes) {
       // so later pushes may land *before* the earliest pending event
       // (but at/after the cleared bound) and must still pop at their
       // own timestamps, which the sequence comparison verifies.
-      const SimTime bound = now + DrawDelay(rng);
+      const SimTime bound = now + DrawDelay(rng, now, far_percent);
       const bool due = wheel.HasEventAtOrBefore(bound);
       ASSERT_EQ(due, ref.HasEventAtOrBefore(bound))
           << "bounded peek diverged after " << wheel_log.size()
@@ -91,11 +116,11 @@ void RunInterleaving(std::uint64_t seed, std::uint64_t pushes) {
       now = bound;
     }
     const bool can_push = pushed < pushes;
-    const bool must_pop = !can_push || wheel.size() > 50'000;
+    const bool must_pop = !can_push || wheel.size() > max_pending;
     if (!must_pop && (wheel.empty() || rng() % 3 != 0)) {
       // Timestamps never precede the last popped event, mirroring how
       // Simulator only schedules relative to Now().
-      const SimTime when = now + DrawDelay(rng);
+      const SimTime when = now + DrawDelay(rng, now, far_percent);
       const std::uint64_t id = next_id++;
       wheel.Push(when, [&wheel_log, when, id] {
         wheel_log.push_back({when, id});
@@ -126,6 +151,13 @@ TEST(EventQueueDeterminismTest, MoreSeedsSmallerRuns) {
   }
 }
 
+TEST(EventQueueDeterminismTest, OverflowHeavyRunMatchesReference) {
+  // A short queue of mostly far events: the wheel drains again and
+  // again, so overflow pulls interleave with pushes and bounded peeks.
+  RunInterleaving(/*seed=*/0x5eed'0002, /*pushes=*/200'000,
+                  /*max_pending=*/64, /*far_percent=*/30);
+}
+
 TEST(EventQueueDeterminismTest, SameTimestampBurstPopsInPushOrder) {
   EventQueue q;
   std::vector<std::uint64_t> order;
@@ -152,6 +184,31 @@ TEST(EventQueueDeterminismTest, FarFutureEventsKeepPushOrderTies) {
   q.Push(far, [&order] { order.push_back(2); });
   while (!q.empty()) q.Pop()();
   ASSERT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueDeterminismTest, CascadedEventPopsBeforeLaterNearPushSameNs) {
+  // An event pushed early with a far delay waits at a coarse level (or
+  // in the overflow list) and cascades down as the wheel nears it. One
+  // pushed later with a near delay at the same ns lands straight in a
+  // fine slot — possibly the 1 ns slot the cascade fills. Push order
+  // must still win the tie, from every level and at every lead.
+  for (int level = 1; level <= EventQueue::kLevels; ++level) {
+    const SimTime t = 3 * EventQueue::SlotWidth(level) + 5;
+    const SimTime fine = EventQueue::SlotWidth(level - 1);
+    for (const SimTime lead : {SimTime{1}, SimTime{2}, fine, fine + 1}) {
+      EventQueue q;
+      std::vector<int> order;
+      q.Push(t, [&order] { order.push_back(0); });  // early, far
+      q.Push(t - lead, [&order] { order.push_back(1); });
+      EXPECT_EQ(q.NextTime(), t - lead);
+      q.Pop()();
+      q.Push(t, [&order] { order.push_back(2); });  // late, near
+      q.Push(t + 1, [&order] { order.push_back(3); });
+      while (!q.empty()) q.Pop()();
+      EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}))
+          << "level " << level << ", lead " << lead;
+    }
+  }
 }
 
 TEST(EventQueueDeterminismTest, PastPushClampsToLastPoppedTime) {
@@ -213,6 +270,33 @@ TEST(EventQueueDeterminismTest, BoundedPeekPartialAdvanceKeepsLaterPushExact) {
   q.Pop()();
   q.Pop()();
   EXPECT_EQ(order, (std::vector<SimTime>{966, 970}));
+}
+
+TEST(EventQueueDeterminismTest, BoundedPeekAcrossLevelBoundary) {
+  // The pending event sits just past a level boundary — the first ns of
+  // the next level-(L-1) block, which places it a level up (or, past
+  // the horizon, in the overflow list). A peek bounded just before the
+  // boundary, or on it, must miss and leave a push at the bound exact.
+  for (int level = 1; level <= EventQueue::kLevels; ++level) {
+    const SimTime edge = EventQueue::SlotWidth(level);
+    for (const SimTime bound : {edge - 1, edge}) {
+      EventQueue q;
+      std::vector<SimTime> order;
+      const SimTime far = edge + 5;
+      q.Push(far, [&order, far] { order.push_back(far); });
+      EXPECT_FALSE(q.HasEventAtOrBefore(bound)) << "level " << level;
+      EXPECT_EQ(q.MinPendingTime(), far);
+      q.Push(bound, [&order, bound] { order.push_back(bound); });
+      EXPECT_TRUE(q.HasEventAtOrBefore(bound));
+      EXPECT_EQ(q.NextTime(), bound);
+      q.Pop()();
+      EXPECT_FALSE(q.HasEventAtOrBefore(far - 1));
+      EXPECT_TRUE(q.HasEventAtOrBefore(far));
+      q.Pop()();
+      EXPECT_EQ(order, (std::vector<SimTime>{bound, far}))
+          << "level " << level << ", bound " << bound;
+    }
+  }
 }
 
 TEST(EventQueueDeterminismTest, NextTimeIsIdempotent) {

@@ -71,20 +71,45 @@ TEST(InplaceCallbackTest, MoveOnlyCaptureWorks) {
   EXPECT_EQ(result, 42);
 }
 
+/// Counts its own destruction (a moved-from copy does not count).
+struct Sentinel {
+  int* counter;
+  explicit Sentinel(int* c) : counter(c) {}
+  Sentinel(Sentinel&& o) noexcept
+      : counter(std::exchange(o.counter, nullptr)) {}
+  ~Sentinel() {
+    if (counter != nullptr) ++*counter;
+  }
+};
+
 TEST(InplaceCallbackTest, MoveAssignReleasesPreviousCallable) {
   int destroyed = 0;
-  struct Sentinel {
-    int* counter;
-    explicit Sentinel(int* c) : counter(c) {}
-    Sentinel(Sentinel&& o) noexcept : counter(std::exchange(o.counter,
-                                                            nullptr)) {}
-    ~Sentinel() {
-      if (counter != nullptr) ++*counter;
-    }
-  };
   InplaceCallback cb = [s = Sentinel(&destroyed)] { (void)s; };
   cb = InplaceCallback([] {});
   EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InplaceCallbackTest, EmplaceReplacesTargetInPlace) {
+  // Emplace (how the event queue fills a node) releases the previous
+  // target, constructs the new one without a relocation, and takes
+  // another InplaceCallback by move.
+  int destroyed = 0;
+  int moves = 0;
+  struct Counted {
+    int* count;
+    explicit Counted(int* c) : count(c) {}
+    Counted(Counted&& o) noexcept : count(o.count) { ++*count; }
+    void operator()() const {}
+  };
+  InplaceCallback cb = [s = Sentinel(&destroyed)] { (void)s; };
+  Counted counted(&moves);
+  cb.Emplace(std::move(counted));
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(moves, 1);  // moved into the buffer once, never relocated
+  int hits = 0;
+  cb.Emplace(InplaceCallback([&hits] { ++hits; }));
+  cb();
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(InplaceCallbackTest, OversizedCaptureFallsBackToSlab) {

@@ -223,8 +223,8 @@ TEST(ResourceTest, WaitHistogramRecordsQueueing) {
   r.UseFor(100, [] {});
   r.UseFor(100, [] {});
   sim.Run();
-  EXPECT_EQ(r.wait_hist().count(), 2u);
-  EXPECT_EQ(r.wait_hist().max(), 100u);
+  EXPECT_EQ(r.wait_count(), 2u);
+  EXPECT_EQ(r.wait_max_ns(), 100u);
 }
 
 TEST(ResourceTest, SameTimestampReleasesInterleaveWithOtherEvents) {
