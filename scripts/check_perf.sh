@@ -7,6 +7,11 @@
 # measure the gate). Exit 1 if any gate FAILed, a bench exited non-zero,
 # or a bench wrote no gates; every verdict is printed either way.
 #
+# Each run appends one JSON line to bench/trajectory.jsonl, the committed
+# perf history: the short git SHA ("-dirty" when the tree differs from
+# it), nproc, and every gate's name, observed value, op, bound, noise
+# floor and verdict.
+#
 # Usage: scripts/check_perf.sh [build-dir]     (default: build-perf)
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -29,8 +34,15 @@ for b in "${BENCHES[@]}"; do
   fi
 done
 
+SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# The history file itself does not make the measured tree dirty.
+if [ -n "$(git status --porcelain -- . ':!bench/trajectory.jsonl' \
+          2>/dev/null)" ]; then
+  SHA="$SHA-dirty"
+fi
+
 echo
-python3 - "${jsons[@]}" <<'PY' || status=1
+python3 - "$SHA" "$(nproc)" "${jsons[@]}" <<'PY' || status=1
 import collections
 import json
 import sys
@@ -38,19 +50,27 @@ import sys
 def num(x):
     return "null" if x is None else f"{x:.6g}"
 
+sha, nproc, paths = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 counts = collections.Counter()
-for path in sys.argv[1:]:
+history = []
+for path in paths:
     try:
         gates = json.load(open(path))["gates"]
     except (OSError, ValueError, KeyError) as e:
         print(f"FAIL       {path}: no gates ({e})")
         counts["FAIL"] += 1
+        history.append({"name": path, "verdict": "FAIL"})
         continue
     for g in gates:
         print(f"{g['verdict']:<10} {g['name']}: {num(g['observed'])} "
               f"{g['op']} {num(g['bound'])} "
               f"(noise floor {num(g['noise_floor'])})")
         counts[g["verdict"]] += 1
+        history.append({k: g[k] for k in ("name", "observed", "op", "bound",
+                                           "noise_floor", "verdict")})
+with open("bench/trajectory.jsonl", "a") as out:
+    out.write(json.dumps({"sha": sha, "nproc": nproc, "gates": history}) +
+              "\n")
 print("check_perf: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
 sys.exit(1 if counts["FAIL"] else 0)
 PY

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "blocklayer/request.h"
-#include "common/stats.h"
 #include "host/command.h"
 
 namespace postblock::blocklayer {
@@ -70,8 +69,6 @@ class BlockDevice : public host::HostInterface {
     return host::IsBlockExpressible(kind) ||
            kind == host::CommandKind::kHint;
   }
-
-  virtual const Counters& counters() const = 0;
 };
 
 }  // namespace postblock::blocklayer

@@ -32,16 +32,18 @@ BlockLayer::BlockLayer(sim::Simulator* sim, BlockDevice* lower,
     queues_.push_back(std::move(pair));
   }
   if (config_.shared_depth > 0) {
-    drr_credits_.resize(config_.nr_queues);
+    drr_.credits.resize(config_.nr_queues);
     for (std::uint32_t q = 0; q < config_.nr_queues; ++q) {
-      drr_credits_[q] = WeightOf(q);
+      drr_.credits[q] = WeightOf(q);
     }
   }
   metrics_ = config_.metrics;
   if (metrics_ != nullptr) {
     metrics::MetricRegistry* m = metrics_;
-    m_submitted_ = m->AddCounter("blk.submitted");
-    m_completed_ = m->AddCounter("blk.completed");
+    for (const char* name : {"submitted", "completed"}) {
+      m->AddPolledCounter(std::string("blk.") + name,
+                          [this, name] { return counters_.Get(name); });
+    }
     m_lat_ = m->AddHistogram("blk.lat_ns");
     m->AddPolledCounter("blk.cpu_busy_ns",
                         [this] { return cpu_.busy_ns(); });
@@ -62,7 +64,9 @@ BlockLayer::BlockLayer(sim::Simulator* sim, BlockDevice* lower,
       for (const auto& p : queues_) total += p.outstanding;
       return static_cast<double>(total);
     });
-    if (config_.per_queue_metrics) {
+    // Per-queue streams only where there is more than one queue: a
+    // single queue's would repeat the blk.* aggregates.
+    if (config_.nr_queues > 1) {
       for (std::uint32_t q = 0; q < config_.nr_queues; ++q) {
         const std::string prefix = "blk.q" + std::to_string(q);
         m->AddGauge(prefix + ".depth", [this, q] {
@@ -119,7 +123,6 @@ std::uint32_t BlockLayer::SelectQueue(const IoRequest& request) {
 
 void BlockLayer::Submit(IoRequest request) {
   counters_.Increment("submitted");
-  if (metrics_ != nullptr) metrics_->Increment(m_submitted_);
   const std::uint32_t q = SelectQueue(request);
   StartIo(q, std::move(request));
 }
@@ -291,7 +294,6 @@ void BlockLayer::FinishIo(IoState* st) {
   latency_.Record(latency);
   counters_.Increment("completed");
   if (metrics_ != nullptr) {
-    metrics_->Increment(m_completed_);
     metrics_->Record(m_lat_, latency);
     if (!m_q_lat_.empty()) metrics_->Record(m_q_lat_[st->q], latency);
   }
@@ -369,8 +371,8 @@ void BlockLayer::PowerCycle() {
     pair.outstanding = 0;
   }
   shared_outstanding_ = 0;
-  for (std::uint32_t q = 0; q < drr_credits_.size(); ++q) {
-    drr_credits_[q] = WeightOf(q);
+  for (std::uint32_t q = 0; q < drr_.credits.size(); ++q) {
+    drr_.credits[q] = WeightOf(q);
   }
 }
 
@@ -475,43 +477,24 @@ std::uint32_t BlockLayer::WeightOf(std::uint32_t q) const {
 }
 
 void BlockLayer::DispatchShared() {
-  // Deficit round-robin over the shared device-slot budget: a queue
-  // spends one credit per dispatch; when every backlogged queue is out
-  // of credit, all credits replenish to their weights. A weight-w queue
-  // gets w slots per round, and every queue gets at least one — no
-  // starvation regardless of the weight ratio.
-  const std::uint32_t n = static_cast<std::uint32_t>(queues_.size());
-  while (shared_outstanding_ < config_.shared_depth) {
-    bool any_work = false;
-    bool dispatched = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t q = (drr_pos_ + i) % n;
-      QueuePair& pair = queues_[q];
-      if (pair.scheduler->empty()) continue;
-      any_work = true;
-      if (drr_credits_[q] == 0) continue;
-      --drr_credits_[q];
-      IoRequest r = pair.scheduler->Dequeue();
-      if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
-        tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
-                        0, q_tracks_[q], r.enqueued_at, sim_->Now(),
-                        r.lba);
-      }
-      ++pair.outstanding;
-      ++shared_outstanding_;
-      drr_pos_ = q;  // keep draining this queue while it has credit
-      lower_->Submit(WrapDispatchAccounting(q, std::move(r)));
-      dispatched = true;
-      break;
-    }
-    if (!any_work) return;
-    if (!dispatched) {
-      // Backlogged queues exist but none has credit: new DRR round.
-      counters_.Increment("drr_rounds");
-      for (std::uint32_t q = 0; q < n; ++q) drr_credits_[q] = WeightOf(q);
-      drr_pos_ = (drr_pos_ + 1) % n;
-    }
-  }
+  // Deficit round-robin over the shared device-slot budget (drr.h).
+  const std::uint64_t rounds = drr_.Dispatch(
+      [this] { return shared_outstanding_ < config_.shared_depth; },
+      [this](std::uint32_t q) { return !queues_[q].scheduler->empty(); },
+      [this](std::uint32_t q) { return WeightOf(q); },
+      [this](std::uint32_t q) {
+        QueuePair& pair = queues_[q];
+        IoRequest r = pair.scheduler->Dequeue();
+        if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
+          tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
+                          0, q_tracks_[q], r.enqueued_at, sim_->Now(),
+                          r.lba);
+        }
+        ++pair.outstanding;
+        ++shared_outstanding_;
+        lower_->Submit(WrapDispatchAccounting(q, std::move(r)));
+      });
+  if (rounds > 0) counters_.Add("drr_rounds", rounds);
 }
 
 void BlockLayer::Execute(host::Command cmd) {

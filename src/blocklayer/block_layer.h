@@ -8,6 +8,7 @@
 
 #include "blocklayer/block_device.h"
 #include "blocklayer/cpu_model.h"
+#include "blocklayer/drr.h"
 #include "blocklayer/io_scheduler.h"
 #include "blocklayer/request.h"
 #include "common/histogram.h"
@@ -80,11 +81,6 @@ struct BlockLayerConfig {
   /// request may back-merge, and whether merging may cross streams.
   std::uint32_t merge_window = 1;
   bool cross_stream_merge = false;
-  /// Register per-queue depth/inflight/latency metrics ("blk.qN.*")
-  /// when a registry is attached. Off by default so attaching a
-  /// registry to a default config keeps the pre-mq metric inventory.
-  bool per_queue_metrics = false;
-
   /// Optional latency-attribution tracer (see trace/). When set and
   /// enabled, every IO's submit CPU, queue wait and completion CPU
   /// become spans on a per-queue "blkq-N" track; when null or disabled
@@ -92,8 +88,9 @@ struct BlockLayerConfig {
   trace::Tracer* tracer = nullptr;
   /// Optional time-series registry (see src/metrics/). When set, the
   /// layer registers queue depth, inflight, CPU busy time and a
-  /// windowed latency histogram at construction; null costs the hot
-  /// path only a pointer test.
+  /// windowed latency histogram at construction, plus the same per
+  /// queue ("blk.qN.*") when nr_queues > 1; null costs the hot path
+  /// only a pointer test.
   metrics::MetricRegistry* metrics = nullptr;
 };
 
@@ -120,7 +117,7 @@ class BlockLayer : public BlockDevice {
     return lower_->block_bytes();
   }
   void Submit(IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   /// Typed commands: block-expressible kinds go through the queued
   /// Submit path; extended kinds the block vocabulary cannot express
@@ -253,21 +250,17 @@ class BlockLayer : public BlockDevice {
   std::uint64_t rr_ = 0;  // submission queue choice (models per-core)
   std::uint64_t epoch_ = 0;
   // Shared-depth DRR arbitration state (shared_depth > 0 only).
-  std::vector<std::uint32_t> drr_credits_;
-  std::uint32_t drr_pos_ = 0;
+  DrrArbiter drr_;
   std::uint32_t shared_outstanding_ = 0;
   Histogram latency_;
   Counters counters_;
   trace::Tracer* tracer_;
   std::vector<std::uint32_t> q_tracks_;  // "blkq-N" per queue pair
 
-  // Pushed in parallel with counters_ ("submitted"/"completed") for the
-  // sampler-vs-Counters cross-check.
+  // Latency windows; counted events are polled from counters_.
   metrics::MetricRegistry* metrics_ = nullptr;
-  metrics::Id m_submitted_ = metrics::kInvalidId;
-  metrics::Id m_completed_ = metrics::kInvalidId;
   metrics::Id m_lat_ = metrics::kInvalidId;
-  std::vector<metrics::Id> m_q_lat_;  // per-queue, when per_queue_metrics
+  std::vector<metrics::Id> m_q_lat_;  // per queue, when nr_queues > 1
 };
 
 }  // namespace postblock::blocklayer

@@ -30,7 +30,7 @@ class DirectDriver : public BlockDevice {
     return lower_->block_bytes();
   }
   void Submit(IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   /// Typed commands: block-expressible kinds pay the driver's thin
   /// submit/poll costs; extended kinds (atomic groups, nameless writes)

@@ -36,7 +36,7 @@ class SimpleBlockDevice : public BlockDevice {
     return config_.block_bytes;
   }
   void Submit(IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
  private:
   /// One accepted request: its blocks are served independently by the

@@ -56,7 +56,7 @@ class HostMap : public blocklayer::BlockDevice {
   std::uint64_t num_blocks() const override { return num_pages_; }
   std::uint32_t block_bytes() const override { return page_bytes_; }
   void Submit(blocklayer::IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   // --- Checkpoint protocol (storage manager) -------------------------
   /// Epoch stamped into subsequent writes' OOB (the checkpoint being

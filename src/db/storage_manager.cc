@@ -147,7 +147,6 @@ void StorageManager::CommitBatch(std::vector<WalOp> ops, StatusCb cb) {
 
 void StorageManager::CommitTxn(Txn* txn) {
   counters_.Increment("txns");
-  if (metrics_ != nullptr) metrics_->Increment(m_txns_);
   txn->batch.txn_id = next_txn_id_++;
   txn->start = sim_->Now();
   wal_->Commit(txn->batch,
@@ -339,12 +338,11 @@ Status StorageManager::SimulateCrash() {
 
 void StorageManager::RegisterMetrics(metrics::MetricRegistry* m) {
   metrics_ = m;
-  m_txns_ = m->AddCounter("db.txns");
+  for (const char* name : {"txns", "gets", "checkpoints"}) {
+    m->AddPolledCounter(std::string("db.") + name,
+                        [this, name] { return counters_.Get(name); });
+  }
   m_commit_lat_ = m->AddHistogram("db.commit_lat_ns");
-  m->AddPolledCounter("db.gets",
-                      [this] { return counters_.Get("gets"); });
-  m->AddPolledCounter("db.checkpoints",
-                      [this] { return counters_.Get("checkpoints"); });
   // WAL: commit rate and logical bytes synced through the store (the
   // classic-mode padding overhead is sync_padded_bytes - sync_bytes).
   m->AddPolledCounter("wal.commits", [this] {

@@ -112,6 +112,8 @@ class StorageManager {
   BTree* tree() { return tree_.get(); }
   HeapFile* heap() { return heap_.get(); }
   core::HybridStore* store() { return store_.get(); }
+  /// The PCM under the WAL (vision wiring; null in classic).
+  pcm::PcmDevice* pcm() { return pcm_.get(); }
   /// The page-image registry: what the device may still return.
   const PageImageStore& page_images() const { return images_; }
   const Counters& counters() const { return counters_; }
@@ -210,10 +212,9 @@ class StorageManager {
   Counters counters_;
   Histogram commit_latency_;
 
-  // Pushed in parallel with counters_ ("txns") and commit_latency_ for
-  // the sampler-vs-Counters cross-check and windowed commit p99.
+  // The windowed commit-latency stream; counted events are polled from
+  // counters_.
   metrics::MetricRegistry* metrics_ = nullptr;
-  metrics::Id m_txns_ = metrics::kInvalidId;
   metrics::Id m_commit_lat_ = metrics::kInvalidId;
 };
 

@@ -37,7 +37,7 @@ class Hdd : public blocklayer::BlockDevice {
     return config_.block_bytes;
   }
   void Submit(blocklayer::IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   /// Mechanical service time for a request at `lba` given the current
   /// head position (exposed for tests).

@@ -1,20 +1,15 @@
 #include "metrics/metrics.h"
 
+#include "common/check.h"
+
 namespace postblock::metrics {
 
 void MetricRegistry::CheckUnique(const std::string& name) {
   // Duplicate names mean two instruments registered the same stream —
   // a wiring bug (e.g. two devices sharing one registry without a
-  // prefix). Cold path, so a linear scan is fine.
-  assert(!Has(name) && "metric name registered twice");
-  (void)name;
-}
-
-Id MetricRegistry::AddCounter(std::string name) {
-  CheckUnique(name);
-  counters_.push_back(0);
-  counter_names_.push_back(std::move(name));
-  return static_cast<Id>(counters_.size() - 1);
+  // prefix), and the second stream's column would shadow the first.
+  // Cold path, so a linear scan is fine.
+  PB_CHECK(!Has(name), "metric name registered twice");
 }
 
 Id MetricRegistry::AddPolledCounter(std::string name,
@@ -41,9 +36,6 @@ Id MetricRegistry::AddHistogram(std::string name) {
 
 std::uint64_t MetricRegistry::CounterByName(const std::string& name,
                                             std::uint64_t fallback) const {
-  for (Id i = 0; i < counter_names_.size(); ++i) {
-    if (counter_names_[i] == name) return counters_[i];
-  }
   for (const Polled& p : polled_) {
     if (p.name == name) return p.poll();
   }
@@ -51,9 +43,6 @@ std::uint64_t MetricRegistry::CounterByName(const std::string& name,
 }
 
 bool MetricRegistry::Has(const std::string& name) const {
-  for (const std::string& n : counter_names_) {
-    if (n == name) return true;
-  }
   for (const Polled& p : polled_) {
     if (p.name == name) return true;
   }

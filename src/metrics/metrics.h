@@ -1,7 +1,6 @@
 #ifndef POSTBLOCK_METRICS_METRICS_H_
 #define POSTBLOCK_METRICS_METRICS_H_
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -17,32 +16,32 @@ namespace postblock::metrics {
 using Id = std::uint32_t;
 inline constexpr Id kInvalidId = ~0u;
 
-/// The sim-time metrics registry (ISSUE 3): named counters, gauges and
+/// The sim-time metrics registry: named counters, gauges and
 /// windowed histograms for everything the paper reasons about over
 /// *time* — write amplification, free blocks, queue depth, GC busy
 /// fraction, windowed p99 — which the end-of-run `Counters` scalars
 /// cannot answer.
 ///
-/// Four metric families:
+/// Three metric families:
 ///
-///   counter         pushed on the hot path (`Add`/`Increment`), a
-///                   cumulative uint64 maintained *in parallel* with
-///                   the stack's existing `Counters`, so the two
-///                   observability systems cross-check each other;
 ///   polled counter  a cumulative uint64 read from its owner only at
-///                   sample time (busy-ns integrals, existing Counters
-///                   the hot path already maintains);
+///                   sample time: the `Counters` entry the hot path
+///                   already bumps, or a busy-ns integral. A counted
+///                   event lives in one place, its owner's `Counters`;
+///                   the registry only reads it;
 ///   gauge           an instantaneous double read at sample time (free
 ///                   blocks, buffer occupancy, WA, wear spread);
 ///   histogram       a windowed latency distribution: `Record` on the
 ///                   hot path, percentiles computed per sampling
 ///                   interval and then reset, so p99 is *of the
-///                   window*, not of the whole run.
+///                   window*, not of the whole run. Windows stay
+///                   pushed: a window's exact max cannot be derived
+///                   from a cumulative histogram.
 ///
 /// Registration is cold-path (constructors); the record path costs one
 /// array add. Attaching a registry to a stack never perturbs the
 /// simulated schedule — metrics observe it (same contract as the
-/// tracer, PR 2).
+/// tracer).
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -50,10 +49,8 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   // --- Registration (cold path, instrument constructors) -----------
-
-  /// Registers a pushed cumulative counter. Names must be unique
-  /// across the registry (one instrumented stack per registry).
-  Id AddCounter(std::string name);
+  // Names must be unique across the registry (one instrumented stack
+  // per registry); a second registration of a name aborts.
 
   /// Registers a counter whose cumulative value is polled at sample
   /// time. `poll` must be monotone non-decreasing in sim time.
@@ -67,8 +64,6 @@ class MetricRegistry {
 
   // --- Record path (hot; zero-alloc, no lookups) --------------------
 
-  void Add(Id id, std::uint64_t delta) { counters_[id] += delta; }
-  void Increment(Id id) { ++counters_[id]; }
   void Record(Id id, std::uint64_t value) {
     windows_[id].Record(value);
     ++hist_totals_[id];
@@ -76,12 +71,10 @@ class MetricRegistry {
 
   // --- Introspection (cold path: sampler, tests, reports) -----------
 
-  std::size_t num_counters() const { return counters_.size(); }
   std::size_t num_polled() const { return polled_.size(); }
   std::size_t num_gauges() const { return gauges_.size(); }
   std::size_t num_histograms() const { return windows_.size(); }
 
-  std::uint64_t counter(Id id) const { return counters_[id]; }
   std::uint64_t PollCounter(Id id) const { return polled_[id].poll(); }
   double PollGauge(Id id) const { return gauges_[id].poll(); }
   /// The current (unfinished) window of a histogram metric.
@@ -91,15 +84,12 @@ class MetricRegistry {
   /// window resets; cross-checkable against completion counters).
   std::uint64_t hist_total(Id id) const { return hist_totals_[id]; }
 
-  const std::string& counter_name(Id id) const {
-    return counter_names_[id];
-  }
   const std::string& polled_name(Id id) const { return polled_[id].name; }
   const std::string& gauge_name(Id id) const { return gauges_[id].name; }
   const std::string& hist_name(Id id) const { return hist_names_[id]; }
 
-  /// Cumulative value of a pushed or polled counter by name; for tests
-  /// and the run-report cross-check. Returns `fallback` when unknown.
+  /// Current value of a polled counter by name; for tests and reports.
+  /// Returns `fallback` when unknown.
   std::uint64_t CounterByName(const std::string& name,
                               std::uint64_t fallback = 0) const;
   /// True iff any metric of any family is registered under `name`.
@@ -117,8 +107,6 @@ class MetricRegistry {
 
   void CheckUnique(const std::string& name);
 
-  std::vector<std::uint64_t> counters_;
-  std::vector<std::string> counter_names_;
   std::vector<Polled> polled_;
   std::vector<Gauge> gauges_;
   std::vector<Histogram> windows_;

@@ -1,8 +1,8 @@
 #include "metrics/sampler.h"
 
-#include <cassert>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/json.h"
 
 namespace postblock::metrics {
@@ -100,15 +100,15 @@ Status TimeSeries::WriteJson(const std::string& path,
 Sampler::Sampler(sim::Simulator* sim, MetricRegistry* registry,
                  SimTime interval_ns)
     : sim_(sim), registry_(registry), interval_(interval_ns) {
-  assert(interval_ns > 0 && "sampler interval must be positive");
+  // A zero interval would re-arm its tick at the same instant forever.
+  PB_CHECK(interval_ns > 0, "sampler interval must be positive");
 }
 
 void Sampler::Start() {
-  assert(!started_ && "Sampler::Start called twice");
+  PB_CHECK(!started_, "Sampler::Start called twice");
   started_ = true;
   // Freeze the column layout from the registry as it stands: metrics
   // registered after Start() are not sampled.
-  n_counters_ = registry_->num_counters();
   n_polled_ = registry_->num_polled();
   n_gauges_ = registry_->num_gauges();
   n_hists_ = registry_->num_histograms();
@@ -120,9 +120,6 @@ void Sampler::Start() {
     c.is_counter = is_counter;
     series_.cols_.push_back(std::move(c));
   };
-  for (Id i = 0; i < n_counters_; ++i) {
-    add_col(registry_->counter_name(i), false, true);
-  }
   for (Id i = 0; i < n_polled_; ++i) {
     add_col(registry_->polled_name(i), false, true);
   }
@@ -179,9 +176,6 @@ void Sampler::TakeSample() {
   if (!series_.t_.empty() && series_.t_.back() == now) return;
   series_.t_.push_back(now);
   std::size_t k = 0;
-  for (Id i = 0; i < n_counters_; ++i) {
-    series_.cols_[k++].u64.push_back(registry_->counter(i));
-  }
   for (Id i = 0; i < n_polled_; ++i) {
     series_.cols_[k++].u64.push_back(registry_->PollCounter(i));
   }

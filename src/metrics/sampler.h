@@ -95,6 +95,7 @@ class Sampler {
  public:
   /// Registration must be complete before Start(): the column layout
   /// is frozen from the registry's contents at that point.
+  /// `interval_ns` must be positive (checked in every build).
   Sampler(sim::Simulator* sim, MetricRegistry* registry,
           SimTime interval_ns);
 
@@ -102,7 +103,7 @@ class Sampler {
   Sampler& operator=(const Sampler&) = delete;
 
   /// Takes the baseline sample at the current sim time and schedules
-  /// the first tick one interval out. Call once.
+  /// the first tick one interval out. Call once: a second call aborts.
   void Start();
 
   /// Stops ticking and, if sim time advanced past the last snapshot,
@@ -143,7 +144,6 @@ class Sampler {
   bool stopped_ = false;
   bool parked_ = false;
   // Column layout frozen at Start().
-  std::size_t n_counters_ = 0;
   std::size_t n_polled_ = 0;
   std::size_t n_gauges_ = 0;
   std::size_t n_hists_ = 0;

@@ -105,33 +105,38 @@ void Controller::Init(ShardRouter* router,
 
 void Controller::RegisterMetrics() {
   metrics::MetricRegistry* m = metrics_;
-  // Pushed counters, maintained in parallel with flash_.counters() on
-  // the same ok-path conditions — the sampler's final row must equal
-  // the Counters (the two observability systems cross-check).
-  m_pages_read_ = m->AddCounter("ssd.pages_read");
-  m_pages_programmed_ = m->AddCounter("ssd.pages_programmed");
-  m_blocks_erased_ = m->AddCounter("ssd.blocks_erased");
-  m_copybacks_ = m->AddCounter("ssd.copybacks");
+  // Counted flash events, polled from the flash Counters the ops
+  // already bump: a read per attempt (each retry rung is a real array
+  // read), an erase even when it retires the block, and a retired block
+  // as an erase failure. Energy covers every array op and transfer.
+  static constexpr struct {
+    const char* stream;
+    const char* counter;
+  } kFlash[] = {
+      {"ssd.pages_read", "pages_read"},
+      {"ssd.pages_programmed", "pages_programmed"},
+      {"ssd.blocks_erased", "blocks_erased"},
+      {"ssd.copybacks", "copybacks"},
+      {"ssd.read_retries", "read_retries"},
+      {"ssd.blocks_retired", "erase_failures"},
+      {"ssd.reads_correctable", "reads_correctable"},
+      {"ssd.reads_uncorrectable", "reads_uncorrectable"},
+      {"ssd.erase_failures", "erase_failures"},
+      {"ssd.energy_nj", "energy_nj"},
+  };
+  for (const auto& f : kFlash) {
+    m->AddPolledCounter(f.stream, [this, name = f.counter] {
+      return flash_.counters().Get(name);
+    });
+  }
   // Windowed op latency (queueing included), reset every interval.
   m_read_lat_ = m->AddHistogram("ssd.read_lat_ns");
   m_program_lat_ = m->AddHistogram("ssd.program_lat_ns");
   m_erase_lat_ = m->AddHistogram("ssd.erase_lat_ns");
-  // Reliability layer: retry-ladder activity, ECC outcomes, retirement
-  // and the bad-block spare budget.
-  m_read_retries_ = m->AddCounter("ssd.read_retries");
-  m_blocks_retired_ = m->AddCounter("ssd.blocks_retired");
   // Host-visible latency of reads that needed at least one retry rung
   // (the "retry latency tax"), windowed like the other op histograms.
   m_retry_lat_ = m->AddHistogram("ssd.read_retry_lat_ns");
-  m->AddPolledCounter("ssd.reads_correctable", [this] {
-    return flash_.counters().Get("reads_correctable");
-  });
-  m->AddPolledCounter("ssd.reads_uncorrectable", [this] {
-    return flash_.counters().Get("reads_uncorrectable");
-  });
-  m->AddPolledCounter("ssd.erase_failures", [this] {
-    return flash_.counters().Get("erase_failures");
-  });
+  // The bad-block spare budget.
   m->AddGauge("ssd.spare_blocks", [this] {
     return static_cast<double>(spare_blocks_total());
   });
@@ -139,9 +144,6 @@ void Controller::RegisterMetrics() {
               [this] { return read_only_ ? 1.0 : 0.0; });
   // Busy-time integrals: per-window deltas over these divided by the
   // window length give busy fractions (BusyClock arithmetic, PR 2).
-  m->AddPolledCounter("ssd.energy_nj", [this] {
-    return flash_.counters().Get("energy_nj");
-  });
   m->AddPolledCounter("ssd.gc_stall_read_ns",
                       [this] { return GcStallReadNs(); });
   m->AddPolledCounter("ssd.gc_stall_write_ns",
@@ -344,12 +346,7 @@ void Controller::FinishRead(Op* op) {
   flash::ReadOutcome outcome = flash::ReadOutcome::kClean;
   auto result = flash_.Read(op->src, &outcome, op->retry);
   // Per-attempt accounting: every rung is a real array read + transfer,
-  // so energy and the pages_read mirror track flash_.counters() (which
-  // also count per attempt).
-  if (metrics_ != nullptr &&
-      (result.ok() || result.status().IsDataLoss())) {
-    metrics_->Increment(m_pages_read_);
-  }
+  // so energy is charged per attempt, like the flash pages_read count.
   const auto& t = config_.timing;
   flash_.mutable_counters()->Add(
       "energy_nj",
@@ -358,9 +355,7 @@ void Controller::FinishRead(Op* op) {
   if (!result.ok() && result.status().IsDataLoss() &&
       op->retry < config_.reliability.read_retry_steps) {
     ++op->retry;
-    ++read_retries_;
     flash_.mutable_counters()->Increment("read_retries");
-    if (metrics_ != nullptr) metrics_->Increment(m_read_retries_);
     if (TracedHealth(op)) {
       const SimTime now = sim_->Now();
       tracer_->Record(trace::Stage::kCellOp, op->ctx.origin, op->ctx.span,
@@ -453,10 +448,7 @@ void Controller::FinishProgram(Op* op) {
   Status st = flash_.Program(op->src, op->data);
   const SimTime latency = sim_->Now() - op->start;
   program_latency_.Record(latency);
-  if (metrics_ != nullptr) {
-    if (st.ok()) metrics_->Increment(m_pages_programmed_);
-    metrics_->Record(m_program_lat_, latency);
-  }
+  if (metrics_ != nullptr) metrics_->Record(m_program_lat_, latency);
   const auto& t = config_.timing;
   flash_.mutable_counters()->Add(
       "energy_nj",
@@ -514,11 +506,7 @@ void Controller::FinishCopyback(Op* op) {
   const SimTime latency = sim_->Now() - op->start;
   program_latency_.Record(latency);
   flash_.mutable_counters()->Increment("copybacks");
-  if (metrics_ != nullptr) {
-    metrics_->Increment(m_copybacks_);
-    if (st.ok()) metrics_->Increment(m_pages_programmed_);
-    metrics_->Record(m_program_lat_, latency);
-  }
+  if (metrics_ != nullptr) metrics_->Record(m_program_lat_, latency);
   flash_.mutable_counters()->Add(
       "energy_nj",
       config_.timing.read_energy_nj + config_.timing.program_energy_nj);
@@ -560,18 +548,11 @@ void Controller::FinishErase(Op* op) {
   Status st = flash_.Erase(op->src.Block());
   const SimTime latency = sim_->Now() - op->start;
   erase_latency_.Record(latency);
-  if (metrics_ != nullptr) {
-    // Mirror flash counters: an erase that succeeded but retired the
-    // block (DataLoss) still counted as a block erase.
-    if (st.ok() || st.IsDataLoss()) metrics_->Increment(m_blocks_erased_);
-    metrics_->Record(m_erase_lat_, latency);
-  }
+  if (metrics_ != nullptr) metrics_->Record(m_erase_lat_, latency);
   if (st.IsDataLoss()) {
     // The erase retired the block: burn a spare credit instead of
     // silently shrinking over-provisioning. A LUN out of credits can
     // no longer replace capacity, so the device fails safe: read-only.
-    ++blocks_retired_;
-    if (metrics_ != nullptr) metrics_->Increment(m_blocks_retired_);
     if (TracedHealth(op)) {
       const SimTime now = sim_->Now();
       tracer_->Record(trace::Stage::kCellOp, op->ctx.origin, op->ctx.span,

@@ -157,11 +157,15 @@ class Controller {
     for (std::uint32_t s : spares_) total += s;
     return total;
   }
-  /// Blocks retired by erase failure, as observed at the controller —
-  /// cross-checks flash counters "erase_failures" and the FTLs'
-  /// "blocks_retired".
-  std::uint64_t blocks_retired() const { return blocks_retired_; }
-  std::uint64_t read_retries() const { return read_retries_; }
+  /// Blocks retired by erase failure: the flash Counters'
+  /// "erase_failures", which the FTLs' "blocks_retired" cross-checks.
+  std::uint64_t blocks_retired() const {
+    return flash_.counters().Get("erase_failures");
+  }
+  /// Read-retry rungs taken (the flash Counters' "read_retries").
+  std::uint64_t read_retries() const {
+    return flash_.counters().Get("read_retries");
+  }
   /// Trace track of a serial execution unit (for FTL instrumentation
   /// that wants to annotate a LUN's timeline).
   std::uint32_t unit_track(std::uint32_t unit) const {
@@ -300,18 +304,11 @@ class Controller {
   std::uint64_t epoch_ = 0;
 
   trace::Tracer* tracer_ = nullptr;
-  // Pushed-counter Ids mirror the flash Counters' ok-path semantics so
-  // the sampler's final row cross-checks against flash_.counters().
+  // Latency windows; counted events are polled from flash_.counters().
   metrics::MetricRegistry* metrics_ = nullptr;
-  metrics::Id m_pages_read_ = metrics::kInvalidId;
-  metrics::Id m_pages_programmed_ = metrics::kInvalidId;
-  metrics::Id m_blocks_erased_ = metrics::kInvalidId;
-  metrics::Id m_copybacks_ = metrics::kInvalidId;
   metrics::Id m_read_lat_ = metrics::kInvalidId;
   metrics::Id m_program_lat_ = metrics::kInvalidId;
   metrics::Id m_erase_lat_ = metrics::kInvalidId;
-  metrics::Id m_read_retries_ = metrics::kInvalidId;
-  metrics::Id m_blocks_retired_ = metrics::kInvalidId;
   metrics::Id m_retry_lat_ = metrics::kInvalidId;
   std::vector<std::uint32_t> unit_tracks_;   // trace track per unit
   std::uint32_t health_track_ = 0;           // retry/retirement events
@@ -329,8 +326,6 @@ class Controller {
   RefreshListener refresh_;
   std::vector<std::uint32_t> spares_;  // bad-block credits per global LUN
   bool read_only_ = false;
-  std::uint64_t blocks_retired_ = 0;
-  std::uint64_t read_retries_ = 0;
   // Correctable reads per physical block since its last erase; entries
   // are dropped when the refresh fires (at most one per block).
   std::unordered_map<std::uint64_t, std::uint32_t> correctable_counts_;

@@ -63,8 +63,10 @@ void Device::Init() {
   }
   metrics_ = config_.metrics;
   if (metrics_ != nullptr) {
-    m_requests_ = metrics_->AddCounter("dev.requests");
-    m_completions_ = metrics_->AddCounter("dev.completions");
+    for (const char* name : {"requests", "completions", "buffer_read_hits"}) {
+      metrics_->AddPolledCounter(std::string("dev.") + name,
+                                 [this, name] { return counters_.Get(name); });
+    }
     m_read_lat_ = metrics_->AddHistogram("dev.read_lat_ns");
     m_write_lat_ = metrics_->AddHistogram("dev.write_lat_ns");
     metrics_->AddGauge("dev.write_amplification",
@@ -73,9 +75,6 @@ void Device::Init() {
       return write_buffer_ == nullptr
                  ? 0.0
                  : static_cast<double>(write_buffer_->entries());
-    });
-    metrics_->AddPolledCounter("dev.buffer_read_hits", [this] {
-      return counters_.Get("buffer_read_hits");
     });
     ftl_->RegisterMetrics(metrics_);
   }
@@ -102,7 +101,6 @@ void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
   static constexpr const char* kRequestCounter[] = {
       "requests_read", "requests_write", "requests_trim", "requests_flush"};
   counters_.Increment("requests");
-  if (metrics_ != nullptr) metrics_->Increment(m_requests_);
   counters_.Increment(kRequestCounter[static_cast<int>(request.op)]);
   if (request.op == blocklayer::IoOp::kWrite &&
       request.tokens.size() != request.nblocks) {
@@ -290,7 +288,6 @@ void Device::OnPageDone(IoRecord* rec, std::uint32_t gen,
       break;
   }
   counters_.Increment("completions");
-  if (metrics_ != nullptr) metrics_->Increment(m_completions_);
   // Completion routing: a multi-queue submitter stamps its software
   // queue id on the callback; attribute the CQ post to that queue.
   const std::uint16_t qid = request.on_complete.queue_id;

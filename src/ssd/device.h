@@ -58,7 +58,7 @@ class Device : public blocklayer::BlockDevice {
   /// overhead is paid once, then commands are fetched from the SQ at
   /// doorbell_cmd_ns intervals — admission is pipelined, not serial.
   void SubmitBatch(std::vector<blocklayer::IoRequest>& batch) override;
-  const Counters& counters() const override { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   /// Typed host commands (host::HostInterface). Beyond the block
   /// vocabulary, the device natively executes atomic write groups and
@@ -211,11 +211,8 @@ class Device : public blocklayer::BlockDevice {
   trace::Tracer* tracer_ = nullptr;  // == config_.tracer
   std::uint32_t dev_track_ = 0;      // "ssd-device" (host pid)
 
-  // Pushed in parallel with counters_ ("requests"/"completions") so the
-  // sampler's final row cross-checks against the device Counters.
+  // Latency windows; counted events are polled from counters_.
   metrics::MetricRegistry* metrics_ = nullptr;  // == config_.metrics
-  metrics::Id m_requests_ = metrics::kInvalidId;
-  metrics::Id m_completions_ = metrics::kInvalidId;
   metrics::Id m_read_lat_ = metrics::kInvalidId;
   metrics::Id m_write_lat_ = metrics::kInvalidId;
 };

@@ -18,10 +18,13 @@ Backend::Backend(sim::Simulator* sim, blocklayer::BlockDevice* lower,
     : sim_(sim), lower_(lower), config_(config) {
   assert(lower_ != nullptr);
   free_extents_.push_back({0, lower_->num_blocks()});
+  // The first backend on a registry owns the vbd.* streams.
   if (config_.metrics != nullptr && !config_.metrics->Has("vbd.submitted")) {
-    m_submitted_ = config_.metrics->AddCounter("vbd.submitted");
-    m_completed_ = config_.metrics->AddCounter("vbd.completed");
-    m_rejected_ = config_.metrics->AddCounter("vbd.rejected");
+    for (const char* name : {"submitted", "completed", "rejected"}) {
+      config_.metrics->AddPolledCounter(
+          std::string("vbd.") + name,
+          [this, name] { return counters_.Get(name); });
+    }
   }
 }
 
@@ -52,7 +55,7 @@ StatusOr<Frontend*> Backend::CreateTenant(TenantConfig config) {
   } else {
     id = static_cast<TenantId>(tenants_.size());
     tenants_.emplace_back();
-    drr_credits_.push_back(0);
+    drr_.credits.push_back(0);
   }
   Tenant& t = tenants_[id];
   t.config = std::move(config);
@@ -68,7 +71,7 @@ StatusOr<Frontend*> Backend::CreateTenant(TenantConfig config) {
   t.inflight = 0;
   t.pending.clear();
   t.on_drained = nullptr;
-  drr_credits_[id] = WeightOf(t);
+  drr_.credits[id] = WeightOf(t);
   t.track = 0;
   if (config_.tracer != nullptr) {
     t.track = config_.tracer->RegisterTrack(trace::kPidTenantBase + id,
@@ -206,11 +209,7 @@ void Backend::FinishDestroy(TenantId id) {
 
 void Backend::Submit(Frontend* fe, IoRequest request) {
   ++fe->stats_.submitted;
-  fe->counters_.Increment("submitted");
   counters_.Increment("submitted");
-  if (m_submitted_ != metrics::kInvalidId) {
-    config_.metrics->Increment(m_submitted_);
-  }
 
   Tenant* t = fe->id_ < tenants_.size() ? &tenants_[fe->id_] : nullptr;
   if (t == nullptr || t->epoch != fe->epoch_ ||
@@ -327,12 +326,8 @@ void Backend::ServeThinRead(Frontend* fe, Tenant& t, IoRequest request) {
         fe->stats_.blocks_read += nblocks;
         fe->stats_.zero_filled_blocks += nblocks;
         fe->stats_.read_latency.Record(now - start);
-        fe->counters_.Increment("completed");
         counters_.Increment("completed");
         counters_.Increment("thin_reads");
-        if (m_completed_ != metrics::kInvalidId) {
-          config_.metrics->Increment(m_completed_);
-        }
         if (mrl != metrics::kInvalidId) {
           config_.metrics->Record(mrl, now - start);
         }
@@ -348,9 +343,6 @@ void Backend::ServeThinRead(Frontend* fe, Tenant& t, IoRequest request) {
 
 void Backend::Reject(IoCallback cb, Status status) {
   counters_.Increment("rejected");
-  if (m_rejected_ != metrics::kInvalidId) {
-    config_.metrics->Increment(m_rejected_);
-  }
   if (!cb) return;
   sim_->Schedule(config_.reject_latency_ns,
                  [cb = std::move(cb), status = std::move(status)]() {
@@ -366,39 +358,20 @@ void Backend::DispatchIo(VbdIo* io) {
 }
 
 void Backend::DispatchShared() {
-  // Same deficit-round-robin semantics as the mq block layer's
-  // shared-depth gate (BlockLayer::DispatchShared), one level up:
-  // tenants spend one credit per dispatched IO; when every backlogged
-  // tenant is out of credit, all credits replenish to the weights.
-  while (shared_outstanding_ < config_.shared_depth) {
-    const std::uint32_t n = static_cast<std::uint32_t>(tenants_.size());
-    if (n == 0) return;
-    bool dispatched = false;
-    bool any_work = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t q = (drr_pos_ + i) % n;
-      Tenant& t = tenants_[q];
-      if (t.pending.empty()) continue;
-      any_work = true;
-      if (drr_credits_[q] == 0) continue;
-      --drr_credits_[q];
-      VbdIo* io = t.pending.front();
-      t.pending.pop_front();
-      io->shared_slot = true;
-      ++shared_outstanding_;
-      drr_pos_ = q;
-      DispatchIo(io);
-      dispatched = true;
-      break;
-    }
-    if (!any_work) return;
-    if (!dispatched) {
-      for (std::uint32_t q = 0; q < n; ++q) {
-        drr_credits_[q] = WeightOf(tenants_[q]);
-      }
-      drr_pos_ = (drr_pos_ + 1) % n;
-    }
-  }
+  // The mq block layer's deficit round-robin (drr.h), one level up:
+  // tenants share the backend's slot budget.
+  drr_.Dispatch(
+      [this] { return shared_outstanding_ < config_.shared_depth; },
+      [this](std::uint32_t q) { return !tenants_[q].pending.empty(); },
+      [this](std::uint32_t q) { return WeightOf(tenants_[q]); },
+      [this](std::uint32_t q) {
+        Tenant& t = tenants_[q];
+        VbdIo* io = t.pending.front();
+        t.pending.pop_front();
+        io->shared_slot = true;
+        ++shared_outstanding_;
+        DispatchIo(io);
+      });
 }
 
 void Backend::OnLowerComplete(VbdIo* io, const IoResult& result) {
@@ -414,11 +387,7 @@ void Backend::OnLowerComplete(VbdIo* io, const IoResult& result) {
   }
 
   ++fe->stats_.completed;
-  fe->counters_.Increment("completed");
   counters_.Increment("completed");
-  if (m_completed_ != metrics::kInvalidId) {
-    config_.metrics->Increment(m_completed_);
-  }
   if (!result.status.ok()) {
     ++fe->stats_.errors;
     counters_.Increment("errors");

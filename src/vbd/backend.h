@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blocklayer/block_device.h"
+#include "blocklayer/drr.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -201,15 +202,11 @@ class Backend {
   std::vector<VbdIo*> io_free_;
 
   // Shared-depth DRR admission state.
-  std::vector<std::uint32_t> drr_credits_;
-  std::uint32_t drr_pos_ = 0;
+  blocklayer::DrrArbiter drr_;
   std::uint32_t shared_outstanding_ = 0;
 
   std::uint64_t stale_completions_ = 0;
   Counters counters_;
-  metrics::Id m_submitted_ = metrics::kInvalidId;
-  metrics::Id m_completed_ = metrics::kInvalidId;
-  metrics::Id m_rejected_ = metrics::kInvalidId;
 };
 
 }  // namespace postblock::vbd

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "blocklayer/block_device.h"
-#include "common/stats.h"
 #include "vbd/vbd.h"
 
 namespace postblock::vbd {
@@ -20,16 +19,19 @@ class Backend;
 /// translates, enforces bounds and quota, applies QoS admission and
 /// multiplexes onto the one lower device.
 ///
+/// A tenant's IOs are counted once, in its `TenantStats`; the Backend's
+/// `Counters` hold the backend-wide totals. A Frontend keeps no
+/// `Counters` of its own.
+///
 /// Frontends are owned by their Backend and stay valid after the tenant
 /// is destroyed: a stale handle's submissions complete with Unavailable
-/// (the epoch check), and its stats/counters stay readable as a frozen
-/// record — a recreated tenant in the same slot gets a fresh Frontend.
+/// (the epoch check), and its stats stay readable as a frozen record —
+/// a recreated tenant in the same slot gets a fresh Frontend.
 class Frontend : public blocklayer::BlockDevice {
  public:
   std::uint64_t num_blocks() const override { return capacity_; }
   std::uint32_t block_bytes() const override { return block_bytes_; }
   void Submit(blocklayer::IoRequest request) override;
-  const Counters& counters() const override { return counters_; }
 
   TenantId id() const { return id_; }
   std::uint64_t epoch() const { return epoch_; }
@@ -63,7 +65,6 @@ class Frontend : public blocklayer::BlockDevice {
   std::uint64_t quota_;
   std::uint32_t block_bytes_;
   TenantStats stats_;
-  Counters counters_;
 };
 
 }  // namespace postblock::vbd

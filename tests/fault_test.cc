@@ -351,8 +351,9 @@ TEST_F(FaultTest, RetirementAccountingAgreesAcrossAllLayers) {
   const std::uint64_t flash_failures =
       controller_->flash()->counters().Get("erase_failures");
   ASSERT_GE(flash_failures, 1u) << "churn never triggered a GC erase";
-  // The same retirement count seen by flash, controller mirror, FTL
-  // counter and the spare-pool drain — one event, four ledgers.
+  // One retirement count: the flash counter (which the controller's
+  // blocks_retired() reads), and the FTL counter, spare-pool drain and
+  // injector that observe the same events.
   EXPECT_EQ(flash_failures, controller_->blocks_retired());
   EXPECT_EQ(flash_failures, ftl_->counters().Get("blocks_retired"));
   const auto& g = controller_->config().geometry;
