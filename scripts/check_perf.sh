@@ -7,10 +7,16 @@
 # measure the gate). Exit 1 if any gate FAILed, a bench exited non-zero,
 # or a bench wrote no gates; every verdict is printed either way.
 #
+# It also runs the perfbench layer ladder once (aged_mix, seed 1, 10 s,
+# traced; ~45 s on a 4-core host). A non-zero perfbench exit or a last
+# line without the ladder metrics counts as a FAIL, like a bench that
+# wrote no gates.
+#
 # Each run appends one JSON line to bench/trajectory.jsonl, the committed
 # perf history: the short git SHA ("-dirty" when the tree differs from
-# it), nproc, and every gate's name, observed value, op, bound, noise
-# floor and verdict.
+# it), nproc, every gate's name, observed value, op, bound, noise floor
+# and verdict, and a "ladder" object holding wall_ns, events and allocs
+# per op for each rung (sim, resource, ssd, ftl, blocklayer, vbd, db).
 #
 # Usage: scripts/check_perf.sh [build-dir]     (default: build-perf)
 set -uo pipefail
@@ -34,6 +40,16 @@ for b in "${BENCHES[@]}"; do
   fi
 done
 
+# The layer ladder: its final JSON line carries the per-rung metrics.
+LADDER_OUT="$BUILD_DIR/perfbench_ladder.txt"
+python3 perfbench/run.py --workload aged_mix --seed 1 --seconds 10 \
+  --trace 1 > "$LADDER_OUT"
+ladder_rc=$?
+if [ "$ladder_rc" -ne 0 ]; then
+  echo "check_perf: perfbench ladder run exited $ladder_rc"
+  status=1
+fi
+
 SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # The history file itself does not make the measured tree dirty.
 if [ -n "$(git status --porcelain -- . ':!bench/trajectory.jsonl' \
@@ -42,7 +58,8 @@ if [ -n "$(git status --porcelain -- . ':!bench/trajectory.jsonl' \
 fi
 
 echo
-python3 - "$SHA" "$(nproc)" "${jsons[@]}" <<'PY' || status=1
+python3 - "$SHA" "$(nproc)" "$ladder_rc" "$LADDER_OUT" "${jsons[@]}" \
+  <<'PY' || status=1
 import collections
 import json
 import sys
@@ -50,9 +67,12 @@ import sys
 def num(x):
     return "null" if x is None else f"{x:.6g}"
 
-sha, nproc, paths = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+sha, nproc = sys.argv[1], int(sys.argv[2])
+ladder_rc, ladder_out, paths = int(sys.argv[3]), sys.argv[4], sys.argv[5:]
+RUNGS = ("sim", "resource", "ssd", "ftl", "blocklayer", "vbd", "db")
 counts = collections.Counter()
 history = []
+ladder = None
 for path in paths:
     try:
         gates = json.load(open(path))["gates"]
@@ -68,9 +88,23 @@ for path in paths:
         counts[g["verdict"]] += 1
         history.append({k: g[k] for k in ("name", "observed", "op", "bound",
                                            "noise_floor", "verdict")})
+try:
+    if ladder_rc != 0:
+        raise ValueError(f"perfbench exited {ladder_rc}")
+    with open(ladder_out) as f:
+        metrics = json.loads(f.read().splitlines()[-1])["metrics"]
+    ladder = {r: {k: metrics[f"{r}.{k}_per_op"]["value"]
+                  for k in ("wall_ns", "events", "allocs")} for r in RUNGS}
+    for r, v in ladder.items():
+        print(f"ladder     {r}: {num(v['wall_ns'])} wall ns, "
+              f"{num(v['events'])} events, {num(v['allocs'])} allocs per op")
+except (OSError, ValueError, KeyError, IndexError) as e:
+    print(f"FAIL       perfbench ladder: {e}")
+    counts["FAIL"] += 1
+    history.append({"name": "perfbench.ladder", "verdict": "FAIL"})
 with open("bench/trajectory.jsonl", "a") as out:
-    out.write(json.dumps({"sha": sha, "nproc": nproc, "gates": history}) +
-              "\n")
+    out.write(json.dumps({"sha": sha, "nproc": nproc, "gates": history,
+                          "ladder": ladder}) + "\n")
 print("check_perf: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
 sys.exit(1 if counts["FAIL"] else 0)
 PY

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "blocklayer/request.h"
+#include "common/stats.h"
 #include "host/command.h"
 
 namespace postblock::blocklayer {
@@ -13,15 +14,14 @@ namespace postblock::blocklayer {
 /// The block device interface the paper argues must die: a flat array of
 /// fixed-size logical blocks accepting asynchronous read/write (plus the
 /// retrofitted trim/flush). Implemented by the simulated SSD, the HDD
-/// model, and simple fixed-latency devices.
+/// model, simple fixed-latency devices and every layer stacked on them.
 ///
-/// Every BlockDevice is also a host::HostInterface: the typed
-/// `Execute(host::Command)` is the unified host-facing entry point, and
-/// `Submit(IoRequest)` remains as the thin untyped adapter underneath
-/// it (existing callers and tests compile unchanged). Block-expressible
-/// commands lower onto Submit; devices that natively speak the extended
-/// kinds (atomic groups, nameless writes, hints) override Execute and
-/// Supports — capability discovery is how a host finds out.
+/// A BlockDevice is a host::HostInterface with a logical address space;
+/// its block ops are the subset of IoOp it reports through `Supports`.
+/// The default answer is the block ops plus advisory hints. Devices
+/// that natively speak the extended ops (atomic groups, nameless
+/// writes) and layers that forward ops override it — capability
+/// discovery is how a host finds out.
 class BlockDevice : public host::HostInterface {
  public:
   ~BlockDevice() override = default;
@@ -30,10 +30,6 @@ class BlockDevice : public host::HostInterface {
   virtual std::uint64_t num_blocks() const = 0;
   /// Logical block size in bytes.
   virtual std::uint32_t block_bytes() const = 0;
-
-  /// Submits one asynchronous request. The completion callback fires in
-  /// simulated time; it must always fire exactly once.
-  virtual void Submit(IoRequest request) = 0;
 
   /// Batched doorbell submission: all requests were made visible to the
   /// device by one doorbell ring. The device moves every request out of
@@ -45,29 +41,35 @@ class BlockDevice : public host::HostInterface {
     for (IoRequest& r : batch) Submit(std::move(r));
   }
 
-  /// host::HostInterface — block-expressible commands lower onto
-  /// Submit; hints are advisory (accepted and dropped); anything else
-  /// completes Unimplemented inline (check Supports first).
-  void Execute(host::Command cmd) override {
-    if (host::IsBlockExpressible(cmd.kind)) {
-      Submit(host::LowerToIoRequest(std::move(cmd)));
-      return;
-    }
-    if (cmd.kind == host::CommandKind::kHint) {
-      if (cmd.on_complete) cmd.on_complete(IoResult{Status::Ok(), {}});
-      return;
-    }
-    if (cmd.on_complete) {
-      cmd.on_complete(IoResult{
-          Status::Unimplemented("command kind not supported by this"
-                                " device"),
-          {}});
-    }
+  bool Supports(IoOp op) const override {
+    return IsBlockOp(op) || op == IoOp::kHint;
   }
 
-  bool Supports(host::CommandKind kind) const override {
-    return host::IsBlockExpressible(kind) ||
-           kind == host::CommandKind::kHint;
+ protected:
+  /// Routes an op the caller's block path does not take, inline: a hint
+  /// completes Ok (counted as "hints" when `counters` is set); any other
+  /// op passes through to `lower` when it supports it (counted as
+  /// "passthrough_cmds"), and completes Unimplemented otherwise. Leaf
+  /// devices call it with no lower layer, mid-layers with theirs.
+  static void RouteNonBlockOp(IoRequest request,
+                              host::HostInterface* lower = nullptr,
+                              Counters* counters = nullptr) {
+    if (request.op == IoOp::kHint) {
+      if (counters != nullptr) counters->Increment("hints");
+      if (request.on_complete) {
+        request.on_complete(IoResult{Status::Ok(), {}});
+      }
+      return;
+    }
+    if (lower != nullptr && lower->Supports(request.op)) {
+      if (counters != nullptr) counters->Increment("passthrough_cmds");
+      lower->Submit(std::move(request));
+      return;
+    }
+    if (request.on_complete) {
+      request.on_complete(IoResult{
+          Status::Unimplemented("op not supported by this stack"), {}});
+    }
   }
 };
 

@@ -122,6 +122,12 @@ std::uint32_t BlockLayer::SelectQueue(const IoRequest& request) {
 }
 
 void BlockLayer::Submit(IoRequest request) {
+  if (!IsBlockOp(request.op)) {
+    // The block vocabulary cannot name the other ops, so the layer
+    // cannot schedule or merge them: they bypass the queues.
+    RouteNonBlockOp(std::move(request), lower_, &counters_);
+    return;
+  }
   counters_.Increment("submitted");
   const std::uint32_t q = SelectQueue(request);
   StartIo(q, std::move(request));
@@ -497,36 +503,8 @@ void BlockLayer::DispatchShared() {
   if (rounds > 0) counters_.Add("drr_rounds", rounds);
 }
 
-void BlockLayer::Execute(host::Command cmd) {
-  if (host::IsBlockExpressible(cmd.kind)) {
-    Submit(host::LowerToIoRequest(std::move(cmd)));
-    return;
-  }
-  if (cmd.kind == host::CommandKind::kHint) {
-    counters_.Increment("hints");
-    if (cmd.on_complete) cmd.on_complete(IoResult{Status::Ok(), {}});
-    return;
-  }
-  // Extended kinds bypass the queues: the block vocabulary cannot name
-  // them, so the layer cannot schedule or merge them — passthrough when
-  // the device below speaks them, Unimplemented otherwise.
-  if (lower_->Supports(cmd.kind)) {
-    counters_.Increment("passthrough_cmds");
-    lower_->Execute(std::move(cmd));
-    return;
-  }
-  if (cmd.on_complete) {
-    cmd.on_complete(IoResult{
-        Status::Unimplemented("command not supported below block layer"),
-        {}});
-  }
-}
-
-bool BlockLayer::Supports(host::CommandKind kind) const {
-  if (host::IsBlockExpressible(kind) || kind == host::CommandKind::kHint) {
-    return true;
-  }
-  return lower_->Supports(kind);
+bool BlockLayer::Supports(IoOp op) const {
+  return op == IoOp::kHint || lower_->Supports(op);
 }
 
 std::size_t BlockLayer::io_states_allocated() const {

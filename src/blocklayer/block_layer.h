@@ -116,16 +116,16 @@ class BlockLayer : public BlockDevice {
   std::uint32_t block_bytes() const override {
     return lower_->block_bytes();
   }
+  /// Block ops enter the software queues; hints complete here; other
+  /// ops pass through when the lower device supports them.
   void Submit(IoRequest request) override;
   const Counters& counters() const { return counters_; }
 
-  /// Typed commands: block-expressible kinds go through the queued
-  /// Submit path; extended kinds the block vocabulary cannot express
-  /// (atomic groups, nameless writes) pass through to the lower device
-  /// when it supports them — the block layer cannot add value to a
-  /// command it cannot name, which is the paper's point.
-  void Execute(host::Command cmd) override;
-  bool Supports(host::CommandKind kind) const override;
+  /// Every op but a hint is the lower device's to support: block ops
+  /// take the queued path, extended ops (atomic groups, nameless
+  /// writes) pass through untouched — the block layer cannot add value
+  /// to an op it cannot name, which is the paper's point.
+  bool Supports(IoOp op) const override;
   /// Capability discovery and migration handling are pure pass-through:
   /// this layer adds nothing to either (only its own mask bits).
   host::DeviceCaps Caps() const override {

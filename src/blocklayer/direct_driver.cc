@@ -14,6 +14,10 @@ DirectDriver::DirectDriver(sim::Simulator* sim, BlockDevice* lower,
       retry_(retry) {}
 
 void DirectDriver::Submit(IoRequest request) {
+  if (!IsBlockOp(request.op)) {
+    RouteNonBlockOp(std::move(request), lower_, &counters_);
+    return;
+  }
   counters_.Increment("submitted");
   SubmitAttempt(std::move(request), sim_->Now(), 1);
 }
@@ -68,32 +72,8 @@ void DirectDriver::SubmitAttempt(IoRequest request, SimTime start,
                   });
 }
 
-void DirectDriver::Execute(host::Command cmd) {
-  if (host::IsBlockExpressible(cmd.kind)) {
-    Submit(host::LowerToIoRequest(std::move(cmd)));
-    return;
-  }
-  if (cmd.kind == host::CommandKind::kHint) {
-    counters_.Increment("hints");
-    if (cmd.on_complete) cmd.on_complete(IoResult{Status::Ok(), {}});
-    return;
-  }
-  if (lower_->Supports(cmd.kind)) {
-    counters_.Increment("passthrough_cmds");
-    lower_->Execute(std::move(cmd));
-    return;
-  }
-  if (cmd.on_complete) {
-    cmd.on_complete(IoResult{
-        Status::Unimplemented("command not supported below driver"), {}});
-  }
-}
-
-bool DirectDriver::Supports(host::CommandKind kind) const {
-  if (host::IsBlockExpressible(kind) || kind == host::CommandKind::kHint) {
-    return true;
-  }
-  return lower_->Supports(kind);
+bool DirectDriver::Supports(IoOp op) const {
+  return op == IoOp::kHint || lower_->Supports(op);
 }
 
 void DirectDriver::RegisterMetrics(metrics::MetricRegistry* m) {

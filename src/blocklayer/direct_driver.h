@@ -29,15 +29,15 @@ class DirectDriver : public BlockDevice {
   std::uint32_t block_bytes() const override {
     return lower_->block_bytes();
   }
+  /// Block ops pay the driver's thin submit/poll costs; hints complete
+  /// here; extended ops (atomic groups, nameless writes) pass straight
+  /// through when the device supports them — the direct path exists
+  /// precisely to not stand between host and device.
   void Submit(IoRequest request) override;
   const Counters& counters() const { return counters_; }
 
-  /// Typed commands: block-expressible kinds pay the driver's thin
-  /// submit/poll costs; extended kinds (atomic groups, nameless writes)
-  /// pass straight through to the device when it supports them — the
-  /// direct path exists precisely to not stand between host and device.
-  void Execute(host::Command cmd) override;
-  bool Supports(host::CommandKind kind) const override;
+  /// Every op but a hint is the device's to support.
+  bool Supports(IoOp op) const override;
   /// Capability discovery and migration handling pass straight through
   /// (the driver only restates its own command mask).
   host::DeviceCaps Caps() const override {

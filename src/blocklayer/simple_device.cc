@@ -12,6 +12,10 @@ SimpleBlockDevice::SimpleBlockDevice(sim::Simulator* sim,
       tokens_(config.num_blocks, 0) {}
 
 void SimpleBlockDevice::Submit(IoRequest request) {
+  if (!IsBlockOp(request.op)) {
+    RouteNonBlockOp(std::move(request));
+    return;
+  }
   counters_.Increment("requests");
   if (request.nblocks == 0 || request.op == IoOp::kFlush) {
     sim_->Schedule(0, [request = std::move(request)]() {
@@ -70,7 +74,7 @@ void SimpleBlockDevice::ServeBlock(Op* op, std::uint32_t i) {
       tokens_[lba] = 0;
       counters_.Increment("blocks_trimmed");
       break;
-    case IoOp::kFlush:
+    default:
       break;
   }
   if (--op->remaining > 0) return;

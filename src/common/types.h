@@ -21,9 +21,6 @@ inline constexpr Lba kInvalidLba = std::numeric_limits<Lba>::max();
 /// tests and recovery identify the newest copy of an LBA.
 using SequenceNumber = std::uint64_t;
 
-/// Host-visible identifier for an in-flight IO request.
-using RequestId = std::uint64_t;
-
 inline constexpr SimTime kNanosecond = 1;
 inline constexpr SimTime kMicrosecond = 1000;
 inline constexpr SimTime kMillisecond = 1000 * 1000;

@@ -180,20 +180,14 @@ void HybridStore::TruncateLog(StatusCb cb) {
   sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
 }
 
-void HybridStore::SubmitAsync(blocklayer::IoRequest request) {
-  counters_.Increment("async_requests");
-  if (request.stream == 0) request.stream = async_stream_;
-  data_path_->Submit(std::move(request));
-}
-
-void HybridStore::Execute(host::Command cmd) {
-  if (host::IsBlockExpressible(cmd.kind)) {
-    if (cmd.stream == 0) cmd.stream = async_stream_;
-    SubmitAsync(host::LowerToIoRequest(std::move(cmd)));
-    return;
+void HybridStore::Submit(blocklayer::IoRequest request) {
+  // Block ops are the async class; hints and extended ops are the data
+  // path's business, unclassified.
+  if (blocklayer::IsBlockOp(request.op)) {
+    counters_.Increment("async_requests");
+    if (request.stream == 0) request.stream = async_stream_;
   }
-  // Hints and extended kinds are the data path's business.
-  data_path_->Execute(std::move(cmd));
+  data_path_->Submit(std::move(request));
 }
 
 }  // namespace postblock::core

@@ -27,14 +27,15 @@ namespace postblock::core {
 ///     *classic* mode it is a 4 KiB log-block write + flush through the
 ///     block device interface (hundreds of us) — records are padded to a
 ///     whole block because the interface has no smaller unit.
-///   - SubmitAsync(request): lazy writes, prefetching, reads — always
-///     the block-granular device path.
+///   - Submit(request): lazy writes, prefetching, reads — always the
+///     block-granular device path.
 ///
-/// The async class is a host::HostInterface: typed commands flow to the
-/// data path with the store's stream classification applied, so a
-/// multi-queue block layer with stream_queues pins commit-critical WAL
-/// traffic (wal_stream) and lazy traffic (async_stream) to different
-/// software queues.
+/// The async class is a host::HostInterface: every request flows to the
+/// data path, and block ops get the store's stream classification on
+/// the way, so a multi-queue block layer with stream_queues pins
+/// commit-critical WAL traffic (wal_stream) and lazy traffic
+/// (async_stream) to different software queues. The store answers
+/// Supports from the data path, which decides every op.
 class HybridStore : public host::HostInterface {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;
@@ -69,16 +70,11 @@ class HybridStore : public host::HostInterface {
   /// span down the block stack.
   void set_tracer(trace::Tracer* tracer);
 
-  /// Forwards to the data path (applying async_stream when the request
-  /// is unclassified).
-  void SubmitAsync(blocklayer::IoRequest request);
-
-  /// host::HostInterface — block-expressible commands take the async
-  /// path (with stream classification); hints and extended kinds pass
-  /// through to the data path.
-  void Execute(host::Command cmd) override;
-  bool Supports(host::CommandKind kind) const override {
-    return data_path_->Supports(kind);
+  /// Forwards to the data path; a block op is counted in
+  /// async_requests and takes async_stream when it is unclassified.
+  void Submit(blocklayer::IoRequest request) override;
+  bool Supports(blocklayer::IoOp op) const override {
+    return data_path_->Supports(op);
   }
   /// Capability discovery: the data path's caps, plus the one thing
   /// this layer adds that no device below can claim — a synchronous

@@ -14,7 +14,7 @@ NamelessStore::NamelessStore(sim::Simulator* sim, host::HostInterface* dev)
 void NamelessStore::Write(std::uint64_t token, WriteCb cb,
                           trace::Ctx ctx) {
   counters_.Increment("writes");
-  host::Command cmd = host::Command::NamelessWrite(
+  blocklayer::IoRequest request = blocklayer::IoRequest::NamelessWrite(
       token,
       blocklayer::IoCallback(
           [this, cb = std::move(cb)](const blocklayer::IoResult& res) {
@@ -29,8 +29,8 @@ void NamelessStore::Write(std::uint64_t token, WriteCb cb,
             names_.insert(res.tokens[0]);
             cb(res.tokens[0]);
           }));
-  cmd.span = ctx.span;
-  dev_->Execute(std::move(cmd));
+  request.span = ctx.span;
+  dev_->Submit(std::move(request));
 }
 
 void NamelessStore::Read(Name name, ReadCb cb, trace::Ctx ctx) {
@@ -41,7 +41,7 @@ void NamelessStore::Read(Name name, ReadCb cb, trace::Ctx ctx) {
     return;
   }
   counters_.Increment("reads");
-  host::Command cmd = host::Command::NamelessRead(
+  blocklayer::IoRequest request = blocklayer::IoRequest::NamelessRead(
       name, blocklayer::IoCallback(
                 [cb = std::move(cb)](const blocklayer::IoResult& res) {
                   if (!res.status.ok()) {
@@ -50,8 +50,8 @@ void NamelessStore::Read(Name name, ReadCb cb, trace::Ctx ctx) {
                   }
                   cb(res.tokens.empty() ? 0 : res.tokens[0]);
                 }));
-  cmd.span = ctx.span;
-  dev_->Execute(std::move(cmd));
+  request.span = ctx.span;
+  dev_->Submit(std::move(request));
 }
 
 void NamelessStore::Free(Name name, StatusCb cb, trace::Ctx ctx) {
@@ -64,13 +64,13 @@ void NamelessStore::Free(Name name, StatusCb cb, trace::Ctx ctx) {
   }
   names_.erase(it);
   counters_.Increment("frees");
-  host::Command cmd = host::Command::NamelessFree(
+  blocklayer::IoRequest request = blocklayer::IoRequest::NamelessFree(
       name, blocklayer::IoCallback(
                 [cb = std::move(cb)](const blocklayer::IoResult& res) {
                   cb(res.status);
                 }));
-  cmd.span = ctx.span;
-  dev_->Execute(std::move(cmd));
+  request.span = ctx.span;
+  dev_->Submit(std::move(request));
 }
 
 void NamelessStore::OnMigration(Name old_name, Name new_name) {

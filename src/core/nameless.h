@@ -23,8 +23,8 @@ namespace postblock::core {
 /// peers — the device *calls back* when GC or wear leveling moves a
 /// page, so the host can update its name.
 ///
-/// This is a pure host-side client of the typed command API: every
-/// operation is a host::Command through HostInterface::Execute, so the
+/// This is a pure host-side client of the host API: every operation is
+/// a blocklayer::IoRequest through HostInterface::Submit, so the
 /// same store runs over a page-map device (which emulates names over
 /// hidden LBA slots) or a vision-append device (where a name *is* the
 /// physical address) — and over any layer stack in between, since the

@@ -27,15 +27,19 @@ HostMap::Tracker* HostMap::NewTracker(std::uint32_t pages,
 }
 
 void HostMap::Submit(blocklayer::IoRequest request) {
+  if (!blocklayer::IsBlockOp(request.op)) {
+    RouteNonBlockOp(std::move(request));
+    return;
+  }
   counters_.Increment("requests");
   if (request.op == blocklayer::IoOp::kFlush) {
     Tracker* t = NewTracker(1, std::move(request.on_complete));
-    host::Command f = host::Command::Flush(
+    blocklayer::IoRequest f = blocklayer::IoRequest::Flush(
         [this, t](const blocklayer::IoResult& res) {
           OnPage(t, 0, res.status, 0);
         });
     f.span = request.span;
-    dev_->Execute(std::move(f));
+    dev_->Submit(std::move(f));
     return;
   }
   if (request.nblocks == 0) {
@@ -138,13 +142,14 @@ void HostMap::ReadPage(PageId page, int tries, Tracker* t,
     OnPage(t, index, res.status, 0);
   };
   static_assert(blocklayer::IoCallback::fits<decltype(done)>());
-  dev_->Execute(host::Command::NamelessRead(it->second, std::move(done)));
+  dev_->Submit(
+      blocklayer::IoRequest::NamelessRead(it->second, std::move(done)));
 }
 
 void HostMap::WritePage(PageId page, std::uint64_t token, Tracker* t,
                         std::uint32_t index) {
   counters_.Increment("writes");
-  dev_->Execute(host::Command::NamelessWriteTagged(
+  dev_->Submit(blocklayer::IoRequest::NamelessWriteTagged(
       token, page, static_cast<std::uint32_t>(epoch_),
       [this, page, t, index](const blocklayer::IoResult& res) {
         if (!res.status.ok()) {
@@ -195,7 +200,7 @@ void HostMap::FreeRetired(StatusCb cb) {
   counters_.Add("retired_freed", t->names.size());
   const std::size_t n = t->names.size();
   for (std::size_t i = 0; i < n; ++i) {
-    dev_->Execute(host::Command::NamelessFree(
+    dev_->Submit(blocklayer::IoRequest::NamelessFree(
         t->names[i], [this, t](const blocklayer::IoResult& res) {
           OnFreed(t, res);
         }));

@@ -33,15 +33,6 @@ class PageView {
   std::uint8_t ReadU8(std::size_t off) const { return (*bytes_)[off]; }
   void WriteU8(std::size_t off, std::uint8_t v) { (*bytes_)[off] = v; }
 
-  std::uint16_t ReadU16(std::size_t off) const {
-    std::uint16_t v;
-    std::memcpy(&v, bytes_->data() + off, sizeof(v));
-    return v;
-  }
-  void WriteU16(std::size_t off, std::uint16_t v) {
-    std::memcpy(bytes_->data() + off, &v, sizeof(v));
-  }
-
   std::uint64_t ReadU64(std::size_t off) const {
     std::uint64_t v;
     std::memcpy(&v, bytes_->data() + off, sizeof(v));

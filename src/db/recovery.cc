@@ -114,7 +114,7 @@ void StorageManager::RebuildHostMap(StatusCb cb) {
   auto remaining = std::make_shared<std::size_t>(junk.size());
   auto shared_cb = std::make_shared<StatusCb>(std::move(cb));
   for (std::uint64_t name : junk) {
-    direct_->Execute(host::Command::NamelessFree(
+    direct_->Submit(blocklayer::IoRequest::NamelessFree(
         name, blocklayer::IoCallback(
                   [remaining, shared_cb](const blocklayer::IoResult& res) {
                     (void)res;  // NotFound tolerated

@@ -2,14 +2,10 @@
 #define POSTBLOCK_FTL_BLOCK_FTL_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
-#include "ftl/ftl.h"
-#include "ftl/wear_leveler.h"
-#include "sim/inplace_callback.h"
+#include "ftl/legacy_ftl.h"
 #include "ssd/controller.h"
 
 namespace postblock::ftl {
@@ -23,10 +19,9 @@ namespace postblock::ftl {
 ///     page of the block to a fresh block, erase the old one. One 4 KiB
 ///     random write can cost ~pages_per_block reads+programs + an erase.
 ///
-/// Operations on one LUN run serially through a firmware queue (early
-/// controllers had no per-LUN pipelining), so merges also block
-/// unrelated reads on the same LUN.
-class BlockFtl : public Ftl {
+/// Operations on one LUN run serially through the LegacyFtl firmware
+/// queue, so merges also block unrelated reads on the same LUN.
+class BlockFtl : public LegacyFtl {
  public:
   explicit BlockFtl(ssd::Controller* controller);
 
@@ -38,35 +33,12 @@ class BlockFtl : public Ftl {
   void Read(Lba lba, ReadCallback cb, trace::Ctx ctx = {}) override;
   void Trim(Lba lba, WriteCallback cb, trace::Ctx ctx = {}) override;
   std::uint64_t user_pages() const override { return user_pages_; }
-  const Counters& counters() const override { return counters_; }
-  double WriteAmplification() const override;
 
  private:
   struct VBlockEntry {
     flash::BlockAddr phys;
     bool mapped = false;
   };
-  /// A queued firmware op; it runs `op_done` when it releases the LUN.
-  using LunOp = sim::InplaceFunction<void(sim::InplaceCallback op_done)>;
-  struct LunState {
-    std::deque<LunOp> ops;
-    bool busy = false;
-    std::vector<flash::BlockAddr> free_blocks;
-  };
-
-  // Firmware op queue: one op at a time per LUN.
-  void EnqueueOp(std::uint32_t lun, LunOp op);
-  void RunNext(std::uint32_t lun);
-
-  std::uint32_t LunOf(std::uint64_t vblock) const {
-    return static_cast<std::uint32_t>(vblock % luns_.size());
-  }
-  /// Pops the wear-leveler's pick from the LUN's free list. Returns
-  /// false when the list is empty (erase retirement can consume the
-  /// over-provisioned spares) — callers must fail the write rather than
-  /// index into an empty vector.
-  bool TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out);
-
   // The merge engine: builds a fresh physical block containing the old
   // block's live pages plus (optionally) one new page at `new_off`.
   void Merge(std::uint32_t lun, std::uint64_t vblock,
@@ -80,14 +52,10 @@ class BlockFtl : public Ftl {
   /// is done (remap + erase the old block).
   void MergeStep(const std::shared_ptr<MergeJob>& job);
 
-  ssd::Controller* controller_;
   std::uint64_t user_vblocks_;
   std::uint64_t user_pages_;
   std::vector<VBlockEntry> map_;
-  std::vector<LunState> luns_;
-  WearLeveler wear_leveler_;
   SequenceNumber next_seq_ = 1;
-  Counters counters_;
 
   static constexpr std::uint64_t kNoNewPage = ~0ull;
 };

@@ -7,9 +7,7 @@
 namespace postblock::ftl {
 
 HybridFtl::HybridFtl(ssd::Controller* controller)
-    : controller_(controller),
-      luns_(controller->config().geometry.luns()),
-      wear_leveler_(controller->config().wear) {
+    : LegacyFtl(controller), logs_(controller->config().geometry.luns()) {
   const auto& cfg = controller->config();
   const auto& g = cfg.geometry;
   const std::uint32_t pool = cfg.hybrid_log_blocks_per_lun;
@@ -22,60 +20,10 @@ HybridFtl::HybridFtl(ssd::Controller* controller)
                                           cap_by_op);
   user_pages_ = user_vblocks_ * g.pages_per_block;
   map_.resize(user_vblocks_);
-  for (std::uint32_t l = 0; l < g.luns(); ++l) {
-    const std::uint32_t channel = l / g.luns_per_channel;
-    const std::uint32_t lun = l % g.luns_per_channel;
-    for (std::uint32_t plane = 0; plane < g.planes_per_lun; ++plane) {
-      for (std::uint32_t block = 0; block < g.blocks_per_plane; ++block) {
-        luns_[l].free_blocks.push_back({channel, lun, plane, block});
-      }
-    }
-    luns_[l].logs.resize(pool);  // slots; LogBlock.vblock==~0 means free
-    for (auto& slot : luns_[l].logs) slot.vblock = ~0ull;
+  for (auto& logs : logs_) {
+    logs.resize(pool);  // slots; LogBlock.vblock==~0 means free
+    for (auto& slot : logs) slot.vblock = ~0ull;
   }
-}
-
-double HybridFtl::WriteAmplification() const {
-  const std::uint64_t host = counters_.Get("host_pages_accepted");
-  if (host == 0) return 0.0;
-  return static_cast<double>(
-             controller_->counters().Get("pages_programmed")) /
-         static_cast<double>(host);
-}
-
-void HybridFtl::EnqueueOp(std::uint32_t lun, LunOp op) {
-  luns_[lun].ops.push_back(std::move(op));
-  RunNext(lun);
-}
-
-void HybridFtl::RunNext(std::uint32_t lun) {
-  LunState& st = luns_[lun];
-  if (st.busy || st.ops.empty()) return;
-  st.busy = true;
-  auto op = std::move(st.ops.front());
-  st.ops.pop_front();
-  op([this, lun]() {
-    luns_[lun].busy = false;
-    RunNext(lun);
-  });
-}
-
-bool HybridFtl::TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out) {
-  LunState& st = luns_[lun];
-  if (st.free_blocks.empty()) {
-    counters_.Increment("free_list_exhausted");
-    return false;
-  }
-  std::vector<std::uint32_t> wear;
-  wear.reserve(st.free_blocks.size());
-  for (const auto& b : st.free_blocks) {
-    wear.push_back(controller_->flash()->GetBlockInfo(b).erase_count);
-  }
-  const std::size_t pick = wear_leveler_.SelectFreeBlock(wear);
-  *out = st.free_blocks[pick];
-  st.free_blocks.erase(st.free_blocks.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-  return true;
 }
 
 void HybridFtl::ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
@@ -91,13 +39,14 @@ void HybridFtl::ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
   });
 }
 
-std::size_t HybridFtl::PickLogVictim(const LunState& st) const {
+std::size_t HybridFtl::PickLogVictim(
+    const std::vector<LogBlock>& logs) const {
   std::size_t best = 0;
   std::uint32_t best_fill = 0;
-  for (std::size_t i = 0; i < st.logs.size(); ++i) {
-    if (st.logs[i].vblock == ~0ull) continue;
-    if (st.logs[i].next_page >= best_fill) {
-      best_fill = st.logs[i].next_page;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    if (logs[i].vblock == ~0ull) continue;
+    if (logs[i].next_page >= best_fill) {
+      best_fill = logs[i].next_page;
       best = i;
     }
   }
@@ -167,7 +116,7 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                            std::uint32_t off, std::uint64_t token,
                            SequenceNumber seq, WriteCallback done,
                            trace::Ctx ctx) {
-  LunState& st = luns_[lun];
+  std::vector<LogBlock>& logs = logs_[lun];
   VBlockEntry& e = map_[vblock];
   const auto& g = controller_->config().geometry;
 
@@ -175,15 +124,15 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
     // Need a log slot; evict (merge) the fullest victim if the pool is
     // dry — the thrashing that makes scattered writes expensive here.
     std::int32_t free_slot = -1;
-    for (std::size_t i = 0; i < st.logs.size(); ++i) {
-      if (st.logs[i].vblock == ~0ull) {
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      if (logs[i].vblock == ~0ull) {
         free_slot = static_cast<std::int32_t>(i);
         break;
       }
     }
     if (free_slot < 0) {
-      const std::size_t victim_slot = PickLogVictim(st);
-      const std::uint64_t victim_vb = st.logs[victim_slot].vblock;
+      const std::size_t victim_slot = PickLogVictim(logs);
+      const std::uint64_t victim_vb = logs[victim_slot].vblock;
       counters_.Increment("log_evictions");
       MergeVBlock(lun, victim_vb,
                   [this, lun, vblock, off, token, seq, ctx,
@@ -197,7 +146,7 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
                   });
       return;
     }
-    LogBlock& log = st.logs[free_slot];
+    LogBlock& log = logs[free_slot];
     if (!TakeFreeBlock(lun, &log.phys)) {
       controller_->sim()->Schedule(0, [done = std::move(done)]() mutable {
         done(Status::ResourceExhausted("no free blocks on lun"));
@@ -211,7 +160,7 @@ void HybridFtl::WriteToLog(std::uint32_t lun, std::uint64_t vblock,
     e.log_index = free_slot;
   }
 
-  LogBlock& log = st.logs[static_cast<std::size_t>(e.log_index)];
+  LogBlock& log = logs[static_cast<std::size_t>(e.log_index)];
   if (log.next_page >= g.pages_per_block) {
     // Log full: merge, then retry (the retry lands on the direct or a
     // fresh-log path).
@@ -268,12 +217,12 @@ struct HybridFtl::MergeJob {
 
 void HybridFtl::MergeVBlock(std::uint32_t lun, std::uint64_t vblock,
                             WriteCallback done) {
-  LunState& st = luns_[lun];
+  std::vector<LogBlock>& logs = logs_[lun];
   VBlockEntry& e = map_[vblock];
   const auto& g = controller_->config().geometry;
 
   const std::int32_t slot = e.log_index;
-  LogBlock* log = slot >= 0 ? &st.logs[static_cast<std::size_t>(slot)]
+  LogBlock* log = slot >= 0 ? &logs[static_cast<std::size_t>(slot)]
                             : nullptr;
 
   // Switch merge: a full, perfectly sequential log *is* the new data
@@ -399,11 +348,11 @@ void HybridFtl::Read(Lba lba, ReadCallback cb, trace::Ctx ctx) {
   EnqueueOp(lun, [this, vblock, off, lun, ctx,
                   cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     const VBlockEntry& e = map_[vblock];
-    const LunState& st = luns_[lun];
+    const std::vector<LogBlock>& logs = logs_[lun];
     flash::Ppa src;
     bool have_src = false;
     if (e.log_index >= 0) {
-      const LogBlock& log = st.logs[static_cast<std::size_t>(e.log_index)];
+      const LogBlock& log = logs[static_cast<std::size_t>(e.log_index)];
       if (log.offset_map[off] != kUnmappedPage) {
         src = flash::Ppa{log.phys.channel, log.phys.lun, log.phys.plane,
                          log.phys.block, log.offset_map[off]};
@@ -454,9 +403,9 @@ void HybridFtl::Trim(Lba lba, WriteCallback cb, trace::Ctx /*ctx*/) {
   EnqueueOp(lun, [this, vblock, off, lun,
                   cb = std::move(cb)](sim::InplaceCallback op_done) mutable {
     VBlockEntry& e = map_[vblock];
-    LunState& st = luns_[lun];
+    std::vector<LogBlock>& logs = logs_[lun];
     if (e.log_index >= 0) {
-      LogBlock& log = st.logs[static_cast<std::size_t>(e.log_index)];
+      LogBlock& log = logs[static_cast<std::size_t>(e.log_index)];
       if (log.offset_map[off] != kUnmappedPage) {
         const flash::Ppa p{log.phys.channel, log.phys.lun, log.phys.plane,
                            log.phys.block, log.offset_map[off]};

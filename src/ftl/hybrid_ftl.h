@@ -2,13 +2,10 @@
 #define POSTBLOCK_FTL_HYBRID_FTL_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
-#include "ftl/ftl.h"
-#include "ftl/wear_leveler.h"
+#include "ftl/legacy_ftl.h"
 #include "sim/inplace_callback.h"
 #include "ssd/controller.h"
 
@@ -30,7 +27,7 @@ namespace postblock::ftl {
 /// Random writes across many vblocks thrash the small log pool and
 /// degenerate into full merges — the behaviour behind the paper's
 /// "random writes are very costly" era.
-class HybridFtl : public Ftl {
+class HybridFtl : public LegacyFtl {
  public:
   explicit HybridFtl(ssd::Controller* controller);
 
@@ -42,8 +39,6 @@ class HybridFtl : public Ftl {
   void Read(Lba lba, ReadCallback cb, trace::Ctx ctx = {}) override;
   void Trim(Lba lba, WriteCallback cb, trace::Ctx ctx = {}) override;
   std::uint64_t user_pages() const override { return user_pages_; }
-  const Counters& counters() const override { return counters_; }
-  double WriteAmplification() const override;
 
  private:
   static constexpr std::uint32_t kUnmappedPage = ~0u;
@@ -60,28 +55,9 @@ class HybridFtl : public Ftl {
   struct VBlockEntry {
     flash::BlockAddr data_phys;
     bool data_mapped = false;
-    std::int32_t log_index = -1;  // into LunState::logs, -1 = none
+    std::int32_t log_index = -1;  // into logs_[lun], -1 = none
   };
 
-  /// A queued firmware op; it runs `op_done` when it releases the LUN.
-  using LunOp = sim::InplaceFunction<void(sim::InplaceCallback op_done)>;
-  struct LunState {
-    std::deque<LunOp> ops;
-    bool busy = false;
-    std::vector<flash::BlockAddr> free_blocks;
-    std::vector<LogBlock> logs;  // active log blocks (<= pool size)
-  };
-
-  void EnqueueOp(std::uint32_t lun, LunOp op);
-  void RunNext(std::uint32_t lun);
-  std::uint32_t LunOf(std::uint64_t vblock) const {
-    return static_cast<std::uint32_t>(vblock % luns_.size());
-  }
-  /// Pops the wear-leveler's pick from the LUN's free list. Returns
-  /// false when the list is empty (erase retirement can consume the
-  /// reserved spares) — callers must fail the write rather than index
-  /// into an empty vector.
-  bool TakeFreeBlock(std::uint32_t lun, flash::BlockAddr* out);
   void ReleaseBlock(std::uint32_t lun, flash::BlockAddr addr,
                     sim::InplaceCallback done);
 
@@ -100,16 +76,14 @@ class HybridFtl : public Ftl {
   /// release the old data and log blocks).
   void MergeStep(const std::shared_ptr<MergeJob>& job);
   /// Picks the log block to evict when the pool is exhausted.
-  std::size_t PickLogVictim(const LunState& st) const;
+  std::size_t PickLogVictim(const std::vector<LogBlock>& logs) const;
 
-  ssd::Controller* controller_;
   std::uint64_t user_vblocks_;
   std::uint64_t user_pages_;
   std::vector<VBlockEntry> map_;
-  std::vector<LunState> luns_;
-  WearLeveler wear_leveler_;
+  /// Per LUN, its log-block slots (<= pool size active).
+  std::vector<std::vector<LogBlock>> logs_;
   SequenceNumber next_seq_ = 1;
-  Counters counters_;
 };
 
 }  // namespace postblock::ftl

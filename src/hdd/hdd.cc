@@ -37,6 +37,10 @@ SimTime Hdd::ServiceTime(Lba lba, std::uint32_t nblocks) const {
 }
 
 void Hdd::Submit(blocklayer::IoRequest request) {
+  if (!blocklayer::IsBlockOp(request.op)) {
+    RouteNonBlockOp(std::move(request));
+    return;
+  }
   counters_.Increment("requests");
   if (request.nblocks == 0 || request.op == blocklayer::IoOp::kFlush ||
       request.op == blocklayer::IoOp::kTrim) {

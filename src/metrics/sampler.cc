@@ -21,11 +21,6 @@ std::uint64_t TimeSeries::FinalU64(const std::string& name) const {
   return (c == nullptr || c->u64.empty()) ? 0 : c->u64.back();
 }
 
-double TimeSeries::FinalF64(const std::string& name) const {
-  const Column* c = Find(name);
-  return (c == nullptr || c->f64.empty()) ? 0.0 : c->f64.back();
-}
-
 std::uint64_t TimeSeries::DeltaU64(const Column& c, std::size_t row) {
   if (row >= c.u64.size()) return 0;
   const std::uint64_t prev = row == 0 ? 0 : c.u64[row - 1];

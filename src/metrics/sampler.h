@@ -39,7 +39,6 @@ class TimeSeries {
   /// Last sampled value of a uint64 column (0 when absent/empty) —
   /// the "final cumulative row" the Counters cross-check reads.
   std::uint64_t FinalU64(const std::string& name) const;
-  double FinalF64(const std::string& name) const;
 
   /// Cumulative-column delta across [row-1, row] (row 0 deltas from 0).
   static std::uint64_t DeltaU64(const Column& c, std::size_t row);

@@ -135,9 +135,6 @@ class EngineProfiler final : public sim::EngineObserver {
   const std::vector<ShardProfile>& shard_profiles() const {
     return shard_profiles_;
   }
-  const std::vector<WorkerProfile>& worker_profiles() const {
-    return worker_profiles_;
-  }
   /// Lookahead slack (MinPendingTime - window floor), sim-ns, over
   /// every non-idle shard-window.
   const Histogram& slack_hist() const { return slack_hist_; }

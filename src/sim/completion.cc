@@ -25,8 +25,4 @@ bool WaitFor(Simulator* sim, const Completion& c) {
   return sim->RunUntilPredicate([&c] { return c.done(); });
 }
 
-bool WaitFor(Simulator* sim, const CountdownLatch& l) {
-  return sim->RunUntilPredicate([&l] { return l.done(); });
-}
-
 }  // namespace postblock::sim

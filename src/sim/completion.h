@@ -35,31 +35,9 @@ class Completion {
   SimTime completed_at_ = 0;
 };
 
-/// Counts down from `n`; used to await batches of asynchronous IOs.
-class CountdownLatch {
- public:
-  explicit CountdownLatch(std::uint64_t n) : remaining_(n) {}
-
-  void CountDown() {
-    if (remaining_ > 0) --remaining_;
-  }
-  bool done() const { return remaining_ == 0; }
-  std::uint64_t remaining() const { return remaining_; }
-
-  std::function<void(Status)> AsCallback() {
-    auto cb = [this](const Status&) { CountDown(); };
-    static_assert(sizeof(cb) <= 2 * sizeof(void*));  // std::function SSO
-    return cb;
-  }
-
- private:
-  std::uint64_t remaining_;
-};
-
 /// Runs the simulator until `c` completes. Returns false if the event
 /// queue drained first (a lost completion — always a bug).
 bool WaitFor(Simulator* sim, const Completion& c);
-bool WaitFor(Simulator* sim, const CountdownLatch& l);
 
 }  // namespace postblock::sim
 

@@ -114,12 +114,6 @@ class Controller {
   sim::Resource* lun(std::uint32_t global_lun) {
     return units_[UnitIndex(global_lun, 0)].get();
   }
-  std::uint32_t num_channels() const {
-    return static_cast<std::uint32_t>(channels_.size());
-  }
-  std::uint32_t num_units() const {
-    return static_cast<std::uint32_t>(units_.size());
-  }
 
   /// Device-level op latency distributions (queueing included).
   const Histogram& read_latency() const { return read_latency_; }
@@ -165,11 +159,6 @@ class Controller {
   /// Read-retry rungs taken (the flash Counters' "read_retries").
   std::uint64_t read_retries() const {
     return flash_.counters().Get("read_retries");
-  }
-  /// Trace track of a serial execution unit (for FTL instrumentation
-  /// that wants to annotate a LUN's timeline).
-  std::uint32_t unit_track(std::uint32_t unit) const {
-    return unit_tracks_.empty() ? 0 : unit_tracks_[unit];
   }
   std::uint32_t UnitIndexFor(const flash::Ppa& ppa) const {
     return UnitIndex(ppa.GlobalLun(config_.geometry), ppa.plane);

@@ -81,7 +81,7 @@ void Device::Init() {
 }
 
 void Device::Submit(blocklayer::IoRequest request) {
-  Admit(std::move(request), 0);
+  if (!RouteUnadmitted(request)) Admit(std::move(request), 0);
 }
 
 void Device::SubmitBatch(std::vector<blocklayer::IoRequest>& batch) {
@@ -92,9 +92,47 @@ void Device::SubmitBatch(std::vector<blocklayer::IoRequest>& batch) {
   counters_.Add("doorbell_cmds", batch.size());
   SimTime offset = 0;
   for (blocklayer::IoRequest& r : batch) {
+    if (RouteUnadmitted(r)) continue;
     Admit(std::move(r), offset);
     offset += config_.doorbell_cmd_ns;
   }
+}
+
+bool Device::RouteUnadmitted(blocklayer::IoRequest& request) {
+  switch (request.op) {
+    case blocklayer::IoOp::kRead:
+    case blocklayer::IoOp::kWrite:
+    case blocklayer::IoOp::kTrim:
+      if (append_ftl_ == nullptr) return false;
+      // No logical address space: a typed refusal before admission,
+      // never a silent drop.
+      counters_.Increment("lba_commands_refused");
+      if (request.on_complete) {
+        request.on_complete(blocklayer::IoResult{
+            Status::Unimplemented(
+                "vision-append device has no logical address space"),
+            {}});
+      }
+      return true;
+    case blocklayer::IoOp::kFlush:
+      return false;
+    case blocklayer::IoOp::kAtomicGroup:
+      SubmitAtomicGroup(std::move(request));
+      return true;
+    case blocklayer::IoOp::kNamelessWrite:
+      SubmitNamelessWrite(std::move(request));
+      return true;
+    case blocklayer::IoOp::kNamelessRead:
+      SubmitNamelessRead(std::move(request));
+      return true;
+    case blocklayer::IoOp::kNamelessFree:
+      SubmitNamelessFree(std::move(request));
+      return true;
+    case blocklayer::IoOp::kHint:
+      RouteNonBlockOp(std::move(request), nullptr, &counters_);
+      return true;
+  }
+  return false;
 }
 
 void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
@@ -262,6 +300,8 @@ void Device::SubmitPageOps(IoRecord* rec) {
         sim_->Schedule(0, flushed);
       }
       break;
+    default:  // only block ops are admitted (RouteUnadmitted)
+      break;
   }
 }
 
@@ -311,23 +351,23 @@ void Device::OnPageDone(IoRecord* rec, std::uint32_t gen,
   }
 }
 
-bool Device::Supports(host::CommandKind kind) const {
-  switch (kind) {
-    case host::CommandKind::kRead:
-    case host::CommandKind::kWrite:
-    case host::CommandKind::kTrim:
+bool Device::Supports(blocklayer::IoOp op) const {
+  switch (op) {
+    case blocklayer::IoOp::kRead:
+    case blocklayer::IoOp::kWrite:
+    case blocklayer::IoOp::kTrim:
       // A vision-append device has no logical address space to offer:
       // the block vocabulary is honestly refused, not emulated.
       return append_ftl_ == nullptr;
-    case host::CommandKind::kFlush:
-    case host::CommandKind::kHint:
+    case blocklayer::IoOp::kFlush:
+    case blocklayer::IoOp::kHint:
       return true;
-    case host::CommandKind::kAtomicGroup:
+    case blocklayer::IoOp::kAtomicGroup:
       // Atomic groups need the page-mapping FTL's commit marker.
       return page_ftl_ != nullptr;
-    case host::CommandKind::kNamelessWrite:
-    case host::CommandKind::kNamelessRead:
-    case host::CommandKind::kNamelessFree:
+    case blocklayer::IoOp::kNamelessWrite:
+    case blocklayer::IoOp::kNamelessRead:
+    case blocklayer::IoOp::kNamelessFree:
       // Native under vision-append; emulated over hidden LBA slots on
       // the page-mapping FTL.
       return append_ftl_ != nullptr || page_ftl_ != nullptr;
@@ -384,49 +424,10 @@ void Device::OnPageFtlMigration(Lba lba, const flash::Ppa& old_ppa,
   if (migration_handler_) migration_handler_(old_name, new_name);
 }
 
-void Device::Execute(host::Command cmd) {
-  switch (cmd.kind) {
-    case host::CommandKind::kAtomicGroup:
-      ExecuteAtomicGroup(std::move(cmd));
-      return;
-    case host::CommandKind::kNamelessWrite:
-      ExecuteNamelessWrite(std::move(cmd));
-      return;
-    case host::CommandKind::kNamelessRead:
-      ExecuteNamelessRead(std::move(cmd));
-      return;
-    case host::CommandKind::kNamelessFree:
-      ExecuteNamelessFree(std::move(cmd));
-      return;
-    case host::CommandKind::kHint:
-      counters_.Increment("hints");
-      if (cmd.on_complete) {
-        cmd.on_complete(blocklayer::IoResult{Status::Ok(), {}});
-      }
-      return;
-    default:
-      if (append_ftl_ != nullptr &&
-          cmd.kind != host::CommandKind::kFlush) {
-        // No logical address space: typed refusal, never a silent drop.
-        counters_.Increment("lba_commands_refused");
-        if (cmd.on_complete) {
-          cmd.on_complete(blocklayer::IoResult{
-              Status::Unimplemented(
-                  "vision-append device has no logical address space"),
-              {}});
-        }
-        return;
-      }
-      // Block-expressible kinds lower onto Submit via the base class.
-      blocklayer::BlockDevice::Execute(std::move(cmd));
-      return;
-  }
-}
-
-void Device::ExecuteAtomicGroup(host::Command cmd) {
+void Device::SubmitAtomicGroup(blocklayer::IoRequest request) {
   if (page_ftl_ == nullptr) {
-    if (cmd.on_complete) {
-      cmd.on_complete(blocklayer::IoResult{
+    if (request.on_complete) {
+      request.on_complete(blocklayer::IoResult{
           Status::Unimplemented(
               "atomic groups require the page-mapping FTL"),
           {}});
@@ -435,26 +436,26 @@ void Device::ExecuteAtomicGroup(host::Command cmd) {
   }
   counters_.Increment("atomic_groups");
   page_ftl_->WriteAtomic(
-      std::move(cmd.group),
-      [done = std::move(cmd.on_complete)](Status st) {
+      std::move(request.group),
+      [done = std::move(request.on_complete)](Status st) {
         if (done) done(blocklayer::IoResult{std::move(st), {}});
       },
-      trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
+      trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
 }
 
-void Device::ExecuteNamelessWrite(host::Command cmd) {
+void Device::SubmitNamelessWrite(blocklayer::IoRequest request) {
   if (append_ftl_ != nullptr) {
     // Native physical append: the FTL picks the location, issues the
     // name, and persists the command's OOB owner stamp (lba = owner
     // tag, nblocks = owner epoch; 0 = unstamped).
     counters_.Increment("nameless_writes");
     EnsureMigrationListener();
-    const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
+    const std::uint64_t token = request.tokens.empty() ? 0 : request.tokens[0];
     const Lba owner =
-        cmd.nblocks == 0 ? flash::kNamelessLba : cmd.lba;
+        request.nblocks == 0 ? flash::kNamelessLba : request.lba;
     append_ftl_->NamelessWrite(
-        token, owner, cmd.nblocks, cmd.stream,
-        [done = std::move(cmd.on_complete)](StatusOr<std::uint64_t> res) {
+        token, owner, request.nblocks, request.stream,
+        [done = std::move(request.on_complete)](StatusOr<std::uint64_t> res) {
           if (!done) return;
           if (res.ok()) {
             done(blocklayer::IoResult{Status::Ok(), {*res}});
@@ -462,12 +463,12 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
             done(blocklayer::IoResult{res.status(), {}});
           }
         },
-        trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
+        trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
     return;
   }
   if (page_ftl_ == nullptr) {
-    if (cmd.on_complete) {
-      cmd.on_complete(blocklayer::IoResult{
+    if (request.on_complete) {
+      request.on_complete(blocklayer::IoResult{
           Status::Unimplemented(
               "nameless writes require the page-mapping or "
               "vision-append FTL"),
@@ -487,17 +488,17 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
   } else if (nameless_next_ < num_blocks()) {
     lba = nameless_next_++;
   } else {
-    if (cmd.on_complete) {
-      cmd.on_complete(blocklayer::IoResult{
+    if (request.on_complete) {
+      request.on_complete(blocklayer::IoResult{
           Status::ResourceExhausted("no nameless slots left"), {}});
     }
     return;
   }
   counters_.Increment("nameless_writes");
-  const std::uint64_t token = cmd.tokens.empty() ? 0 : cmd.tokens[0];
+  const std::uint64_t token = request.tokens.empty() ? 0 : request.tokens[0];
   page_ftl_->Write(
       lba, token,
-      [this, done = std::move(cmd.on_complete), lba](Status st) {
+      [this, done = std::move(request.on_complete), lba](Status st) {
         if (!st.ok()) {
           nameless_free_.push_back(lba);
           if (done) done(blocklayer::IoResult{std::move(st), {}});
@@ -513,11 +514,11 @@ void Device::ExecuteNamelessWrite(host::Command cmd) {
         }
         if (done) done(blocklayer::IoResult{Status::Ok(), {name}});
       },
-      trace::Ctx{cmd.span, 0, trace::Origin::kHostWrite});
+      trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
 }
 
-void Device::ExecuteNamelessRead(host::Command cmd) {
-  auto complete = [done = std::move(cmd.on_complete)](
+void Device::SubmitNamelessRead(blocklayer::IoRequest request) {
+  auto complete = [done = std::move(request.on_complete)](
                       StatusOr<std::uint64_t> res) {
     if (!done) return;
     if (res.ok()) {
@@ -529,8 +530,8 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_reads");
     append_ftl_->NamelessRead(
-        cmd.lba, std::move(complete),
-        trace::Ctx{cmd.span, 0, trace::Origin::kHostRead});
+        request.lba, std::move(complete),
+        trace::Ctx{request.span, 0, trace::Origin::kHostRead});
     return;
   }
   if (page_ftl_ == nullptr) {
@@ -542,7 +543,7 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
     return;
   }
   counters_.Increment("nameless_reads");
-  auto it = name_to_slot_.find(cmd.lba);
+  auto it = name_to_slot_.find(request.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
     sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
@@ -552,18 +553,18 @@ void Device::ExecuteNamelessRead(host::Command cmd) {
     return;
   }
   page_ftl_->Read(it->second, std::move(complete),
-                  trace::Ctx{cmd.span, 0, trace::Origin::kHostRead});
+                  trace::Ctx{request.span, 0, trace::Origin::kHostRead});
 }
 
-void Device::ExecuteNamelessFree(host::Command cmd) {
-  auto complete = [done = std::move(cmd.on_complete)](Status st) {
+void Device::SubmitNamelessFree(blocklayer::IoRequest request) {
+  auto complete = [done = std::move(request.on_complete)](Status st) {
     if (done) done(blocklayer::IoResult{std::move(st), {}});
   };
   if (append_ftl_ != nullptr) {
     counters_.Increment("nameless_frees");
     append_ftl_->NamelessFree(
-        cmd.lba, std::move(complete),
-        trace::Ctx{cmd.span, 0, trace::Origin::kHostTrim});
+        request.lba, std::move(complete),
+        trace::Ctx{request.span, 0, trace::Origin::kHostTrim});
     return;
   }
   if (page_ftl_ == nullptr) {
@@ -575,7 +576,7 @@ void Device::ExecuteNamelessFree(host::Command cmd) {
     return;
   }
   counters_.Increment("nameless_frees");
-  auto it = name_to_slot_.find(cmd.lba);
+  auto it = name_to_slot_.find(request.lba);
   if (it == name_to_slot_.end()) {
     const std::uint64_t epoch = epoch_;
     sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
@@ -593,7 +594,7 @@ void Device::ExecuteNamelessFree(host::Command cmd) {
         if (st.ok()) nameless_free_.push_back(slot);
         complete(std::move(st));
       },
-      trace::Ctx{cmd.span, 0, trace::Origin::kHostTrim});
+      trace::Ctx{request.span, 0, trace::Origin::kHostTrim});
 }
 
 Status Device::PowerCycle() {

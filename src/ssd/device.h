@@ -36,7 +36,7 @@ class Device : public blocklayer::BlockDevice {
   /// buffer, all latency/counter state) lives on the router's
   /// controller shard; each channel's bus and LUN resources live on
   /// that channel's shard, with GC relocation traffic riding the same
-  /// dispatch/completion edges as host ops. Submit()/Execute() must be
+  /// dispatch/completion edges as host ops. Submit() must be
   /// called from controller-shard event context (or before the engine
   /// runs); introspection accessors are safe between engine runs. The
   /// committed schedule is byte-identical at every engine worker count.
@@ -53,6 +53,8 @@ class Device : public blocklayer::BlockDevice {
   std::uint32_t block_bytes() const override {
     return config_.geometry.page_size_bytes;
   }
+  /// Routes the op once: admissible block ops go through admission and
+  /// page-op fanout; everything else completes or executes here.
   void Submit(blocklayer::IoRequest request) override;
   /// One doorbell ring admitting the whole batch: the fixed controller
   /// overhead is paid once, then commands are fetched from the SQ at
@@ -60,14 +62,13 @@ class Device : public blocklayer::BlockDevice {
   void SubmitBatch(std::vector<blocklayer::IoRequest>& batch) override;
   const Counters& counters() const { return counters_; }
 
-  /// Typed host commands (host::HostInterface). Beyond the block
-  /// vocabulary, the device natively executes atomic write groups and
-  /// the nameless vocabulary (write/read/free) when running the
-  /// page-mapping FTL — and, under FtlKind::kVisionAppend, *only* the
-  /// post-block vocabulary: the block kinds are refused with a typed
-  /// Unimplemented because the device has no logical address space.
-  void Execute(host::Command cmd) override;
-  bool Supports(host::CommandKind kind) const override;
+  /// Beyond the block ops, the device natively executes atomic write
+  /// groups and the nameless vocabulary (write/read/free) when running
+  /// the page-mapping FTL — and, under FtlKind::kVisionAppend, *only*
+  /// the post-block vocabulary plus flush: read, write and trim are
+  /// refused inline with a typed Unimplemented, before admission,
+  /// because the device has no logical address space.
+  bool Supports(blocklayer::IoOp op) const override;
   /// Identify: adds the truths only the device knows (append regions,
   /// live mapping-table DRAM) to the derivable command mask.
   host::DeviceCaps Caps() const override;
@@ -157,10 +158,14 @@ class Device : public blocklayer::BlockDevice {
   /// batched doorbell's per-command fetch offset).
   void Admit(blocklayer::IoRequest request, SimTime admit_delay);
 
-  void ExecuteAtomicGroup(host::Command cmd);
-  void ExecuteNamelessWrite(host::Command cmd);
-  void ExecuteNamelessRead(host::Command cmd);
-  void ExecuteNamelessFree(host::Command cmd);
+  /// Takes every op that does not go through admission (hints, the
+  /// extended ops, and a refused block op); false leaves `request` to
+  /// Admit.
+  bool RouteUnadmitted(blocklayer::IoRequest& request);
+  void SubmitAtomicGroup(blocklayer::IoRequest request);
+  void SubmitNamelessWrite(blocklayer::IoRequest request);
+  void SubmitNamelessRead(blocklayer::IoRequest request);
+  void SubmitNamelessFree(blocklayer::IoRequest request);
   /// Lazily registers this device on its FTL's migration listener seam
   /// (first nameless write or handler install) and fans relocations out
   /// to the host handler.

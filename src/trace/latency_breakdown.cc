@@ -49,10 +49,4 @@ std::string LatencyBreakdown::Summary() const {
   return out;
 }
 
-void LatencyBreakdown::Reset() {
-  for (auto& v : totals_) v = 0;
-  for (auto& v : counts_) v = 0;
-  for (auto& h : hist_) h.Reset();
-}
-
 }  // namespace postblock::trace

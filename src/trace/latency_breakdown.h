@@ -47,8 +47,6 @@ class LatencyBreakdown {
   /// Multi-line human-readable table of the non-empty stages.
   std::string Summary() const;
 
-  void Reset();
-
  private:
   static constexpr std::size_t kStages =
       static_cast<std::size_t>(Stage::kCount);

@@ -32,9 +32,4 @@ std::uint32_t Tracer::RegisterTrack(std::uint32_t pid,
   return static_cast<std::uint32_t>(tracks_.size() - 1);
 }
 
-void Tracer::ResetEvents() {
-  next_ = 0;
-  breakdown_.Reset();
-}
-
 }  // namespace postblock::trace

@@ -105,10 +105,6 @@ class Tracer {
 
   const LatencyBreakdown& breakdown() const { return breakdown_; }
 
-  /// Clears events and aggregates; keeps tracks and span numbering (so
-  /// a warmup can be discarded without re-registering instruments).
-  void ResetEvents();
-
  private:
   bool enabled_ = false;
   std::uint64_t last_span_ = 0;

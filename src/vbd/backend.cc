@@ -257,7 +257,9 @@ void Backend::Submit(Frontend* fe, IoRequest request) {
       const std::uint64_t full = request.nblocks == 64
                                      ? ~0ull
                                      : (1ull << request.nblocks) - 1;
-      if (zero_mask == full) {
+      // A device without reads (vision-append) refuses the read below
+      // instead of the map answering it.
+      if (zero_mask == full && lower_->Supports(IoOp::kRead)) {
         ServeThinRead(fe, *t, std::move(request));
         return;
       }
@@ -273,7 +275,7 @@ void Backend::Submit(Frontend* fe, IoRequest request) {
     }
   }
 
-  VbdIo* io = AcquireIo();
+  VbdIo* io = ios_.Acquire();
   io->tenant = fe->id_;
   io->epoch = fe->epoch_;
   io->fe = fe;
@@ -463,21 +465,11 @@ void Backend::OnLowerComplete(VbdIo* io, const IoResult& result) {
 
 // --- Pooled IO state -------------------------------------------------
 
-Backend::VbdIo* Backend::AcquireIo() {
-  if (io_free_.empty()) {
-    io_pool_.emplace_back();
-    io_free_.push_back(&io_pool_.back());
-  }
-  VbdIo* io = io_free_.back();
-  io_free_.pop_back();
-  return io;
-}
-
 void Backend::ReleaseIo(VbdIo* io) {
   io->user_cb = nullptr;
   io->req = IoRequest{};
   io->zero_mask = 0;
-  io_free_.push_back(io);
+  ios_.Release(io);
 }
 
 // --- Extent allocator ------------------------------------------------

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "metrics/metrics.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "trace/tracer.h"
 #include "vbd/frontend.h"
@@ -98,9 +99,8 @@ class Backend {
   std::uint64_t stale_completions() const { return stale_completions_; }
   /// Pooled per-IO state accounting (equal at quiescence or state
   /// leaked), mirroring BlockLayer::io_states_*.
-  std::size_t io_states_allocated() const { return io_pool_.size(); }
-  std::size_t io_states_free() const { return io_free_.size(); }
-  std::uint32_t shared_outstanding() const { return shared_outstanding_; }
+  std::size_t io_states_allocated() const { return ios_.allocated(); }
+  std::size_t io_states_free() const { return ios_.free(); }
   const Counters& counters() const { return counters_; }
   blocklayer::BlockDevice* lower() const { return lower_; }
   const BackendConfig& config() const { return config_; }
@@ -155,7 +155,7 @@ class Backend {
   TenantState StateFor(const Frontend& fe) const;
   std::uint64_t QuotaUsedFor(const Frontend& fe) const;
 
-  VbdIo* AcquireIo();
+  /// Returns `io` to the pool, dropping its callback and request.
   void ReleaseIo(VbdIo* io);
 
   /// Completes `cb` with `status` after the configured rejection
@@ -165,7 +165,6 @@ class Backend {
   void DispatchIo(VbdIo* io);
   void DispatchShared();
   void CancelPending(Tenant& tenant);
-  void BeginDrain(Tenant& tenant);
   void FinishDrain(TenantId id);
   void FinishDestroy(TenantId id);
 
@@ -197,9 +196,7 @@ class Backend {
   /// Every Frontend ever created — handles stay valid after destroy.
   std::vector<std::unique_ptr<Frontend>> frontends_;
 
-  // Pooled per-IO state.
-  std::deque<VbdIo> io_pool_;
-  std::vector<VbdIo*> io_free_;
+  sim::RecordPool<VbdIo> ios_;
 
   // Shared-depth DRR admission state.
   blocklayer::DrrArbiter drr_;

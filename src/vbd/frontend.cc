@@ -7,7 +7,16 @@
 namespace postblock::vbd {
 
 void Frontend::Submit(blocklayer::IoRequest request) {
+  if (!blocklayer::IsBlockOp(request.op)) {
+    RouteNonBlockOp(std::move(request));
+    return;
+  }
   backend_->Submit(this, std::move(request));
+}
+
+bool Frontend::Supports(blocklayer::IoOp op) const {
+  return blocklayer::IsBlockOp(op) ? backend_->lower()->Supports(op)
+                                   : op == blocklayer::IoOp::kHint;
 }
 
 TenantState Frontend::state() const { return backend_->StateFor(*this); }

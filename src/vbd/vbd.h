@@ -40,20 +40,6 @@ enum class TenantState : std::uint8_t {
   kDestroyed,
 };
 
-inline const char* TenantStateName(TenantState s) {
-  switch (s) {
-    case TenantState::kConnected:
-      return "connected";
-    case TenantState::kDraining:
-      return "draining";
-    case TenantState::kDisconnected:
-      return "disconnected";
-    case TenantState::kDestroyed:
-      return "destroyed";
-  }
-  return "?";
-}
-
 /// Per-tenant shape: how much of the device the tenant sees, how much
 /// it may actually fill, and how its traffic is classified downstream.
 struct TenantConfig {

@@ -89,7 +89,7 @@ TEST_F(HybridStoreTest, AsyncPathForwardsToDevice) {
     ASSERT_TRUE(r.status.ok());
     done = true;
   };
-  store.SubmitAsync(std::move(w));
+  store.Submit(std::move(w));
   sim_.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(store.counters().Get("async_requests"), 1u);

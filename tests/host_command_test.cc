@@ -1,8 +1,11 @@
-// The unified typed command API: host::Command / HostInterface across
-// every layer (SimpleBlockDevice, ssd::Device, BlockLayer,
-// DirectDriver, HybridStore), plus TagSet and IoCallback units.
+// The one host API: IoRequest through HostInterface::Submit across
+// every layer (SimpleBlockDevice, Hdd, ssd::Device, BlockLayer,
+// DirectDriver, vbd::Frontend, HostMap, HybridStore), with capability
+// answers held to behaviour, plus TagSet and IoCallback units.
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,11 +16,14 @@
 #include "blocklayer/simple_device.h"
 #include "core/hybrid_store.h"
 #include "core/pcm_log.h"
+#include "db/host_map.h"
+#include "hdd/hdd.h"
 #include "host/command.h"
 #include "host/tag_set.h"
 #include "pcm/pcm_device.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
+#include "vbd/backend.h"
 
 namespace postblock {
 namespace {
@@ -25,11 +31,13 @@ namespace {
 using blocklayer::BlockLayer;
 using blocklayer::BlockLayerConfig;
 using blocklayer::IoCallback;
+using blocklayer::IoOp;
+using blocklayer::IoRequest;
 using blocklayer::IoResult;
 using blocklayer::SimpleBlockDevice;
 using blocklayer::SimpleDeviceConfig;
 
-std::uint32_t Bit(host::CommandKind k) {
+std::uint32_t Bit(IoOp k) {
   return 1u << static_cast<std::uint32_t>(k);
 }
 
@@ -115,22 +123,19 @@ TEST(IoCallbackTest, AcceptsMoveOnlyCaptures) {
 TEST(HostCommandTest, CapabilityMasksPerLayer) {
   sim::Simulator sim;
   SimpleBlockDevice simple(&sim, SimpleDeviceConfig{});
-  // A plain block device: the four legacy kinds plus advisory hints.
-  const std::uint32_t basic =
-      Bit(host::CommandKind::kRead) | Bit(host::CommandKind::kWrite) |
-      Bit(host::CommandKind::kTrim) | Bit(host::CommandKind::kFlush) |
-      Bit(host::CommandKind::kHint);
+  // A plain block device: the four block ops plus advisory hints.
+  const std::uint32_t basic = Bit(IoOp::kRead) | Bit(IoOp::kWrite) |
+                              Bit(IoOp::kTrim) | Bit(IoOp::kFlush) |
+                              Bit(IoOp::kHint);
   EXPECT_EQ(simple.CapabilityMask(), basic);
-  EXPECT_FALSE(simple.Supports(host::CommandKind::kAtomicGroup));
+  EXPECT_FALSE(simple.Supports(IoOp::kAtomicGroup));
 
   // The page-mapped SSD speaks the full vision command set, including
   // the complete nameless vocabulary (write/read/free).
   ssd::Device dev(&sim, ssd::Config::Small());
-  const std::uint32_t vision = basic |
-                               Bit(host::CommandKind::kAtomicGroup) |
-                               Bit(host::CommandKind::kNamelessWrite) |
-                               Bit(host::CommandKind::kNamelessRead) |
-                               Bit(host::CommandKind::kNamelessFree);
+  const std::uint32_t vision =
+      basic | Bit(IoOp::kAtomicGroup) | Bit(IoOp::kNamelessWrite) |
+      Bit(IoOp::kNamelessRead) | Bit(IoOp::kNamelessFree);
   EXPECT_EQ(dev.CapabilityMask(), vision);
 
   // Stacked layers advertise what the device below can do.
@@ -171,11 +176,11 @@ TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
   host::DeviceCaps ac = append_dev.Caps();
   EXPECT_TRUE(ac.nameless);
   EXPECT_EQ(ac.append_regions, acfg.append_regions);
-  EXPECT_FALSE(ac.Supports(host::CommandKind::kRead));
-  EXPECT_FALSE(ac.Supports(host::CommandKind::kWrite));
-  EXPECT_FALSE(ac.Supports(host::CommandKind::kTrim));
-  EXPECT_TRUE(ac.Supports(host::CommandKind::kFlush));
-  EXPECT_TRUE(ac.Supports(host::CommandKind::kNamelessWrite));
+  EXPECT_FALSE(ac.Supports(IoOp::kRead));
+  EXPECT_FALSE(ac.Supports(IoOp::kWrite));
+  EXPECT_FALSE(ac.Supports(IoOp::kTrim));
+  EXPECT_TRUE(ac.Supports(IoOp::kFlush));
+  EXPECT_TRUE(ac.Supports(IoOp::kNamelessWrite));
 
   // Layers restate the device's caps; HybridStore adds the one thing
   // only it can claim — the synchronous PCM persistence path.
@@ -204,11 +209,10 @@ TEST(HostCommandTest, UnsupportedExtendedKindsNeverSilentlyDrop) {
     EXPECT_EQ(r.status.code(), StatusCode::kUnimplemented);
     ++completions;
   };
-  dev.Execute(host::Command::NamelessWrite(7, expect_unimpl));
-  dev.Execute(host::Command::NamelessRead(99, expect_unimpl));
-  dev.Execute(host::Command::NamelessFree(99, expect_unimpl));
-  dev.Execute(
-      host::Command::AtomicGroup({{1, 10}, {2, 20}}, expect_unimpl));
+  dev.Submit(IoRequest::NamelessWrite(7, expect_unimpl));
+  dev.Submit(IoRequest::NamelessRead(99, expect_unimpl));
+  dev.Submit(IoRequest::NamelessFree(99, expect_unimpl));
+  dev.Submit(IoRequest::AtomicGroup({{1, 10}, {2, 20}}, expect_unimpl));
   sim.Run();
   EXPECT_EQ(completions, 4);
 
@@ -222,25 +226,47 @@ TEST(HostCommandTest, UnsupportedExtendedKindsNeverSilentlyDrop) {
     EXPECT_EQ(r.status.code(), StatusCode::kUnimplemented);
     ++refused;
   };
-  append_dev.Execute(host::Command::Read(0, 1, expect_refused));
-  append_dev.Execute(host::Command::Write(0, {1}, expect_refused));
+  append_dev.Submit(IoRequest::Read(0, 1, expect_refused));
+  append_dev.Submit(IoRequest::Write(0, {1}, expect_refused));
   sim.Run();
   EXPECT_EQ(refused, 2);
-  EXPECT_GE(append_dev.counters().Get("lba_commands_refused"), 2u);
+  EXPECT_EQ(append_dev.counters().Get("lba_commands_refused"), 2u);
 }
 
-// --- Execute lowering on a plain block device -----------------------------
+TEST(HostCommandTest, VisionAppendDeviceRefusesBlockOpsBeforeAdmission) {
+  // One refusal, in one place: inline, before the request is admitted
+  // (no "requests" count, no admission delay), counted once by the
+  // device.
+  sim::Simulator sim;
+  ssd::Config acfg = ssd::Config::Small();
+  acfg.ftl = ssd::FtlKind::kVisionAppend;
+  ssd::Device dev(&sim, acfg);
+  Status st = Status::Ok();
+  bool fired = false;
+  dev.Submit(IoRequest::Read(0, 1, [&](const IoResult& r) {
+    fired = true;
+    st = r.status;
+  }));
+  EXPECT_TRUE(fired);  // inline, at t = 0
+  sim.Run();
+  EXPECT_EQ(st.code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(dev.counters().Get("requests"), 0u);
+  EXPECT_EQ(dev.counters().Get("lba_commands_refused"), 1u);
+  EXPECT_EQ(dev.ftl()->counters().Get("lba_commands_refused"), 0u);
+}
 
-TEST(HostCommandTest, BlockExpressibleCommandsLowerToSubmit) {
+// --- Block ops on a plain block device ------------------------------------
+
+TEST(HostCommandTest, BlockOpsRoundTripThroughSubmit) {
   sim::Simulator sim;
   SimpleBlockDevice dev(&sim, SimpleDeviceConfig{});
   Status wst = Status::Internal("pending");
-  dev.Execute(host::Command::Write(
+  dev.Submit(IoRequest::Write(
       7, {1234}, [&wst](const IoResult& r) { wst = r.status; }));
   sim.Run();
   EXPECT_TRUE(wst.ok());
   Tokens tokens;
-  dev.Execute(host::Command::Read(7, 1, [&tokens](const IoResult& r) {
+  dev.Submit(IoRequest::Read(7, 1, [&tokens](const IoResult& r) {
     ASSERT_TRUE(r.status.ok());
     tokens = r.tokens;
   }));
@@ -253,13 +279,13 @@ TEST(HostCommandTest, HintsCompleteOkAndUnsupportedIsUnimplemented) {
   sim::Simulator sim;
   SimpleBlockDevice dev(&sim, SimpleDeviceConfig{});
   bool hint_ok = false;
-  dev.Execute(host::Command::Hint(
-      host::HintKind::kSequential,
+  dev.Submit(IoRequest::Hint(
+      blocklayer::HintKind::kSequential,
       [&hint_ok](const IoResult& r) { hint_ok = r.status.ok(); }));
   EXPECT_TRUE(hint_ok);  // hints are advisory: inline, never fail
 
   Status st = Status::Ok();
-  dev.Execute(host::Command::AtomicGroup(
+  dev.Submit(IoRequest::AtomicGroup(
       {{1, 10}, {2, 20}}, [&st](const IoResult& r) { st = r.status; }));
   EXPECT_TRUE(st.code() == StatusCode::kUnimplemented);  // a block device cannot name this
 }
@@ -270,17 +296,17 @@ TEST(HostCommandTest, AtomicGroupWritesAllExtentsTogether) {
   sim::Simulator sim;
   ssd::Device dev(&sim, ssd::Config::Small());
   Status st = Status::Internal("pending");
-  dev.Execute(host::Command::AtomicGroup(
+  dev.Submit(IoRequest::AtomicGroup(
       {{5, 111}, {9, 222}}, [&st](const IoResult& r) { st = r.status; }));
   sim.Run();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(dev.counters().Get("atomic_groups"), 1u);
   std::vector<std::uint64_t> got(2, 0);
-  dev.Execute(host::Command::Read(5, 1, [&got](const IoResult& r) {
+  dev.Submit(IoRequest::Read(5, 1, [&got](const IoResult& r) {
     ASSERT_TRUE(r.status.ok());
     got[0] = r.tokens[0];
   }));
-  dev.Execute(host::Command::Read(9, 1, [&got](const IoResult& r) {
+  dev.Submit(IoRequest::Read(9, 1, [&got](const IoResult& r) {
     ASSERT_TRUE(r.status.ok());
     got[1] = r.tokens[0];
   }));
@@ -295,7 +321,7 @@ TEST(HostCommandTest, NamelessWriteReturnsDeviceChosenName) {
   std::vector<std::uint64_t> names;
   Status st = Status::Internal("pending");
   for (int i = 0; i < 2; ++i) {
-    dev.Execute(host::Command::NamelessWrite(
+    dev.Submit(IoRequest::NamelessWrite(
         900 + i, [&names, &st](const IoResult& r) {
           st = r.status;
           if (r.status.ok()) names.push_back(r.tokens[0]);
@@ -315,7 +341,7 @@ TEST(HostCommandTest, BlockLayerPassesExtendedCommandsThrough) {
   ssd::Device dev(&sim, ssd::Config::Small());
   BlockLayer layer(&sim, &dev, BlockLayerConfig{});
   Status st = Status::Internal("pending");
-  layer.Execute(host::Command::AtomicGroup(
+  layer.Submit(IoRequest::AtomicGroup(
       {{3, 33}}, [&st](const IoResult& r) { st = r.status; }));
   sim.Run();
   EXPECT_TRUE(st.ok());
@@ -323,7 +349,7 @@ TEST(HostCommandTest, BlockLayerPassesExtendedCommandsThrough) {
   EXPECT_EQ(dev.counters().Get("atomic_groups"), 1u);
   // Queued kinds still pay the block layer, not the passthrough.
   bool read_ok = false;
-  layer.Execute(host::Command::Read(
+  layer.Submit(IoRequest::Read(
       3, 1, [&read_ok](const IoResult& r) { read_ok = r.status.ok(); }));
   sim.Run();
   EXPECT_TRUE(read_ok);
@@ -336,7 +362,7 @@ TEST(HostCommandTest, BlockLayerRefusesWhatTheDeviceCannotDo) {
   SimpleBlockDevice dev(&sim, SimpleDeviceConfig{});
   BlockLayer layer(&sim, &dev, BlockLayerConfig{});
   Status st = Status::Ok();
-  layer.Execute(host::Command::NamelessWrite(
+  layer.Submit(IoRequest::NamelessWrite(
       5, [&st](const IoResult& r) { st = r.status; }));
   EXPECT_TRUE(st.code() == StatusCode::kUnimplemented);
 }
@@ -347,11 +373,10 @@ TEST(HostCommandTest, DirectDriverPassesExtendedCommandsThrough) {
   blocklayer::DirectDriver direct(&sim, &dev);
   Status st = Status::Internal("pending");
   std::uint64_t name = 0;
-  direct.Execute(
-      host::Command::NamelessWrite(77, [&](const IoResult& r) {
-        st = r.status;
-        if (r.status.ok()) name = r.tokens[0];
-      }));
+  direct.Submit(IoRequest::NamelessWrite(77, [&](const IoResult& r) {
+    st = r.status;
+    if (r.status.ok()) name = r.tokens[0];
+  }));
   sim.Run();
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(direct.counters().Get("passthrough_cmds"), 1u);
@@ -374,7 +399,7 @@ TEST(HostCommandTest, HybridStoreStampsStreamsForQueuePinning) {
 
   // Unclassified async traffic inherits async_stream -> queue 2.
   bool read_ok = false;
-  store.Execute(host::Command::Read(
+  store.Submit(IoRequest::Read(
       100, 1, [&read_ok](const IoResult& r) { read_ok = r.status.ok(); }));
   sim.Run();
   EXPECT_TRUE(read_ok);
@@ -390,13 +415,161 @@ TEST(HostCommandTest, HybridStoreStampsStreamsForQueuePinning) {
   EXPECT_EQ(layer.scheduler(1).counters().Get("enqueued"), 2u);
   EXPECT_EQ(layer.counters().Get("stream_pins"), 3u);
 
-  // An explicitly classified command keeps its own stream.
-  host::Command c = host::Command::Read(101, 1, [](const IoResult&) {});
+  // An explicitly classified request keeps its own stream.
+  IoRequest c = IoRequest::Read(101, 1, [](const IoResult&) {});
   c.stream = 3;
-  store.Execute(std::move(c));
+  store.Submit(std::move(c));
   sim.Run();
   EXPECT_EQ(layer.scheduler(3).counters().Get("enqueued"), 1u);
 }
+
+// --- Capability contract: every layer, every op ---------------------------
+//
+// Every HostInterface implementation in src/, over a page-map and over a
+// vision-append device where it stacks, and every op: the answer a host
+// gets from Supports (and from Caps().command_mask) must match what a
+// submission does — Unimplemented exactly when the op is disclaimed —
+// and the callback fires exactly once.
+
+// One stack under test, owning every layer it is built from.
+struct ContractStack {
+  std::vector<std::shared_ptr<void>> parts;
+  host::HostInterface* top = nullptr;
+
+  template <typename T, typename... Args>
+  T* Add(Args&&... args) {
+    auto p = std::make_shared<T>(std::forward<Args>(args)...);
+    parts.push_back(p);
+    return p.get();
+  }
+};
+
+ssd::Config SmallConfig(ssd::FtlKind ftl) {
+  ssd::Config c = ssd::Config::Small();
+  c.ftl = ftl;
+  return c;
+}
+
+ssd::Device* AddDevice(ContractStack& s, sim::Simulator* sim,
+                       ssd::FtlKind ftl) {
+  return s.Add<ssd::Device>(sim, SmallConfig(ftl));
+}
+
+const std::string kContractStacks[] = {
+    "simple",      "hdd",           "ssd_page",       "ssd_block",
+    "ssd_append",  "blocklayer_page", "blocklayer_append",
+    "direct_page", "direct_append", "vbd_page",       "vbd_append",
+    "hostmap",     "hybrid_classic", "hybrid_vision",
+};
+
+ContractStack BuildStack(const std::string& name, sim::Simulator* sim) {
+  ContractStack s;
+  const bool append = name.find("append") != std::string::npos ||
+                      name == "hostmap" || name == "hybrid_vision";
+  const ssd::FtlKind ftl =
+      append ? ssd::FtlKind::kVisionAppend : ssd::FtlKind::kPageMap;
+  if (name == "simple") {
+    s.top = s.Add<SimpleBlockDevice>(sim, SimpleDeviceConfig{});
+  } else if (name == "hdd") {
+    s.top = s.Add<hdd::Hdd>(sim, hdd::HddConfig{});
+  } else if (name == "ssd_block") {
+    s.top = AddDevice(s, sim, ssd::FtlKind::kBlockMap);
+  } else if (name.rfind("ssd_", 0) == 0) {
+    s.top = AddDevice(s, sim, ftl);
+  } else if (name.rfind("blocklayer_", 0) == 0) {
+    s.top = s.Add<BlockLayer>(sim, AddDevice(s, sim, ftl),
+                              BlockLayerConfig{});
+  } else if (name.rfind("direct_", 0) == 0) {
+    s.top = s.Add<blocklayer::DirectDriver>(sim, AddDevice(s, sim, ftl));
+  } else if (name.rfind("vbd_", 0) == 0) {
+    auto* backend = s.Add<vbd::Backend>(sim, AddDevice(s, sim, ftl));
+    vbd::TenantConfig tc;
+    tc.capacity_blocks = 64;
+    auto fe = backend->CreateTenant(tc);
+    EXPECT_TRUE(fe.ok());
+    s.top = *fe;
+  } else if (name == "hostmap") {
+    ssd::Device* dev = AddDevice(s, sim, ftl);
+    s.top = s.Add<db::HostMap>(sim, dev, 64, dev->block_bytes());
+  } else if (name == "hybrid_classic") {
+    s.top = s.Add<core::HybridStore>(sim, AddDevice(s, sim, ftl),
+                                     /*log_region_start=*/0,
+                                     /*log_region_blocks=*/8);
+  } else if (name == "hybrid_vision") {
+    auto* direct =
+        s.Add<blocklayer::DirectDriver>(sim, AddDevice(s, sim, ftl));
+    auto* pcm = s.Add<pcm::PcmDevice>(sim, pcm::PcmConfig{});
+    auto* log = s.Add<core::PcmLog>(sim, pcm, 0, 1 * kMiB);
+    s.top = s.Add<core::HybridStore>(sim, direct, log);
+  }
+  return s;
+}
+
+IoRequest ContractRequest(IoOp op, IoCallback cb) {
+  switch (op) {
+    case IoOp::kRead:
+      return IoRequest::Read(0, 1, std::move(cb));
+    case IoOp::kWrite:
+      return IoRequest::Write(0, {1}, std::move(cb));
+    case IoOp::kTrim:
+      return IoRequest::Trim(0, 1, std::move(cb));
+    case IoOp::kFlush:
+      return IoRequest::Flush(std::move(cb));
+    case IoOp::kAtomicGroup:
+      return IoRequest::AtomicGroup({{0, 1}}, std::move(cb));
+    case IoOp::kNamelessWrite:
+      return IoRequest::NamelessWrite(1, std::move(cb));
+    case IoOp::kHint:
+      return IoRequest::Hint(blocklayer::HintKind::kSequential,
+                             std::move(cb));
+    case IoOp::kNamelessRead:
+      return IoRequest::NamelessRead(0, std::move(cb));
+    case IoOp::kNamelessFree:
+      return IoRequest::NamelessFree(0, std::move(cb));
+  }
+  return IoRequest{};
+}
+
+// Indexed by IoOp.
+const char* const kContractOpNames[] = {
+    "read",           "write", "trim",          "flush",        "atomic_group",
+    "nameless_write", "hint",  "nameless_read", "nameless_free"};
+
+class CapabilityContractTest
+    : public testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(CapabilityContractTest, AnswerMatchesBehaviour) {
+  const std::string stack_name = std::get<0>(GetParam());
+  const auto op = static_cast<IoOp>(std::get<1>(GetParam()));
+  sim::Simulator sim;
+  ContractStack stack = BuildStack(stack_name, &sim);
+  ASSERT_NE(stack.top, nullptr);
+  sim.Run();  // settle construction-time work
+
+  const bool supported = stack.top->Supports(op);
+  EXPECT_EQ((stack.top->Caps().command_mask >> static_cast<int>(op)) & 1u,
+            supported ? 1u : 0u);
+  int fired = 0;
+  Status status = Status::Internal("never completed");
+  stack.top->Submit(ContractRequest(op, [&fired, &status](const IoResult& r) {
+    ++fired;
+    status = r.status;
+  }));
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(status.code() == StatusCode::kUnimplemented, !supported)
+      << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayerEveryOp, CapabilityContractTest,
+    testing::Combine(
+        testing::ValuesIn(kContractStacks),
+        testing::Range(0, static_cast<int>(blocklayer::kNumIoOps))),
+    [](const testing::TestParamInfo<CapabilityContractTest::ParamType>& p) {
+      return std::get<0>(p.param) + "_" +
+             kContractOpNames[std::get<1>(p.param)];
+    });
 
 }  // namespace
 }  // namespace postblock

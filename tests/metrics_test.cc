@@ -10,12 +10,12 @@
 
 #include "blocklayer/block_layer.h"
 #include "blocklayer/direct_driver.h"
+#include "blocklayer/request.h"
 #include "blocklayer/simple_device.h"
 #include "db/storage_manager.h"
 #include "ftl/append_ftl.h"
 #include "ftl/dftl.h"
 #include "ftl/page_ftl.h"
-#include "host/command.h"
 #include "metrics/metrics.h"
 #include "metrics/sampler.h"
 #include "sim/simulator.h"
@@ -685,17 +685,17 @@ void RunNameless(sim::Simulator* sim, ssd::Device* device,
   std::function<void()> issue = [&] {
     if (issued == writes) return;
     const std::uint64_t token = ++issued;
-    device->Execute(host::Command::NamelessWrite(
+    device->Submit(blocklayer::IoRequest::NamelessWrite(
         token, [&](const blocklayer::IoResult& r) {
           ASSERT_TRUE(r.status.ok()) << r.status;
           names.push_back(r.tokens[0]);
           if (names.size() > lag) {
-            device->Execute(host::Command::NamelessFree(
+            device->Submit(blocklayer::IoRequest::NamelessFree(
                 names[names.size() - 1 - lag],
                 [](const blocklayer::IoResult&) {}));
           }
           if (names.size() % 8 == 0) {
-            device->Execute(host::Command::NamelessRead(
+            device->Submit(blocklayer::IoRequest::NamelessRead(
                 names.back(), [](const blocklayer::IoResult&) {}));
           }
           issue();

@@ -308,16 +308,5 @@ TEST(CompletionTest, AsCallbackCarriesStatus) {
   EXPECT_TRUE(c.status().IsDataLoss());
 }
 
-TEST(CountdownLatchTest, CountsDownToZero) {
-  Simulator sim;
-  CountdownLatch latch(3);
-  auto cb = latch.AsCallback();
-  for (int i = 0; i < 3; ++i) {
-    sim.Schedule(static_cast<SimTime>(i), [cb] { cb(Status::Ok()); });
-  }
-  EXPECT_TRUE(WaitFor(&sim, latch));
-  EXPECT_TRUE(latch.done());
-}
-
 }  // namespace
 }  // namespace postblock::sim

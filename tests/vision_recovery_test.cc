@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "blocklayer/request.h"
 #include "common/rng.h"
 #include "core/nameless.h"
 #include "db/storage_manager.h"
-#include "host/command.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
 
@@ -247,7 +247,7 @@ TEST(AppendDeviceTest, StaleNamesAreNotFoundNeverAliased) {
   auto write = [&](std::uint64_t token) {
     std::uint64_t name = 0;
     bool fired = false;
-    dev.Execute(host::Command::NamelessWrite(
+    dev.Submit(blocklayer::IoRequest::NamelessWrite(
         token, [&](const blocklayer::IoResult& r) {
           ASSERT_TRUE(r.status.ok()) << r.status;
           name = r.tokens[0];
@@ -258,7 +258,7 @@ TEST(AppendDeviceTest, StaleNamesAreNotFoundNeverAliased) {
   };
   const std::uint64_t doomed = write(0xdead);
   bool freed = false;
-  dev.Execute(host::Command::NamelessFree(
+  dev.Submit(blocklayer::IoRequest::NamelessFree(
       doomed, [&](const blocklayer::IoResult& r) {
         ASSERT_TRUE(r.status.ok());
         freed = true;
@@ -273,7 +273,7 @@ TEST(AppendDeviceTest, StaleNamesAreNotFoundNeverAliased) {
   EXPECT_EQ(fresh.size(), fill);        // all distinct
   EXPECT_EQ(fresh.count(doomed), 0u);   // the dead name never reissued
   Status st = Status::Ok();
-  dev.Execute(host::Command::NamelessRead(
+  dev.Submit(blocklayer::IoRequest::NamelessRead(
       doomed,
       [&](const blocklayer::IoResult& r) { st = r.status; }));
   sim.Run();
