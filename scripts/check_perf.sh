@@ -10,13 +10,16 @@
 # It also runs the perfbench layer ladder once (aged_mix, seed 1, 10 s,
 # traced; ~45 s on a 4-core host). A non-zero perfbench exit or a last
 # line without the ladder metrics counts as a FAIL, like a bench that
-# wrote no gates.
+# wrote no gates. The same run prints the untraced repetitions'
+# footprint ("metric peak_rss_mb" and "metric setup_s" lines); a missing
+# line counts as a FAIL too.
 #
 # Each run appends one JSON line to bench/trajectory.jsonl, the committed
 # perf history: the short git SHA ("-dirty" when the tree differs from
 # it), nproc, every gate's name, observed value, op, bound, noise floor
-# and verdict, and a "ladder" object holding wall_ns, events and allocs
-# per op for each rung (sim, resource, ssd, ftl, blocklayer, vbd, db).
+# and verdict, a "ladder" object holding wall_ns, events and allocs per
+# op for each rung (sim, resource, ssd, ftl, blocklayer, vbd, db), and
+# an "aged_mix" object holding that run's peak_rss_mb and setup_s.
 #
 # Usage: scripts/check_perf.sh [build-dir]     (default: build-perf)
 set -uo pipefail
@@ -70,9 +73,11 @@ def num(x):
 sha, nproc = sys.argv[1], int(sys.argv[2])
 ladder_rc, ladder_out, paths = int(sys.argv[3]), sys.argv[4], sys.argv[5:]
 RUNGS = ("sim", "resource", "ssd", "ftl", "blocklayer", "vbd", "db")
+FOOTPRINT = ("peak_rss_mb", "setup_s")
 counts = collections.Counter()
 history = []
 ladder = None
+aged_mix = None
 for path in paths:
     try:
         gates = json.load(open(path))["gates"]
@@ -102,9 +107,27 @@ except (OSError, ValueError, KeyError, IndexError) as e:
     print(f"FAIL       perfbench ladder: {e}")
     counts["FAIL"] += 1
     history.append({"name": "perfbench.ladder", "verdict": "FAIL"})
+try:
+    found = {}
+    with open(ladder_out) as f:
+        for line in f:
+            parts = line.split()
+            if len(parts) >= 3 and parts[0] == "metric" and \
+                    parts[1] in FOOTPRINT:
+                found[parts[1]] = float(parts[2])
+    missing = [k for k in FOOTPRINT if k not in found]
+    if missing:
+        raise ValueError("no metric line for " + ", ".join(missing))
+    aged_mix = found
+    print(f"aged_mix   peak_rss_mb {num(found['peak_rss_mb'])} MB, "
+          f"setup_s {num(found['setup_s'])} s")
+except (OSError, ValueError) as e:
+    print(f"FAIL       perfbench aged_mix footprint: {e}")
+    counts["FAIL"] += 1
+    history.append({"name": "perfbench.aged_mix", "verdict": "FAIL"})
 with open("bench/trajectory.jsonl", "a") as out:
     out.write(json.dumps({"sha": sha, "nproc": nproc, "gates": history,
-                          "ladder": ladder}) + "\n")
+                          "ladder": ladder, "aged_mix": aged_mix}) + "\n")
 print("check_perf: " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
 sys.exit(1 if counts["FAIL"] else 0)
 PY

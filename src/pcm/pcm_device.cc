@@ -5,14 +5,47 @@
 
 namespace postblock::pcm {
 
+namespace {
+// Calls fn(chunk index, offset in the chunk, offset in the range, n) for
+// each piece of [addr, addr + len) that lies in one chunk, in order.
+template <typename Fn>
+void ForEachPiece(std::uint64_t chunk_bytes, std::uint64_t addr,
+                  std::uint64_t len, Fn&& fn) {
+  for (std::uint64_t pos = 0; pos < len;) {
+    const std::uint64_t at = addr + pos;
+    const std::uint64_t off = at % chunk_bytes;
+    const std::uint64_t n = std::min(len - pos, chunk_bytes - off);
+    fn(at / chunk_bytes, off, pos, n);
+    pos += n;
+  }
+}
+}  // namespace
+
 PcmDevice::PcmDevice(sim::Simulator* sim, const PcmConfig& config)
     : sim_(sim),
       config_(config),
-      bytes_(config.capacity_bytes, 0),
-      line_wear_((config.capacity_bytes + config.line_bytes - 1) /
-                     config.line_bytes,
-                 0),
+      chunk_bytes_(
+          std::max<std::uint64_t>(1, kChunkBytes / config.line_bytes) *
+          config.line_bytes),
+      chunks_((config.capacity_bytes + chunk_bytes_ - 1) / chunk_bytes_),
       bus_(sim, "pcm-bus", static_cast<int>(config.banks)) {}
+
+bool PcmDevice::InRange(std::uint64_t addr, std::uint64_t len) const {
+  return len <= config_.capacity_bytes &&
+         addr <= config_.capacity_bytes - len;
+}
+
+PcmDevice::Chunk& PcmDevice::Commit(std::uint64_t index) {
+  Chunk& c = chunks_[index];
+  if (c.bytes.empty()) {
+    const std::uint64_t n = std::min(
+        chunk_bytes_, config_.capacity_bytes - index * chunk_bytes_);
+    c.bytes.assign(n, 0);
+    c.wear.assign((n + config_.line_bytes - 1) / config_.line_bytes, 0);
+    committed_bytes_ += n;
+  }
+  return c;
+}
 
 std::uint64_t PcmDevice::LinesFor(std::uint64_t addr,
                                   std::uint64_t len) const {
@@ -35,7 +68,7 @@ SimTime PcmDevice::WriteLatency(std::uint64_t len) const {
 void PcmDevice::Write(std::uint64_t addr,
                       const std::vector<std::uint8_t>& data,
                       StatusCb on_done) {
-  if (addr + data.size() > config_.capacity_bytes) {
+  if (!InRange(addr, data.size())) {
     on_done(Status::OutOfRange("pcm write beyond capacity"));
     return;
   }
@@ -43,12 +76,10 @@ void PcmDevice::Write(std::uint64_t addr,
   st->addr = addr;
   st->data.assign(data.begin(), data.end());
   st->latency = WriteLatency(data.size());
-  st->first_line = addr / config_.line_bytes;
-  st->lines = LinesFor(addr, data.size());
   st->epoch = epoch_;
   st->on_done = std::move(on_done);
   counters_.Increment("writes");
-  counters_.Add("lines_written", st->lines);
+  counters_.Add("lines_written", LinesFor(addr, data.size()));
   bus_.Acquire([this, st] {
     sim_->Schedule(st->latency, [this, st] { FinishStore(st); });
   });
@@ -59,17 +90,26 @@ void PcmDevice::FinishStore(Store* st) {
   StatusCb on_done = std::move(st->on_done);
   const bool landed = st->epoch == epoch_;  // else: power cut mid-store
   if (landed) {
-    std::memcpy(bytes_.data() + st->addr, st->data.data(), st->data.size());
-    for (std::uint64_t l = 0; l < st->lines; ++l) {
-      ++line_wear_[st->first_line + l];
-    }
+    const std::uint64_t line_bytes = config_.line_bytes;
+    // A chunk holds whole lines, so a piece's lines are the chunk's own.
+    ForEachPiece(chunk_bytes_, st->addr, st->data.size(),
+                 [&](std::uint64_t index, std::uint64_t off,
+                     std::uint64_t pos, std::uint64_t n) {
+                   Chunk& c = Commit(index);
+                   std::memcpy(c.bytes.data() + off, st->data.data() + pos,
+                               n);
+                   const std::uint64_t last = (off + n - 1) / line_bytes;
+                   for (std::uint64_t l = off / line_bytes; l <= last; ++l) {
+                     ++c.wear[l];
+                   }
+                 });
   }
   stores_.Release(st);
   if (landed) on_done(Status::Ok());
 }
 
 void PcmDevice::Read(std::uint64_t addr, std::uint64_t len, ReadCb on_done) {
-  if (addr + len > config_.capacity_bytes) {
+  if (!InRange(addr, len)) {
     on_done(Status::OutOfRange("pcm read beyond capacity"));
     return;
   }
@@ -82,25 +122,33 @@ void PcmDevice::Read(std::uint64_t addr, std::uint64_t len, ReadCb on_done) {
                              on_done = std::move(on_done)]() {
       bus_.Release();
       if (epoch != epoch_) return;  // power cut: caller is gone
-      std::vector<std::uint8_t> out(bytes_.begin() + addr,
-                                    bytes_.begin() + addr + len);
-      on_done(std::move(out));
+      on_done(Peek(addr, len));
     });
   });
 }
 
 StatusOr<std::vector<std::uint8_t>> PcmDevice::Peek(std::uint64_t addr,
                                                     std::uint64_t len) const {
-  if (addr + len > config_.capacity_bytes) {
+  if (!InRange(addr, len)) {
     return Status::OutOfRange("pcm peek beyond capacity");
   }
-  return std::vector<std::uint8_t>(bytes_.begin() + addr,
-                                   bytes_.begin() + addr + len);
+  std::vector<std::uint8_t> out(len, 0);  // never-stored chunks read 0
+  ForEachPiece(chunk_bytes_, addr, len,
+               [&](std::uint64_t index, std::uint64_t off, std::uint64_t pos,
+                   std::uint64_t n) {
+                 const Chunk& c = chunks_[index];
+                 if (!c.bytes.empty()) {
+                   std::memcpy(out.data() + pos, c.bytes.data() + off, n);
+                 }
+               });
+  return out;
 }
 
 std::uint64_t PcmDevice::MaxLineWear() const {
   std::uint32_t m = 0;
-  for (auto w : line_wear_) m = std::max(m, w);
+  for (const Chunk& c : chunks_) {
+    for (auto w : c.wear) m = std::max(m, w);
+  }
   return m;
 }
 

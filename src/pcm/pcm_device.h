@@ -32,11 +32,22 @@ struct PcmConfig {
 /// target for synchronous persistence). Access is modeled as occupying
 /// one of `banks` concurrent units for the per-line latency — there is
 /// no block indirection, no erase, no garbage collection.
+///
+/// Modeled capacity is not host memory. `capacity_bytes` bounds the
+/// address space; the contents and per-line wear counters live in
+/// chunks of kChunkBytes (rounded down to whole lines, so a line never
+/// spans two chunks), and a chunk is allocated zeroed when the first
+/// store into it lands. A never-stored chunk reads as zeros, exactly as
+/// a fresh device would, so a 64 MiB device that holds a 4 KiB log
+/// commits one chunk.
 class PcmDevice {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;
   using ReadCb =
       sim::InplaceFunction<void(StatusOr<std::vector<std::uint8_t>>)>;
+
+  /// Modeled bytes per committed chunk.
+  static constexpr std::uint64_t kChunkBytes = 64 * kKiB;
 
   PcmDevice(sim::Simulator* sim, const PcmConfig& config);
 
@@ -54,7 +65,8 @@ class PcmDevice {
   /// Reads `len` bytes from `addr`.
   void Read(std::uint64_t addr, std::uint64_t len, ReadCb on_done);
 
-  /// Synchronous state inspection for tests (no timing).
+  /// The bytes a load of [addr, addr + len) returns now, without
+  /// timing: state inspection for tests, and Read's completion.
   StatusOr<std::vector<std::uint8_t>> Peek(std::uint64_t addr,
                                            std::uint64_t len) const;
 
@@ -63,8 +75,15 @@ class PcmDevice {
   SimTime WriteLatency(std::uint64_t len) const;
 
   /// Max per-line write count (wear; the paper notes PCM-based SSDs
-  /// still need wear management).
+  /// still need wear management). Only committed chunks have been
+  /// written, so only they are scanned.
   std::uint64_t MaxLineWear() const;
+
+  /// Modeled bytes backed by committed chunks: 0 before the first
+  /// store, then the whole chunks stored to (the device's last chunk
+  /// may be short). Host memory is this plus 4 bytes of wear counter
+  /// per line.
+  std::uint64_t committed_bytes() const { return committed_bytes_; }
 
   /// Simulates power loss: contents persist (it's PCM) but in-flight
   /// stores/loads are dropped — their callbacks never fire and a torn
@@ -86,19 +105,29 @@ class PcmDevice {
     std::uint64_t addr = 0;
     std::vector<std::uint8_t> data;
     SimTime latency = 0;
-    std::uint64_t first_line = 0;
-    std::uint64_t lines = 0;
     std::uint64_t epoch = 0;
     StatusCb on_done;
   };
 
+  /// One chunk's contents and its lines' wear counters; both empty
+  /// until the first store into the chunk lands.
+  struct Chunk {
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint32_t> wear;
+  };
+
+  /// True iff [addr, addr + len) lies within the capacity (no wrap).
+  bool InRange(std::uint64_t addr, std::uint64_t len) const;
   std::uint64_t LinesFor(std::uint64_t addr, std::uint64_t len) const;
   void FinishStore(Store* st);
+  /// Chunk `index`, allocated zeroed if no store has reached it yet.
+  Chunk& Commit(std::uint64_t index);
 
   sim::Simulator* sim_;
   PcmConfig config_;
-  std::vector<std::uint8_t> bytes_;
-  std::vector<std::uint32_t> line_wear_;
+  std::uint64_t chunk_bytes_;  // kChunkBytes rounded down to whole lines
+  std::vector<Chunk> chunks_;
+  std::uint64_t committed_bytes_ = 0;
   sim::Resource bus_;
   sim::RecordPool<Store> stores_;
   std::uint64_t epoch_ = 0;

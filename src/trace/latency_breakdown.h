@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/histogram.h"
 #include "trace/trace.h"
@@ -12,10 +13,18 @@ namespace postblock::trace {
 /// Folds stage events into per-stage latency histograms and per
 /// (stage, origin) nanosecond totals as they are recorded, so the
 /// answer to "where did the microseconds go" survives even after the
-/// event ring has wrapped. Fixed-size arrays, no allocation per event
-/// (Histogram buckets are allocated once at construction).
+/// event ring has wrapped. Fixed-size arrays, no allocation per event.
+/// The per-stage histograms are allocated by Allocate(), which the
+/// Tracer calls when it is first enabled, so a breakdown that never
+/// records costs no histogram memory.
 class LatencyBreakdown {
  public:
+  /// Allocates the per-stage histograms; later calls do nothing. Add()
+  /// needs them.
+  void Allocate() {
+    if (hist_.empty()) hist_.resize(kStages);
+  }
+
   void Add(Stage stage, Origin origin, std::uint64_t dur_ns) {
     const std::size_t i = Index(stage, origin);
     totals_[i] += dur_ns;
@@ -33,11 +42,6 @@ class LatencyBreakdown {
     return counts_[Index(stage, origin)];
   }
   std::uint64_t Count(Stage stage) const;
-
-  /// Duration distribution of one stage across all origins.
-  const Histogram& hist(Stage stage) const {
-    return hist_[static_cast<std::size_t>(stage)];
-  }
 
   /// Sum of the per-IO attribution stages (kQueueWait..kCellOp) for one
   /// origin — for a single-page host IO this equals the kIo end-to-end
@@ -60,7 +64,7 @@ class LatencyBreakdown {
 
   std::uint64_t totals_[kStages * kOrigins] = {};
   std::uint64_t counts_[kStages * kOrigins] = {};
-  Histogram hist_[kStages];
+  std::vector<Histogram> hist_;  // one per stage, once allocated
 };
 
 }  // namespace postblock::trace

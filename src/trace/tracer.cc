@@ -10,10 +10,14 @@ std::size_t RoundUpPow2(std::size_t v) {
 }
 }  // namespace
 
-Tracer::Tracer(std::size_t capacity) {
-  const std::size_t cap = RoundUpPow2(capacity);
-  mask_ = cap - 1;
-  ring_.resize(cap);
+Tracer::Tracer(std::size_t capacity) : mask_(RoundUpPow2(capacity) - 1) {}
+
+void Tracer::set_enabled(bool on) {
+  if (on && ring_.empty()) {
+    ring_.resize(capacity());
+    breakdown_.Allocate();
+  }
+  enabled_ = on;
 }
 
 std::uint32_t Tracer::RegisterTrack(std::uint32_t pid,

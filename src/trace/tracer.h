@@ -29,21 +29,26 @@ struct TraceEvent {
 /// The cross-layer tracing core: a fixed-capacity ring of TraceEvents
 /// plus the running LatencyBreakdown. One Tracer is shared by every
 /// layer of a simulated stack; layers hold a raw pointer and call the
-/// inline Record() which is a no-op branch when disabled. All memory
-/// is allocated up front (ring) or on the cold path (track registry),
-/// so the simulator hot path stays zero-alloc with tracing on or off.
+/// inline Record() which is a no-op branch when disabled. Construction
+/// allocates nothing: the ring and the breakdown's histograms are
+/// allocated once, at the first set_enabled(true), so a tracer that is
+/// attached but never enabled costs no memory for them. The track
+/// registry grows on the cold path. Record() never allocates, so the
+/// simulator hot path stays zero-alloc with tracing on or off.
 ///
 /// Ring overflow keeps the newest events (oldest are overwritten) and
 /// counts the drops; the LatencyBreakdown always sees every event, so
 /// aggregate attribution is exact even when the timeline is truncated.
 class Tracer {
  public:
-  /// `capacity` is rounded up to a power of two (min 16).
+  /// `capacity` is rounded up to a power of two (min 16). The ring of
+  /// that many events is allocated at the first set_enabled(true).
   explicit Tracer(std::size_t capacity = 1 << 16);
 
   /// Master switch. Off: NewSpan() returns 0 and Record() is a single
-  /// predictable branch. On: spans are minted and events recorded.
-  void set_enabled(bool on) { enabled_ = on; }
+  /// predictable branch. On: spans are minted and events recorded. The
+  /// first switch-on allocates the ring; later ones reuse it.
+  void set_enabled(bool on);
   bool enabled() const { return enabled_; }
 
   SpanId NewSpan() { return enabled_ ? ++last_span_ : 0; }

@@ -19,6 +19,9 @@
 // device's set-up also bounds how often the event core's timing wheel
 // handles each event (placements per event).
 //
+// A tracer costs no ring memory until it is first enabled, so a stack
+// built with a tracer attached but off allocates nothing for it.
+//
 // Its own binary: the global operator new below counts every heap
 // allocation in the process.
 
@@ -40,6 +43,7 @@
 #include "ssd/config.h"
 #include "ssd/device.h"
 #include "ssd/sharded_device.h"
+#include "trace/tracer.h"
 #include "vbd/backend.h"
 
 namespace {
@@ -377,6 +381,47 @@ INSTANTIATE_TEST_SUITE_P(Wirings, DbAllocTest,
                          [](const ::testing::TestParamInfo<db::Wiring>& i) {
                            return std::string(db::WiringName(i.param));
                          });
+
+TEST(TracerAllocTest, ConstructionMakesNoHeapAllocation) {
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  trace::Tracer tracer;
+  // Disabled, recording is a no-op: no ring to write into is needed.
+  tracer.Record(trace::Stage::kIo, trace::Origin::kHostRead, 1, 0, 0, 0, 9);
+  tracer.set_enabled(false);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - a0, 0u);
+  EXPECT_EQ(tracer.capacity(), std::size_t{1} << 16);
+}
+
+TEST(TracerAllocTest, FirstEnableAllocatesTheRingOnce) {
+  trace::Tracer tracer(64);
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  tracer.set_enabled(true);  // the ring and the breakdown's histograms
+  EXPECT_GT(g_allocs.load(std::memory_order_relaxed) - a0, 0u);
+
+  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < 100; ++i) {  // wraps the 64-event ring
+    tracer.Record(trace::Stage::kIo, trace::Origin::kHostRead, i + 1, 0, 0,
+                  i, i + 1, i);
+  }
+  tracer.set_enabled(false);
+  tracer.set_enabled(true);
+  tracer.Record(trace::Stage::kIo, trace::Origin::kHostRead, 101, 0, 0, 100,
+                101, 100);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - a1, 0u)
+      << "recording and re-enabling must reuse the ring";
+  EXPECT_EQ(tracer.size(), 64u);
+  EXPECT_EQ(tracer.total_recorded(), 101u);
+}
+
+TEST(TracerAllocTest, NeverEnabledTracerHoldsNoEvents) {
+  trace::Tracer tracer(64);
+  tracer.Record(trace::Stage::kIo, trace::Origin::kHostRead, 1, 0, 0, 0, 9);
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  std::uint64_t visited = 0;
+  tracer.ForEach([&](const trace::TraceEvent&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+}
 
 }  // namespace
 }  // namespace postblock::ssd

@@ -1,5 +1,7 @@
 // PcmDevice + PcmLog + Hdd device-model tests.
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +76,53 @@ TEST(PcmDeviceTest, OutOfRangeRejected) {
   EXPECT_TRUE(dev.Peek(1000, 100).status().IsOutOfRange());
 }
 
+// addr + len wraps past 2^64 in each of these: the range check must
+// reject them instead of letting the wrapped sum pass.
+constexpr std::uint64_t kTopAddr =
+    std::numeric_limits<std::uint64_t>::max() - 3;
+
+TEST(PcmDeviceTest, WriteWrappingTheAddressSpaceIsOutOfRange) {
+  sim::Simulator sim;
+  pcm::PcmConfig cfg;
+  cfg.capacity_bytes = 1024;
+  pcm::PcmDevice dev(&sim, cfg);
+  Status seen;
+  dev.Write(kTopAddr, std::vector<std::uint8_t>(8, 1),
+            [&](Status st) { seen = st; });
+  sim.Run();
+  EXPECT_TRUE(seen.IsOutOfRange());
+  EXPECT_EQ(dev.committed_bytes(), 0u);
+}
+
+TEST(PcmDeviceTest, ReadWrappingTheAddressSpaceIsOutOfRange) {
+  sim::Simulator sim;
+  pcm::PcmConfig cfg;
+  cfg.capacity_bytes = 1024;
+  pcm::PcmDevice dev(&sim, cfg);
+  int out_of_range = 0;
+  auto expect_out_of_range = [&](StatusOr<std::vector<std::uint8_t>> r) {
+    out_of_range += r.status().IsOutOfRange();
+  };
+  dev.Read(kTopAddr, 8, expect_out_of_range);
+  dev.Read(16, std::numeric_limits<std::uint64_t>::max(),
+           expect_out_of_range);
+  sim.Run();
+  EXPECT_EQ(out_of_range, 2);
+}
+
+TEST(PcmDeviceTest, PeekWrappingTheAddressSpaceIsOutOfRange) {
+  sim::Simulator sim;
+  pcm::PcmConfig cfg;
+  cfg.capacity_bytes = 1024;
+  pcm::PcmDevice dev(&sim, cfg);
+  EXPECT_TRUE(dev.Peek(kTopAddr, 8).status().IsOutOfRange());
+  EXPECT_TRUE(dev.Peek(16, std::numeric_limits<std::uint64_t>::max())
+                  .status()
+                  .IsOutOfRange());
+  // The last byte is still in range.
+  EXPECT_TRUE(dev.Peek(1023, 1).ok());
+}
+
 TEST(PcmDeviceTest, WearTracksLineWrites) {
   sim::Simulator sim;
   pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
@@ -97,6 +146,127 @@ TEST(PcmDeviceTest, BanksAllowConcurrentAccess) {
   sim.Run();
   EXPECT_EQ(done, 4);
   EXPECT_EQ(sim.Now(), 500u);  // all four in parallel
+}
+
+// --- PcmDevice chunks ------------------------------------------------------
+
+constexpr std::uint64_t kChunk = pcm::PcmDevice::kChunkBytes;
+
+std::vector<std::uint8_t> ReadSync(sim::Simulator* sim, pcm::PcmDevice* dev,
+                                   std::uint64_t addr, std::uint64_t len) {
+  std::vector<std::uint8_t> got;
+  dev->Read(addr, len, [&](StatusOr<std::vector<std::uint8_t>> r) {
+    ASSERT_TRUE(r.ok());
+    got = *r;
+  });
+  sim->Run();
+  return got;
+}
+
+void WriteSync(sim::Simulator* sim, pcm::PcmDevice* dev, std::uint64_t addr,
+               const std::vector<std::uint8_t>& data) {
+  bool done = false;
+  dev->Write(addr, data, [&](Status st) {
+    ASSERT_TRUE(st.ok());
+    done = true;
+  });
+  sim->Run();
+  ASSERT_TRUE(done);
+}
+
+TEST(PcmChunkTest, StoreAndLoadStraddleAChunkBoundary) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  std::vector<std::uint8_t> payload(100);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  WriteSync(&sim, &dev, kChunk - 50, payload);
+  EXPECT_EQ(dev.committed_bytes(), 2 * kChunk);
+  EXPECT_EQ(ReadSync(&sim, &dev, kChunk - 50, 100), payload);
+  EXPECT_EQ(*dev.Peek(kChunk - 50, 100), payload);
+  // A load of one side only sees that side's bytes.
+  EXPECT_EQ(*dev.Peek(kChunk, 50),
+            std::vector<std::uint8_t>(payload.begin() + 50, payload.end()));
+}
+
+TEST(PcmChunkTest, NeverStoredRangeReadsZeros) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  const std::vector<std::uint8_t> zeros(300, 0);
+  EXPECT_EQ(ReadSync(&sim, &dev, 5 * kChunk + 7, 300), zeros);
+  EXPECT_EQ(*dev.Peek(5 * kChunk + 7, 300), zeros);
+
+  // A range that starts in a stored chunk and ends in a never-stored one.
+  WriteSync(&sim, &dev, kChunk - 10, std::vector<std::uint8_t>(10, 0xff));
+  std::vector<std::uint8_t> expect(20, 0);
+  std::fill(expect.begin(), expect.begin() + 10, 0xff);
+  EXPECT_EQ(ReadSync(&sim, &dev, kChunk - 10, 20), expect);
+  EXPECT_EQ(*dev.Peek(kChunk - 10, 20), expect);
+  // Loads commit nothing.
+  EXPECT_EQ(dev.committed_bytes(), kChunk);
+}
+
+TEST(PcmChunkTest, MaxLineWearCountsALineInALaterChunk) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  WriteSync(&sim, &dev, 0, std::vector<std::uint8_t>(64, 1));
+  for (int i = 0; i < 3; ++i) {
+    WriteSync(&sim, &dev, 10 * kChunk + 64, std::vector<std::uint8_t>(64, 2));
+  }
+  EXPECT_EQ(dev.MaxLineWear(), 3u);
+}
+
+TEST(PcmChunkTest, TornStoreLeavesOldBytesInBothChunks) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  const std::vector<std::uint8_t> old_bytes(64, 0x11);
+  WriteSync(&sim, &dev, kChunk - 32, old_bytes);
+
+  bool fired = false;
+  dev.Write(kChunk - 32, std::vector<std::uint8_t>(64, 0x22),
+            [&](Status) { fired = true; });
+  // A torn store into a never-stored chunk commits nothing either.
+  dev.Write(7 * kChunk - 32, std::vector<std::uint8_t>(64, 0x22),
+            [&](Status) { fired = true; });
+  dev.PowerCycle();
+  sim.Run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(*dev.Peek(kChunk - 32, 64), old_bytes);
+  EXPECT_EQ(*dev.Peek(7 * kChunk - 32, 64),
+            std::vector<std::uint8_t>(64, 0));
+  EXPECT_EQ(dev.committed_bytes(), 2 * kChunk);
+  EXPECT_EQ(dev.MaxLineWear(), 1u);
+}
+
+TEST(PcmChunkTest, DefaultDeviceCommitsOnlyTheChunksStoredTo) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  ASSERT_EQ(dev.config().capacity_bytes, 64 * kMiB);
+  EXPECT_EQ(dev.committed_bytes(), 0u);
+  EXPECT_EQ(dev.MaxLineWear(), 0u);
+
+  WriteSync(&sim, &dev, 0, std::vector<std::uint8_t>(8, 1));
+  EXPECT_EQ(dev.committed_bytes(), kChunk);
+  WriteSync(&sim, &dev, 40 * kChunk + 5, std::vector<std::uint8_t>(8, 1));
+  EXPECT_EQ(dev.committed_bytes(), 2 * kChunk);
+  // Storing again into a committed chunk commits nothing new.
+  WriteSync(&sim, &dev, 100, std::vector<std::uint8_t>(8, 1));
+  EXPECT_EQ(dev.committed_bytes(), 2 * kChunk);
+  // The device's last byte is the end of its last chunk.
+  WriteSync(&sim, &dev, 64 * kMiB - 1, {9});
+  EXPECT_EQ(dev.committed_bytes(), 3 * kChunk);
+}
+
+TEST(PcmChunkTest, ShortLastChunkIsCommittedAtItsOwnSize) {
+  sim::Simulator sim;
+  pcm::PcmConfig cfg;
+  cfg.capacity_bytes = kChunk + 100;
+  pcm::PcmDevice dev(&sim, cfg);
+  WriteSync(&sim, &dev, kChunk + 90, std::vector<std::uint8_t>(10, 3));
+  EXPECT_EQ(dev.committed_bytes(), 100u);
+  EXPECT_EQ(*dev.Peek(kChunk + 90, 10), std::vector<std::uint8_t>(10, 3));
+  EXPECT_EQ(dev.MaxLineWear(), 1u);
 }
 
 // --- PcmLog -----------------------------------------------------------------
@@ -188,6 +358,46 @@ TEST(PcmLogTest, RegionOffsetIsolatesLogs) {
   ASSERT_EQ(b.RecoverAll().size(), 1u);
   EXPECT_EQ(a.RecoverAll()[0][0], 1);
   EXPECT_EQ(b.RecoverAll()[0][0], 2);
+}
+
+TEST(PcmLogTest, RecordsSpanningChunksRecoverAfterPowerCut) {
+  sim::Simulator sim;
+  pcm::PcmDevice dev(&sim, pcm::PcmConfig{});
+  // The region starts mid-chunk, so records straddle each boundary.
+  core::PcmLog log(&sim, &dev, kChunk / 2, 4 * kChunk);
+  std::vector<std::vector<std::uint8_t>> acked;
+  for (std::uint32_t i = 0; log.head() < 3 * kChunk; ++i) {
+    std::vector<std::uint8_t> rec(1000 + i % 7);
+    for (std::size_t b = 0; b < rec.size(); ++b) {
+      rec[b] = static_cast<std::uint8_t>(i * 31 + b);
+    }
+    bool ok = false;
+    log.Append(rec, [&](StatusOr<core::Lsn> r) { ok = r.ok(); });
+    sim.Run();
+    ASSERT_TRUE(ok) << "record " << i;
+    acked.push_back(std::move(rec));
+  }
+  EXPECT_EQ(dev.committed_bytes(), 4 * kChunk);
+
+  // The next append is in flight when the power goes.
+  const std::uint64_t durable_head = log.head();
+  bool fired = false;
+  log.Append(std::vector<std::uint8_t>(500, 0xee),
+             [&](StatusOr<core::Lsn>) { fired = true; });
+  dev.PowerCycle();
+  sim.Run();
+  EXPECT_FALSE(fired);
+
+  EXPECT_EQ(log.RecoverAll(), acked);
+  log.ResetAfterCrash();
+  EXPECT_EQ(log.head(), durable_head);
+  // The log appends after the recovered chain.
+  bool ok = false;
+  log.Append({42}, [&](StatusOr<core::Lsn> r) { ok = r.ok(); });
+  sim.Run();
+  ASSERT_TRUE(ok);
+  acked.push_back({42});
+  EXPECT_EQ(log.RecoverAll(), acked);
 }
 
 // --- Hdd ---------------------------------------------------------------------
