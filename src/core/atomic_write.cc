@@ -4,19 +4,20 @@
 
 namespace postblock::core {
 
-AtomicWriter::AtomicWriter(sim::Simulator* sim, ftl::PageFtl* ftl)
-    : sim_(sim), ftl_(ftl) {}
+AtomicWriter::AtomicWriter(sim::Simulator* sim, host::HostInterface* dev)
+    : sim_(sim), dev_(dev) {}
 
 void AtomicWriter::WriteAtomic(
     std::vector<std::pair<Lba, std::uint64_t>> pages, StatusCb cb) {
   const SimTime start = sim_->Now();
   counters_.Increment("atomic_writes");
   counters_.Add("pages", pages.size());
-  ftl_->WriteAtomic(std::move(pages),
-                    [this, start, cb = std::move(cb)](Status st) {
-                      latency_.Record(sim_->Now() - start);
-                      cb(std::move(st));
-                    });
+  dev_->Submit(blocklayer::IoRequest::AtomicGroup(
+      std::move(pages), [this, start, cb = std::move(cb)](
+                            const blocklayer::IoResult& res) {
+        latency_.Record(sim_->Now() - start);
+        cb(res.status);
+      }));
 }
 
 JournaledAtomicWriter::JournaledAtomicWriter(sim::Simulator* sim,

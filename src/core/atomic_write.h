@@ -9,7 +9,7 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "ftl/page_ftl.h"
+#include "host/command.h"
 #include "sim/inplace_callback.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
@@ -21,11 +21,16 @@ namespace postblock::core {
 /// does copy-on-write, so atomicity costs one extra commit-marker page;
 /// mappings flip all-or-nothing, and recovery discards uncommitted
 /// groups.
+///
+/// A pure host-side client of the host API: each group is one
+/// IoRequest::AtomicGroup through HostInterface::Submit, so it runs
+/// over any stack that passes the op through, and completes
+/// Unimplemented on one that cannot express it.
 class AtomicWriter {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;
 
-  AtomicWriter(sim::Simulator* sim, ftl::PageFtl* ftl);
+  AtomicWriter(sim::Simulator* sim, host::HostInterface* dev);
 
   void WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
                    StatusCb cb);
@@ -35,7 +40,7 @@ class AtomicWriter {
 
  private:
   sim::Simulator* sim_;
-  ftl::PageFtl* ftl_;
+  host::HostInterface* dev_;
   Histogram latency_;
   Counters counters_;
 };

@@ -24,12 +24,11 @@ namespace postblock::core {
 /// page, so the host can update its name.
 ///
 /// This is a pure host-side client of the host API: every operation is
-/// a blocklayer::IoRequest through HostInterface::Submit, so the
-/// same store runs over a page-map device (which emulates names over
-/// hidden LBA slots) or a vision-append device (where a name *is* the
-/// physical address) — and over any layer stack in between, since the
-/// layers pass the nameless vocabulary through. Device-side slot or
-/// append bookkeeping is the device's business, not this class's.
+/// a blocklayer::IoRequest through HostInterface::Submit, so the same
+/// store runs over a vision-append device (where a name *is* the
+/// physical address) and over any layer stack in between, since the
+/// layers pass the nameless vocabulary through. A stack whose device
+/// issues no names (every other FTL) says so through Supports.
 class NamelessStore {
  public:
   /// An opaque device-issued name.

@@ -219,10 +219,12 @@ void StorageManager::OnMetaPinned(Ckpt* ck, StatusOr<Frame*> meta) {
     CheckpointNameless(ck);
     return;
   }
-  if (config_.wiring == Wiring::kVision && device_->page_ftl() != nullptr) {
+  if (config_.wiring == Wiring::kVision &&
+      direct_->Supports(blocklayer::IoOp::kAtomicGroup)) {
     // Atomic checkpoint: every dirty page + meta flips visibility as
     // one group — no torn-checkpoint window (the paper's atomic-write
-    // command, ref [17]).
+    // command, ref [17]). A capability probe, like the append-region
+    // probe that wires the host map.
     std::vector<std::pair<Lba, std::uint64_t>> group;
     ck->ids.clear();
     pool_->DirtyFrames(&ck->dirty);
@@ -232,13 +234,14 @@ void StorageManager::OnMetaPinned(Ckpt* ck, StatusOr<Frame*> meta) {
     }
     ck->mark = images_.last_token();
     counters_.Add("checkpoint_pages", group.size());
-    device_->page_ftl()->WriteAtomic(std::move(group), [this, ck](Status st) {
-      if (st.ok()) {
-        for (PageId id : ck->ids) pool_->MarkClean(id);
-        images_.AcknowledgeThrough(ck->mark);
-      }
-      OnCheckpointFlushed(ck, std::move(st));
-    });
+    direct_->Submit(blocklayer::IoRequest::AtomicGroup(
+        std::move(group), [this, ck](const blocklayer::IoResult& res) {
+          if (res.status.ok()) {
+            for (PageId id : ck->ids) pool_->MarkClean(id);
+            images_.AcknowledgeThrough(ck->mark);
+          }
+          OnCheckpointFlushed(ck, res.status);
+        }));
     return;
   }
   // Classic: plain write-back of each dirty page + flush barrier. The

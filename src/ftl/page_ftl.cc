@@ -412,9 +412,6 @@ void PageFtl::ApplyMapping(const PendingWrite& w, const flash::Ppa& ppa) {
       e.ppa = ppa;
       // A copy taken before the cells died rescues a poisoned LBA.
       e.poisoned = false;
-      if (migration_listener_) {
-        migration_listener_(w.lba, w.expected_old, ppa);
-      }
     } else {
       // The host overwrote or trimmed the LBA mid-relocation; the fresh
       // copy is garbage.

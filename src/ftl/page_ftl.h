@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,16 +64,7 @@ class PageFtl : public Ftl {
   void WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
                    WriteCallback cb, trace::Ctx ctx = {});
 
-  /// Called when GC/WL relocates a live page: (lba, old ppa, new ppa).
-  /// Used by the nameless-write layer so host-held names track moves —
-  /// the paper's "communicating peers".
-  using MigrationListener =
-      std::function<void(Lba, flash::Ppa, flash::Ppa)>;
-  void SetMigrationListener(MigrationListener listener) {
-    migration_listener_ = std::move(listener);
-  }
-
-  /// Current physical location of a mapped LBA (nameless reads, tests).
+  /// Current physical location of a mapped LBA (tests, benches).
   std::optional<flash::Ppa> Locate(Lba lba) const;
 
   /// Simulates power loss + reboot: volatile state (mapping, queues,
@@ -274,7 +264,6 @@ class PageFtl : public Ftl {
   std::unique_ptr<WritePlacement> placement_;
   std::unique_ptr<GcPolicy> gc_policy_;
   WearLeveler wear_leveler_;
-  MigrationListener migration_listener_;
   Counters counters_;
 
   trace::Tracer* tracer_ = nullptr;          // == controller's tracer

@@ -1,5 +1,6 @@
 #include "ssd/device.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -10,6 +11,38 @@
 #include "ssd/shard_router.h"
 
 namespace postblock::ssd {
+
+namespace {
+
+/// Completes an op this device does not implement: a typed refusal,
+/// inline and before admission, never a silent drop or an emulation.
+void Refuse(blocklayer::IoRequest& request, const char* why) {
+  if (request.on_complete) {
+    request.on_complete(blocklayer::IoResult{Status::Unimplemented(why), {}});
+  }
+}
+
+/// Adapts a host completion to an FTL answer carrying a status only.
+auto StatusReply(blocklayer::IoCallback done) {
+  return [done = std::move(done)](Status st) {
+    if (done) done(blocklayer::IoResult{std::move(st), {}});
+  };
+}
+
+/// Adapts a host completion to an FTL answer carrying one token: the
+/// name a nameless write was given, or the payload a named read found.
+auto TokenReply(blocklayer::IoCallback done) {
+  return [done = std::move(done)](StatusOr<std::uint64_t> res) {
+    if (!done) return;
+    if (res.ok()) {
+      done(blocklayer::IoResult{Status::Ok(), {*res}});
+    } else {
+      done(blocklayer::IoResult{res.status(), {}});
+    }
+  };
+}
+
+}  // namespace
 
 std::unique_ptr<ftl::Ftl> MakeFtl(Controller* controller) {
   switch (controller->config().ftl) {
@@ -104,29 +137,29 @@ bool Device::RouteUnadmitted(blocklayer::IoRequest& request) {
     case blocklayer::IoOp::kWrite:
     case blocklayer::IoOp::kTrim:
       if (append_ftl_ == nullptr) return false;
-      // No logical address space: a typed refusal before admission,
-      // never a silent drop.
       counters_.Increment("lba_commands_refused");
-      if (request.on_complete) {
-        request.on_complete(blocklayer::IoResult{
-            Status::Unimplemented(
-                "vision-append device has no logical address space"),
-            {}});
-      }
+      Refuse(request, "vision-append device has no logical address space");
       return true;
     case blocklayer::IoOp::kFlush:
       return false;
     case blocklayer::IoOp::kAtomicGroup:
-      SubmitAtomicGroup(std::move(request));
+      if (page_ftl_ == nullptr) {
+        Refuse(request, "atomic groups require the page-mapping FTL");
+      } else {
+        SubmitAtomicGroup(std::move(request));
+      }
       return true;
     case blocklayer::IoOp::kNamelessWrite:
-      SubmitNamelessWrite(std::move(request));
-      return true;
     case blocklayer::IoOp::kNamelessRead:
-      SubmitNamelessRead(std::move(request));
-      return true;
     case blocklayer::IoOp::kNamelessFree:
-      SubmitNamelessFree(std::move(request));
+      // A name is a physical address, and only physical append issues
+      // one: any other FTL refuses the vocabulary rather than park
+      // named pages among the LBAs its block ops use.
+      if (append_ftl_ == nullptr) {
+        Refuse(request, "nameless ops require the vision-append FTL");
+      } else {
+        SubmitNameless(std::move(request));
+      }
       return true;
     case blocklayer::IoOp::kHint:
       RouteNonBlockOp(std::move(request), nullptr, &counters_);
@@ -368,9 +401,8 @@ bool Device::Supports(blocklayer::IoOp op) const {
     case blocklayer::IoOp::kNamelessWrite:
     case blocklayer::IoOp::kNamelessRead:
     case blocklayer::IoOp::kNamelessFree:
-      // Native under vision-append; emulated over hidden LBA slots on
-      // the page-mapping FTL.
-      return append_ftl_ != nullptr || page_ftl_ != nullptr;
+      // Names are physical: only the vision-append FTL issues them.
+      return append_ftl_ != nullptr;
   }
   return false;
 }
@@ -385,216 +417,59 @@ host::DeviceCaps Device::Caps() const {
 }
 
 void Device::SetMigrationHandler(host::MigrationHandler handler) {
-  migration_handler_ = std::move(handler);
-  if (migration_handler_) EnsureMigrationListener();
-}
-
-void Device::EnsureMigrationListener() {
-  if (migration_listener_registered_) return;
   if (append_ftl_ != nullptr) {
-    append_ftl_->SetMigrationListener(
-        [this](std::uint64_t old_name, std::uint64_t new_name) {
-          counters_.Increment("nameless_migrations");
-          if (migration_handler_) migration_handler_(old_name, new_name);
-        });
-    migration_listener_registered_ = true;
-  } else if (page_ftl_ != nullptr) {
-    page_ftl_->SetMigrationListener(
-        [this](Lba lba, flash::Ppa old_ppa, flash::Ppa new_ppa) {
-          OnPageFtlMigration(lba, old_ppa, new_ppa);
-        });
-    migration_listener_registered_ = true;
+    append_ftl_->SetMigrationListener(std::move(handler));
   }
-}
-
-void Device::OnPageFtlMigration(Lba lba, const flash::Ppa& old_ppa,
-                                const flash::Ppa& new_ppa) {
-  // GC/WL moved some page; only named slots concern us, and only if the
-  // host's name still points where the FTL moved from (a slot rewritten
-  // mid-flight keeps its newer name).
-  auto slot = slot_to_name_.find(lba);
-  if (slot == slot_to_name_.end()) return;
-  const std::uint64_t old_name = old_ppa.Flatten(config_.geometry);
-  if (slot->second != old_name) return;
-  const std::uint64_t new_name = new_ppa.Flatten(config_.geometry);
-  name_to_slot_.erase(old_name);
-  name_to_slot_[new_name] = lba;
-  slot->second = new_name;
-  counters_.Increment("nameless_migrations");
-  if (migration_handler_) migration_handler_(old_name, new_name);
 }
 
 void Device::SubmitAtomicGroup(blocklayer::IoRequest request) {
-  if (page_ftl_ == nullptr) {
-    if (request.on_complete) {
-      request.on_complete(blocklayer::IoResult{
-          Status::Unimplemented(
-              "atomic groups require the page-mapping FTL"),
-          {}});
-    }
-    return;
-  }
   counters_.Increment("atomic_groups");
+  // The group is ordered after every write acknowledged before it, so a
+  // buffered copy of one of its LBAs must neither answer a later read
+  // nor drain over it: drop it, as a trim does — and, as for a trim,
+  // only for a group in range, since the FTL refuses the whole group
+  // otherwise.
+  const auto in_range = [this](const auto& extent) {
+    return extent.first < num_blocks();
+  };
+  if (write_buffer_ != nullptr &&
+      std::all_of(request.group.begin(), request.group.end(), in_range)) {
+    for (const auto& extent : request.group) write_buffer_->Drop(extent.first);
+  }
   page_ftl_->WriteAtomic(
-      std::move(request.group),
-      [done = std::move(request.on_complete)](Status st) {
-        if (done) done(blocklayer::IoResult{std::move(st), {}});
-      },
-      trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
+      std::move(request.group), StatusReply(std::move(request.on_complete)),
+      trace::Ctx{request.span, 0, blocklayer::OriginOf(request.op)});
 }
 
-void Device::SubmitNamelessWrite(blocklayer::IoRequest request) {
-  if (append_ftl_ != nullptr) {
-    // Native physical append: the FTL picks the location, issues the
-    // name, and persists the command's OOB owner stamp (lba = owner
-    // tag, nblocks = owner epoch; 0 = unstamped).
-    counters_.Increment("nameless_writes");
-    EnsureMigrationListener();
-    const std::uint64_t token = request.tokens.empty() ? 0 : request.tokens[0];
-    const Lba owner =
-        request.nblocks == 0 ? flash::kNamelessLba : request.lba;
-    append_ftl_->NamelessWrite(
-        token, owner, request.nblocks, request.stream,
-        [done = std::move(request.on_complete)](StatusOr<std::uint64_t> res) {
-          if (!done) return;
-          if (res.ok()) {
-            done(blocklayer::IoResult{Status::Ok(), {*res}});
-          } else {
-            done(blocklayer::IoResult{res.status(), {}});
-          }
-        },
-        trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
-    return;
-  }
-  if (page_ftl_ == nullptr) {
-    if (request.on_complete) {
-      request.on_complete(blocklayer::IoResult{
-          Status::Unimplemented(
-              "nameless writes require the page-mapping or "
-              "vision-append FTL"),
-          {}});
+void Device::SubmitNameless(blocklayer::IoRequest request) {
+  const trace::Ctx ctx{request.span, 0, blocklayer::OriginOf(request.op)};
+  switch (request.op) {
+    case blocklayer::IoOp::kNamelessWrite: {
+      // The FTL picks the location, issues the name, and persists the
+      // command's OOB owner stamp (lba = owner tag, nblocks = owner
+      // epoch; 0 = unstamped).
+      counters_.Increment("nameless_writes");
+      const std::uint64_t token =
+          request.tokens.empty() ? 0 : request.tokens[0];
+      const Lba owner =
+          request.nblocks == 0 ? flash::kNamelessLba : request.lba;
+      append_ftl_->NamelessWrite(token, owner, request.nblocks,
+                                 request.stream,
+                                 TokenReply(std::move(request.on_complete)),
+                                 ctx);
+      return;
     }
-    return;
+    case blocklayer::IoOp::kNamelessRead:
+      counters_.Increment("nameless_reads");
+      append_ftl_->NamelessRead(
+          request.lba, TokenReply(std::move(request.on_complete)), ctx);
+      return;
+    default:  // kNamelessFree
+      counters_.Increment("nameless_frees");
+      append_ftl_->NamelessFree(
+          request.lba, StatusReply(std::move(request.on_complete)), ctx);
+      return;
   }
-  // Emulation over the page map: park the unnamed page in a hidden LBA
-  // slot (recycled first, lowest never-used otherwise) and report the
-  // slot's physical address as the name. The slot map lets the device
-  // resolve later named reads/frees and track GC moves.
-  EnsureMigrationListener();
-  Lba lba;
-  if (!nameless_free_.empty()) {
-    lba = nameless_free_.front();
-    nameless_free_.pop_front();
-  } else if (nameless_next_ < num_blocks()) {
-    lba = nameless_next_++;
-  } else {
-    if (request.on_complete) {
-      request.on_complete(blocklayer::IoResult{
-          Status::ResourceExhausted("no nameless slots left"), {}});
-    }
-    return;
-  }
-  counters_.Increment("nameless_writes");
-  const std::uint64_t token = request.tokens.empty() ? 0 : request.tokens[0];
-  page_ftl_->Write(
-      lba, token,
-      [this, done = std::move(request.on_complete), lba](Status st) {
-        if (!st.ok()) {
-          nameless_free_.push_back(lba);
-          if (done) done(blocklayer::IoResult{std::move(st), {}});
-          return;
-        }
-        std::uint64_t name = 0;
-        if (auto ppa = page_ftl_->Locate(lba)) {
-          name = ppa->Flatten(config_.geometry);
-          auto old = slot_to_name_.find(lba);
-          if (old != slot_to_name_.end()) name_to_slot_.erase(old->second);
-          name_to_slot_[name] = lba;
-          slot_to_name_[lba] = name;
-        }
-        if (done) done(blocklayer::IoResult{Status::Ok(), {name}});
-      },
-      trace::Ctx{request.span, 0, trace::Origin::kHostWrite});
-}
-
-void Device::SubmitNamelessRead(blocklayer::IoRequest request) {
-  auto complete = [done = std::move(request.on_complete)](
-                      StatusOr<std::uint64_t> res) {
-    if (!done) return;
-    if (res.ok()) {
-      done(blocklayer::IoResult{Status::Ok(), {*res}});
-    } else {
-      done(blocklayer::IoResult{res.status(), {}});
-    }
-  };
-  if (append_ftl_ != nullptr) {
-    counters_.Increment("nameless_reads");
-    append_ftl_->NamelessRead(
-        request.lba, std::move(complete),
-        trace::Ctx{request.span, 0, trace::Origin::kHostRead});
-    return;
-  }
-  if (page_ftl_ == nullptr) {
-    sim_->Schedule(0, [complete = std::move(complete)]() {
-      complete(Status::Unimplemented(
-          "nameless reads require the page-mapping or vision-append "
-          "FTL"));
-    });
-    return;
-  }
-  counters_.Increment("nameless_reads");
-  auto it = name_to_slot_.find(request.lba);
-  if (it == name_to_slot_.end()) {
-    const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
-      if (epoch != epoch_) return;
-      complete(Status::NotFound("stale name: page freed or migrated"));
-    });
-    return;
-  }
-  page_ftl_->Read(it->second, std::move(complete),
-                  trace::Ctx{request.span, 0, trace::Origin::kHostRead});
-}
-
-void Device::SubmitNamelessFree(blocklayer::IoRequest request) {
-  auto complete = [done = std::move(request.on_complete)](Status st) {
-    if (done) done(blocklayer::IoResult{std::move(st), {}});
-  };
-  if (append_ftl_ != nullptr) {
-    counters_.Increment("nameless_frees");
-    append_ftl_->NamelessFree(
-        request.lba, std::move(complete),
-        trace::Ctx{request.span, 0, trace::Origin::kHostTrim});
-    return;
-  }
-  if (page_ftl_ == nullptr) {
-    sim_->Schedule(0, [complete = std::move(complete)]() {
-      complete(Status::Unimplemented(
-          "nameless frees require the page-mapping or vision-append "
-          "FTL"));
-    });
-    return;
-  }
-  counters_.Increment("nameless_frees");
-  auto it = name_to_slot_.find(request.lba);
-  if (it == name_to_slot_.end()) {
-    const std::uint64_t epoch = epoch_;
-    sim_->Schedule(0, [this, epoch, complete = std::move(complete)]() {
-      if (epoch != epoch_) return;
-      complete(Status::NotFound("stale name: page freed or migrated"));
-    });
-    return;
-  }
-  const Lba slot = it->second;
-  name_to_slot_.erase(it);
-  slot_to_name_.erase(slot);
-  page_ftl_->Trim(
-      slot,
-      [this, complete = std::move(complete), slot](Status st) {
-        if (st.ok()) nameless_free_.push_back(slot);
-        complete(std::move(st));
-      },
-      trace::Ctx{request.span, 0, trace::Origin::kHostTrim});
 }
 
 Status Device::PowerCycle() {
@@ -604,7 +479,6 @@ Status Device::PowerCycle() {
         "vision-append FTL");
   }
   counters_.Increment("power_cycles");
-  ++epoch_;
   io_records_.ReleaseAll([](IoRecord& r) {
     r.request.on_complete = nullptr;
     ++r.gen;
@@ -619,22 +493,6 @@ Status Device::PowerCycle() {
     return Status::Ok();
   }
   PB_RETURN_IF_ERROR(page_ftl_->PowerCycle());
-  // The nameless slot maps are device DRAM: lost with power, rebuilt
-  // from the recovered L2P (the name of a surviving slot is wherever
-  // the OOB scan says it lives now; unmapped slots return to the free
-  // pool in ascending order — deterministic).
-  name_to_slot_.clear();
-  slot_to_name_.clear();
-  nameless_free_.clear();
-  for (Lba lba = 0; lba < nameless_next_; ++lba) {
-    if (auto ppa = page_ftl_->Locate(lba)) {
-      const std::uint64_t name = ppa->Flatten(config_.geometry);
-      name_to_slot_[name] = lba;
-      slot_to_name_[lba] = name;
-    } else {
-      nameless_free_.push_back(lba);
-    }
-  }
   // Battery-backed buffers keep their contents; requeue them against
   // the rebuilt FTL (their old drain completions died with the epoch).
   if (write_buffer_ != nullptr && config_.write_buffer.battery_backed) {

@@ -2,8 +2,6 @@
 #define POSTBLOCK_SSD_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -62,19 +60,20 @@ class Device : public blocklayer::BlockDevice {
   void SubmitBatch(std::vector<blocklayer::IoRequest>& batch) override;
   const Counters& counters() const { return counters_; }
 
-  /// Beyond the block ops, the device natively executes atomic write
-  /// groups and the nameless vocabulary (write/read/free) when running
-  /// the page-mapping FTL — and, under FtlKind::kVisionAppend, *only*
-  /// the post-block vocabulary plus flush: read, write and trim are
-  /// refused inline with a typed Unimplemented, before admission,
-  /// because the device has no logical address space.
+  /// Block ops on every FTL but vision-append, which has no logical
+  /// address space; atomic write groups on the page-mapping FTL (its
+  /// commit marker); the nameless vocabulary (write/read/free) only
+  /// under FtlKind::kVisionAppend, whose names are physical addresses;
+  /// flush and hints everywhere. Nothing is emulated: an op answered
+  /// false here completes inline with a typed Unimplemented, before
+  /// admission.
   bool Supports(blocklayer::IoOp op) const override;
   /// Identify: adds the truths only the device knows (append regions,
   /// live mapping-table DRAM) to the derivable command mask.
   host::DeviceCaps Caps() const override;
-  /// Host migration handler for named pages (old name -> new name).
-  /// Registration is lazy on both FTL paths so un-wired stacks keep
-  /// byte-identical schedules.
+  /// Host migration handler for named pages (old name -> new name),
+  /// handed straight to the vision-append FTL, which fires it as each
+  /// move lands. Dropped on any other FTL: it issues no names to move.
   void SetMigrationHandler(host::MigrationHandler handler) override;
 
   /// Completions routed to multi-queue submitters, per software queue
@@ -91,8 +90,8 @@ class Device : public blocklayer::BlockDevice {
   const Config& config() const { return config_; }
   Controller* controller() { return controller_.get(); }
   ftl::Ftl* ftl() { return ftl_.get(); }
-  /// Non-null when Config::ftl is kPageMap (extended vision commands:
-  /// atomic writes, nameless writes, power-cycle recovery).
+  /// Non-null when Config::ftl is kPageMap (tests inspect its map;
+  /// hosts submit atomic groups through Submit).
   ftl::PageFtl* page_ftl() { return page_ftl_; }
   /// Non-null when Config::ftl is kVisionAppend (host-managed physical
   /// append; the block vocabulary is refused).
@@ -162,16 +161,10 @@ class Device : public blocklayer::BlockDevice {
   /// extended ops, and a refused block op); false leaves `request` to
   /// Admit.
   bool RouteUnadmitted(blocklayer::IoRequest& request);
+  /// The extended ops, each called only on the FTL that implements it:
+  /// atomic groups on the page map, the nameless ops on vision-append.
   void SubmitAtomicGroup(blocklayer::IoRequest request);
-  void SubmitNamelessWrite(blocklayer::IoRequest request);
-  void SubmitNamelessRead(blocklayer::IoRequest request);
-  void SubmitNamelessFree(blocklayer::IoRequest request);
-  /// Lazily registers this device on its FTL's migration listener seam
-  /// (first nameless write or handler install) and fans relocations out
-  /// to the host handler.
-  void EnsureMigrationListener();
-  void OnPageFtlMigration(Lba lba, const flash::Ppa& old_ppa,
-                          const flash::Ppa& new_ppa);
+  void SubmitNameless(blocklayer::IoRequest request);
 
   bool Traced() const { return tracer_ != nullptr && tracer_->enabled(); }
 
@@ -181,7 +174,6 @@ class Device : public blocklayer::BlockDevice {
   sim::Simulator* sim_;
   ShardRouter* router_ = nullptr;  // non-null iff sharded mode
   Config config_;
-  std::uint64_t epoch_ = 0;  // bumped by PowerCycle; drops stale events
   std::unique_ptr<Controller> controller_;
   std::unique_ptr<ftl::Ftl> ftl_;
   ftl::PageFtl* page_ftl_ = nullptr;      // borrowed view into ftl_
@@ -198,20 +190,6 @@ class Device : public blocklayer::BlockDevice {
   /// queue's IoCallback::queue_id; grows on demand). Deliberately not a
   /// Counters entry so default counter dumps are unchanged.
   std::vector<std::uint64_t> cq_posts_;
-
-  /// Nameless vocabulary on the page-mapping FTL: the device *emulates*
-  /// physical append by parking each nameless page in a hidden LBA slot
-  /// (lowest-unused-first, recycled on free) and reporting the slot's
-  /// current physical address as the name. name_to_slot_ resolves
-  /// kNamelessRead/kNamelessFree and is rewritten when GC/WL moves a
-  /// slot (the migration handler tells the host). The vision-append FTL
-  /// needs none of this: names *are* physical there.
-  Lba nameless_next_ = 0;
-  std::deque<Lba> nameless_free_;
-  std::map<std::uint64_t, Lba> name_to_slot_;
-  std::map<Lba, std::uint64_t> slot_to_name_;
-  bool migration_listener_registered_ = false;
-  host::MigrationHandler migration_handler_;
 
   trace::Tracer* tracer_ = nullptr;  // == config_.tracer
   std::uint32_t dev_track_ = 0;      // "ssd-device" (host pid)

@@ -111,12 +111,12 @@ void WriteBuffer::PumpDrain() {
 void WriteBuffer::Drop(Lba lba) {
   auto it = entries_.find(lba);
   if (it == entries_.end()) return;
-  // Remove from lookups immediately — a post-trim read must not hit the
+  // Remove from lookups immediately — a later read must not hit the
   // stale copy. If a drain of this entry is in flight, its completion
   // tolerates the missing entry, and the FTL's sequence ordering makes
-  // the trailing flash write lose to the trim.
+  // the trailing flash write lose to the trim or atomic group.
   entries_.erase(it);
-  counters_.Increment("dropped_by_trim");
+  counters_.Increment("dropped");
   CheckFlushWaiters();
 }
 

@@ -38,7 +38,9 @@ class WriteBuffer {
   /// Read hit: newest buffered token for `lba`, if present.
   bool Lookup(Lba lba, std::uint64_t* token) const;
 
-  /// Drops a buffered (not yet draining) copy — used by trim.
+  /// Drops the buffered copy of `lba`, so it neither answers a read nor
+  /// drains again — used by trim and by atomic groups, which supersede
+  /// it. A drain already in flight loses to them by FTL sequence.
   void Drop(Lba lba);
 
   /// Completes once every buffered page is durable on flash and no

@@ -1,7 +1,8 @@
 // The one host API: IoRequest through HostInterface::Submit across
 // every layer (SimpleBlockDevice, Hdd, ssd::Device, BlockLayer,
 // DirectDriver, vbd::Frontend, HostMap, HybridStore), with capability
-// answers held to behaviour, plus TagSet and IoCallback units.
+// answers held to behaviour, both vocabularies sent to one device of
+// each FTL kind, plus TagSet and IoCallback units.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "blocklayer/block_layer.h"
 #include "blocklayer/direct_driver.h"
 #include "blocklayer/simple_device.h"
+#include "common/statusor.h"
 #include "core/hybrid_store.h"
 #include "core/pcm_log.h"
 #include "db/host_map.h"
@@ -39,6 +41,12 @@ using blocklayer::SimpleDeviceConfig;
 
 std::uint32_t Bit(IoOp k) {
   return 1u << static_cast<std::uint32_t>(k);
+}
+
+ssd::Config SmallConfig(ssd::FtlKind ftl) {
+  ssd::Config c = ssd::Config::Small();
+  c.ftl = ftl;
+  return c;
 }
 
 // --- TagSet ---------------------------------------------------------------
@@ -130,21 +138,19 @@ TEST(HostCommandTest, CapabilityMasksPerLayer) {
   EXPECT_EQ(simple.CapabilityMask(), basic);
   EXPECT_FALSE(simple.Supports(IoOp::kAtomicGroup));
 
-  // The page-mapped SSD speaks the full vision command set, including
-  // the complete nameless vocabulary (write/read/free).
+  // The page-mapped SSD adds atomic groups to the block ops. It issues
+  // no names: the nameless vocabulary is the append device's alone.
   ssd::Device dev(&sim, ssd::Config::Small());
-  const std::uint32_t vision =
-      basic | Bit(IoOp::kAtomicGroup) | Bit(IoOp::kNamelessWrite) |
-      Bit(IoOp::kNamelessRead) | Bit(IoOp::kNamelessFree);
-  EXPECT_EQ(dev.CapabilityMask(), vision);
+  const std::uint32_t atomic = basic | Bit(IoOp::kAtomicGroup);
+  EXPECT_EQ(dev.CapabilityMask(), atomic);
 
   // Stacked layers advertise what the device below can do.
   BlockLayer over_simple(&sim, &simple, BlockLayerConfig{});
   EXPECT_EQ(over_simple.CapabilityMask(), basic);
   BlockLayer over_ssd(&sim, &dev, BlockLayerConfig{});
-  EXPECT_EQ(over_ssd.CapabilityMask(), vision);
+  EXPECT_EQ(over_ssd.CapabilityMask(), atomic);
   blocklayer::DirectDriver direct(&sim, &dev);
-  EXPECT_EQ(direct.CapabilityMask(), vision);
+  EXPECT_EQ(direct.CapabilityMask(), atomic);
 }
 
 TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
@@ -158,12 +164,12 @@ TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
   EXPECT_FALSE(sc.pcm_sync);
   EXPECT_EQ(sc.append_regions, 0u);
 
-  // The page-mapped SSD: full vision set, and the DRAM argument in one
-  // number — the device L2P is sized by the *logical space* (8 B per
-  // logical page, whether mapped or not).
+  // The page-mapped SSD: atomic groups but no names, and the DRAM
+  // argument in one number — the device L2P is sized by the *logical
+  // space* (8 B per logical page, whether mapped or not).
   ssd::Device dev(&sim, ssd::Config::Small());
   host::DeviceCaps dc = dev.Caps();
-  EXPECT_TRUE(dc.nameless);
+  EXPECT_FALSE(dc.nameless);
   EXPECT_TRUE(dc.atomic_groups);
   EXPECT_EQ(dc.append_regions, 0u);
   EXPECT_EQ(dc.mapping_table_bytes, dev.num_blocks() * 8);
@@ -317,7 +323,7 @@ TEST(HostCommandTest, AtomicGroupWritesAllExtentsTogether) {
 
 TEST(HostCommandTest, NamelessWriteReturnsDeviceChosenName) {
   sim::Simulator sim;
-  ssd::Device dev(&sim, ssd::Config::Small());
+  ssd::Device dev(&sim, SmallConfig(ssd::FtlKind::kVisionAppend));
   std::vector<std::uint64_t> names;
   Status st = Status::Internal("pending");
   for (int i = 0; i < 2; ++i) {
@@ -369,7 +375,7 @@ TEST(HostCommandTest, BlockLayerRefusesWhatTheDeviceCannotDo) {
 
 TEST(HostCommandTest, DirectDriverPassesExtendedCommandsThrough) {
   sim::Simulator sim;
-  ssd::Device dev(&sim, ssd::Config::Small());
+  ssd::Device dev(&sim, SmallConfig(ssd::FtlKind::kVisionAppend));
   blocklayer::DirectDriver direct(&sim, &dev);
   Status st = Status::Internal("pending");
   std::uint64_t name = 0;
@@ -443,12 +449,6 @@ struct ContractStack {
     return p.get();
   }
 };
-
-ssd::Config SmallConfig(ssd::FtlKind ftl) {
-  ssd::Config c = ssd::Config::Small();
-  c.ftl = ftl;
-  return c;
-}
 
 ssd::Device* AddDevice(ContractStack& s, sim::Simulator* sim,
                        ssd::FtlKind ftl) {
@@ -569,6 +569,124 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<CapabilityContractTest::ParamType>& p) {
       return std::get<0>(p.param) + "_" +
              kContractOpNames[std::get<1>(p.param)];
+    });
+
+// --- One device, both vocabularies -----------------------------------------
+//
+// The contract above sends one op to a fresh stack. These send both
+// vocabularies to one device of every FTL kind, with and without a write
+// buffer, in orders where a name and a block address, or an atomic group
+// and a buffered write, could end up meaning the same page. Each op must
+// either do its own job or be refused Unimplemented through Supports.
+
+class MixedVocabularyTest
+    : public testing::TestWithParam<std::tuple<ssd::FtlKind, bool>> {
+ protected:
+  MixedVocabularyTest() : dev_(&sim_, DeviceConfig()) {}
+
+  static ssd::Config DeviceConfig() {
+    ssd::Config c = SmallConfig(std::get<0>(GetParam()));
+    if (std::get<1>(GetParam())) c.write_buffer.pages = 64;
+    return c;
+  }
+
+  // Runs until `request` completes, and on until the device is idle
+  // (write buffer drained) when `settle`. Checks the refusal against
+  // Supports, then returns the first result token — a name or a payload
+  // — or the status.
+  StatusOr<std::uint64_t> Run(IoRequest request, bool settle = true) {
+    const IoOp op = request.op;
+    int fired = 0;
+    StatusOr<std::uint64_t> out = Status::Internal("never completed");
+    request.on_complete = [&fired, &out](const IoResult& r) {
+      ++fired;
+      if (r.status.ok()) {
+        out = r.tokens.empty() ? 0 : r.tokens[0];
+      } else {
+        out = r.status;
+      }
+    };
+    dev_.Submit(std::move(request));
+    EXPECT_TRUE(sim_.RunUntilPredicate([&fired] { return fired > 0; }));
+    if (settle) sim_.Run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(out.status().code() == StatusCode::kUnimplemented,
+              !dev_.Supports(op))
+        << out.status().ToString();
+    return out;
+  }
+
+  // A supported read must return `want`; a refused one was checked by
+  // Run.
+  static void ExpectPayload(const StatusOr<std::uint64_t>& got,
+                            bool supported, std::uint64_t want) {
+    if (!supported) return;
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+  }
+
+  sim::Simulator sim_;
+  ssd::Device dev_;
+};
+
+TEST_P(MixedVocabularyTest, NamesAndLbasNeverAlias) {
+  const bool named = dev_.Supports(IoOp::kNamelessWrite);
+  const bool block = dev_.Supports(IoOp::kWrite);
+  const StatusOr<std::uint64_t> name = Run(IoRequest::NamelessWrite(111, {}));
+  ASSERT_EQ(name.ok(), named) << name.status().ToString();
+  const std::uint64_t n = named ? *name : 0;
+  EXPECT_EQ(Run(IoRequest::Write(0, {222}, {})).ok(), block);
+  ExpectPayload(Run(IoRequest::NamelessRead(n, {})), named, 111);
+  ExpectPayload(Run(IoRequest::Read(0, 1, {})), block, 222);
+  EXPECT_EQ(Run(IoRequest::NamelessFree(n, {})).ok(), named);
+  ExpectPayload(Run(IoRequest::Read(0, 1, {})), block, 222);
+}
+
+TEST_P(MixedVocabularyTest, AtomicGroupOrdersAfterAcknowledgedWrites) {
+  const bool block = dev_.Supports(IoOp::kWrite);
+  const bool atomic = dev_.Supports(IoOp::kAtomicGroup);
+  // 60 writes ahead of them keep the writes of LBAs 5 and 6 queued in a
+  // buffer after their acknowledgement.
+  for (Lba lba = 100; lba < 160; ++lba) {
+    dev_.Submit(IoRequest::Write(lba, {lba}, [](const IoResult&) {}));
+  }
+  EXPECT_EQ(Run(IoRequest::Write(5, {111}, {}), /*settle=*/false).ok(),
+            block);
+  EXPECT_EQ(Run(IoRequest::Write(6, {112}, {}), false).ok(), block);
+  std::uint64_t buffered = 0;
+  if (block && dev_.write_buffer() != nullptr) {
+    ASSERT_TRUE(dev_.write_buffer()->Lookup(5, &buffered));
+    ASSERT_TRUE(dev_.write_buffer()->Lookup(6, &buffered));
+  }
+  // A group supersedes them; a group the device refuses (one extent is
+  // beyond it) leaves them be.
+  EXPECT_EQ(Run(IoRequest::AtomicGroup({{5, 222}}, {}), false).ok(), atomic);
+  EXPECT_FALSE(Run(IoRequest::AtomicGroup({{6, 333}, {dev_.num_blocks(), 1}},
+                                          {}),
+                   false)
+                   .ok());
+  const std::uint64_t want5 = atomic ? 222 : 111;
+  ExpectPayload(Run(IoRequest::Read(5, 1, {}), false), block, want5);
+  ExpectPayload(Run(IoRequest::Read(6, 1, {}), false), block, 112);
+  sim_.Run();  // drain the buffer
+  ExpectPayload(Run(IoRequest::Read(5, 1, {})), block, want5);
+  ExpectPayload(Run(IoRequest::Read(6, 1, {})), block, 112);
+}
+
+// Indexed by FtlKind.
+const char* const kFtlNames[] = {"page", "block", "hybrid", "dftl", "append"};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryFtl, MixedVocabularyTest,
+    testing::Combine(testing::Values(ssd::FtlKind::kPageMap,
+                                     ssd::FtlKind::kBlockMap,
+                                     ssd::FtlKind::kHybrid,
+                                     ssd::FtlKind::kDftl,
+                                     ssd::FtlKind::kVisionAppend),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<MixedVocabularyTest::ParamType>& p) {
+      return std::string(kFtlNames[static_cast<int>(std::get<0>(p.param))]) +
+             (std::get<1>(p.param) ? "_buffered" : "_unbuffered");
     });
 
 }  // namespace

@@ -197,25 +197,6 @@ TEST_F(PageFtlTest, TrimReducesGcWork) {
   EXPECT_LT(moves_with_trim, moves_without_trim);
 }
 
-TEST_F(PageFtlTest, MigrationListenerFiresOnGcMoves) {
-  std::uint64_t migrations = 0;
-  ftl_->SetMigrationListener(
-      [&](Lba, flash::Ppa, flash::Ppa) { ++migrations; });
-  const Lba n = ftl_->user_pages();
-  Rng rng(3);
-  for (Lba lba = 0; lba < n; ++lba) {
-    ASSERT_TRUE(WriteSync(lba, 1).ok());
-  }
-  for (std::uint64_t i = 0; i < 2 * n; ++i) {
-    ASSERT_TRUE(WriteSync(rng.Uniform(n), i + 2).ok());
-  }
-  EXPECT_GT(migrations, 0u);
-  // Some moves are stale (the host overwrote the LBA mid-relocation)
-  // and correctly produce no notification.
-  EXPECT_LE(migrations, ftl_->counters().Get("gc_page_moves"));
-  EXPECT_GT(migrations, ftl_->counters().Get("gc_page_moves") * 9 / 10);
-}
-
 TEST_F(PageFtlTest, LocateTracksMapping) {
   EXPECT_FALSE(ftl_->Locate(4).has_value());
   ASSERT_TRUE(WriteSync(4, 9).ok());

@@ -331,7 +331,7 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
     }
     for (std::size_t i = 0; i < freed; ++i) write(token++);
   }
-  EXPECT_GT(dev.counters().Get("nameless_migrations"), 0u);
+  EXPECT_GT(dev.ftl()->counters().Get("migrate_page_moves"), 0u);
   // Every name the host holds reads back its own payload.
   for (const auto& [name, expect] : values) {
     std::uint64_t got = 0;
