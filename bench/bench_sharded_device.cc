@@ -7,18 +7,14 @@
 // workers = 0 (sequential reference), 1, 2 and 4. Reports events/sec,
 // speedup, and the determinism bit: every worker count must produce a
 // combined fingerprint (model observables + committed schedule)
-// byte-identical to the sequential reference. A last run at 4 workers
-// attaches obs::EngineProfiler: its fingerprint joins the determinism
-// bit (observing may not move the schedule), and its per-shard
-// busy/idle/barrier table and lookahead-slack histogram say where the
-// wall time went.
+// byte-identical to the sequential reference.
 //
 // The 4-worker speed-up follows bench_util.h's wall-clock rule:
 // interleaved reps of workers = 0, workers = 0 again (the A/A arm) and
 // workers = 4. Emits BENCH_sharded_device.json (with its gates: the
 // determinism bit, GC activity, and the >= 1.5x 4-worker floor, SKIPPED
 // on a host with fewer than 4 hardware threads; the meta stamp records
-// both counts) and BENCH_sharded_device.profile.json.
+// both counts).
 
 #include <cinttypes>
 #include <cstdint>
@@ -27,9 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "obs/engine_profiler.h"
 #include "ssd/config.h"
-#include "ssd/sharded_device.h"
 
 namespace postblock::ssd {
 namespace {
@@ -82,29 +76,7 @@ int Main() {
   rows.push_back(arm_rows[2]);
   for (const Row& r : rows) print_row(r);
 
-  // Profiled run: the profiler attached (default window sampling) at
-  // the gated worker count, then the per-shard wall attribution.
-  obs::EngineProfiler profiler;
-  const Row profiled = RunShardedDevice(kGatedWorkers, kIos, &profiler);
-  std::printf("\nprofiled run (obs::EngineProfiler attached):\n");
-  print_row(profiled);
-  const Config config = bench::ShardedDeviceConfig();
-  const ShardPlan plan = ShardPlan::FromConfig(config);
-  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
-    const obs::ShardProfile& p = profiler.shard_profiles()[s];
-    std::printf("  shard %zu (%-10s): util %5.1f%%  busy %7.1fms  idle "
-                "%7.1fms  barrier %7.1fms  %" PRIu64 " events\n",
-                s, s == plan.controller_shard ? "controller" : "channel",
-                p.Utilization() * 100, p.busy_wall_ns / 1e6,
-                p.idle_wall_ns / 1e6, p.barrier_wall_ns / 1e6, p.events);
-  }
-  const Histogram& slack = profiler.slack_hist();
-  std::printf("  lookahead slack: p50=%" PRIu64 "ns p99=%" PRIu64
-              "ns max=%" PRIu64 "ns over %" PRIu64 " shard-windows\n",
-              slack.P50(), slack.P99(), slack.max(), slack.count());
-
-  // Every row, the profiled one included, must commit the sequential
-  // reference's schedule.
+  // Every row must commit the sequential reference's schedule.
   const Row& seq = rows[0];
   bool determinism_ok = true;
   const auto check = [&](const Row& r) {
@@ -117,13 +89,11 @@ int Main() {
   };
   for (const Row& r : rows) check(r);
   check(arm_rows[1]);
-  check(profiled);
 
   const double speedup_4w = bench::Median(speedups);
   std::printf("\ndeterminism: %s\n",
-              determinism_ok
-                  ? "all worker counts byte-identical, profiled run included"
-                  : "MISMATCH");
+              determinism_ok ? "all worker counts byte-identical"
+                             : "MISMATCH");
   std::printf("speedup at 4 workers vs sequential: %.2fx%s\n", speedup_4w,
               hw < 4 ? "  (machine has <4 hardware threads; floor not "
                        "meaningful here)"
@@ -134,6 +104,7 @@ int Main() {
     std::fprintf(stderr, "cannot write BENCH_sharded_device.json\n");
     return 1;
   }
+  const Config config = bench::ShardedDeviceConfig();
   std::fprintf(f, "{\n");
   bench::WriteJsonMeta(f, &config, /*workers=*/4);
   for (const Row& r : rows) {
@@ -147,28 +118,6 @@ int Main() {
                  r.rounds, r.wa, r.fingerprint,
                  static_cast<std::uint64_t>(r.sim_end_ns));
   }
-  std::fprintf(f,
-               "  \"profiler\": {\"workers\": %u, \"fingerprint\": "
-               "\"%016" PRIx64 "\", \"windows\": %" PRIu64
-               ", \"shards\": [\n",
-               profiled.workers, profiled.fingerprint,
-               profiler.windows_observed());
-  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
-    const obs::ShardProfile& p = profiler.shard_profiles()[s];
-    std::fprintf(f,
-                 "    {\"shard\": %zu, \"utilization\": %.4f, "
-                 "\"busy_ns\": %" PRIu64 ", \"idle_ns\": %" PRIu64
-                 ", \"barrier_ns\": %" PRIu64 ", \"events\": %" PRIu64
-                 "}%s\n",
-                 s, p.Utilization(), p.busy_wall_ns, p.idle_wall_ns,
-                 p.barrier_wall_ns, p.events,
-                 s + 1 < profiler.shard_profiles().size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ], \"lookahead_slack_ns\": {\"count\": %" PRIu64
-               ", \"p50\": %" PRIu64 ", \"p99\": %" PRIu64
-               ", \"max\": %" PRIu64 "}},\n",
-               slack.count(), slack.P50(), slack.P99(), slack.max());
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
   std::fprintf(f, "  \"speedup_4w\": %.3f,\n", speedup_4w);
@@ -185,14 +134,6 @@ int Main() {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_sharded_device.json\n");
-
-  // The full git-SHA-stamped profile report rides alongside.
-  if (profiler
-          .WriteReport("BENCH_sharded_device.profile.json",
-                       bench::MetaJsonFields(&config, kGatedWorkers))
-          .ok()) {
-    std::printf("wrote BENCH_sharded_device.profile.json\n");
-  }
   return determinism_ok ? 0 : 1;
 }
 

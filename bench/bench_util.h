@@ -39,19 +39,17 @@ inline std::string GitShaShort() {
   return sha.empty() ? "unknown" : sha;
 }
 
-/// Builds the shared meta fields string — git SHA, the worker-thread
-/// count the run used (0 = single-threaded reference path) and the
-/// machine's hardware concurrency — so a scaling number can never be
-/// read without knowing how many cores produced it — plus the device
-/// shape when a config is given and, when >= 0, the tenant/queue
-/// topology the run exercised. The returned string is the *inside* of
-/// a JSON object ("\"git_sha\": ..., ..."), ready to splice into
-/// metrics::TimeSeries::WriteJson or obs::EngineProfiler::WriteReport
-/// meta_fields, or to wrap in braces directly.
-inline std::string MetaJsonFields(const ssd::Config* config = nullptr,
-                                  std::uint32_t workers = 0,
-                                  std::int64_t tenants = -1,
-                                  std::int64_t queues = -1) {
+/// Writes the shared `"meta"` object (followed by a comma) into an open
+/// BENCH_*.json: git SHA, the worker-thread count the run used (0 =
+/// single-threaded reference path) and the machine's hardware
+/// concurrency — so a scaling number can never be read without knowing
+/// how many cores produced it — plus the device shape when a config is
+/// given and, when >= 0, the tenant/queue topology the run exercised.
+inline void WriteJsonMeta(std::FILE* f,
+                          const ssd::Config* config = nullptr,
+                          std::uint32_t workers = 0,
+                          std::int64_t tenants = -1,
+                          std::int64_t queues = -1) {
   char buf[256];
   // The SHA comes from a subprocess; escape it like any other
   // externally-sourced string so a weird git setup can't emit invalid
@@ -76,19 +74,7 @@ inline std::string MetaJsonFields(const ssd::Config* config = nullptr,
                   static_cast<long long>(queues));
     out += buf;
   }
-  return out;
-}
-
-/// Writes the shared `"meta"` object (followed by a comma) into an open
-/// BENCH_*.json — MetaJsonFields wrapped for the common direct-write
-/// case.
-inline void WriteJsonMeta(std::FILE* f,
-                          const ssd::Config* config = nullptr,
-                          std::uint32_t workers = 0,
-                          std::int64_t tenants = -1,
-                          std::int64_t queues = -1) {
-  std::fprintf(f, "  \"meta\": {%s},\n",
-               MetaJsonFields(config, workers, tenants, queues).c_str());
+  std::fprintf(f, "  \"meta\": {%s},\n", out.c_str());
 }
 
 /// Prints the experiment banner: which paper artifact this regenerates
@@ -179,7 +165,7 @@ inline workload::RunResult Fig2Reads(sim::Simulator* sim,
 /// sharded engine, one shard per channel (4 channels x 4 LUNs) plus the
 /// controller shard, sequentially aged to 70%, then `ios` IOs of a
 /// 40%-write random mix at QD 32. bench_sharded_device measures it at
-/// every worker count; bench_obs prices profiling it.
+/// every worker count.
 inline ssd::Config ShardedDeviceConfig() {
   ssd::Config config;
   config.geometry.channels = 4;
@@ -191,9 +177,8 @@ inline ssd::Config ShardedDeviceConfig() {
   return config;
 }
 
-inline ssd::ShardedDeviceRun ShardedDeviceWorkload(
-    std::uint32_t workers, std::uint64_t ios,
-    sim::EngineObserver* observer = nullptr) {
+inline ssd::ShardedDeviceRun ShardedDeviceWorkload(std::uint32_t workers,
+                                                   std::uint64_t ios) {
   ssd::ShardedDeviceRun run;
   run.workers = workers;
   run.queue_depth = 32;
@@ -201,7 +186,6 @@ inline ssd::ShardedDeviceRun ShardedDeviceWorkload(
   run.write_percent = 40;
   run.fill_fraction = 0.7;
   run.seed = 0xdead5eed;
-  run.observer = observer;
   return run;
 }
 
@@ -219,11 +203,10 @@ struct ShardedDeviceRow {
   double eps() const { return seconds > 0 ? events / seconds : 0; }
 };
 
-inline ShardedDeviceRow RunShardedDevice(
-    std::uint32_t workers, std::uint64_t ios,
-    sim::EngineObserver* observer = nullptr) {
+inline ShardedDeviceRow RunShardedDevice(std::uint32_t workers,
+                                         std::uint64_t ios) {
   ssd::ShardedDeviceSim sim(ShardedDeviceConfig(),
-                            ShardedDeviceWorkload(workers, ios, observer));
+                            ShardedDeviceWorkload(workers, ios));
   const auto t0 = std::chrono::steady_clock::now();
   const SimTime end = sim.Run();
   const auto t1 = std::chrono::steady_clock::now();

@@ -15,15 +15,10 @@
 //   4. the SLO watchdog section: declarative objectives evaluated on
 //      the sampling grid, with breach counts and the first breaches;
 //   5. the cross-check: final sampled cumulative rows must equal the
-//      stack's always-on Counters (exit 1 otherwise);
-//   6. an engine-profiler section: the full ssd::Device again, aged
-//      and under a random read/write mix, on sim::ShardedEngine with
-//      obs::EngineProfiler attached — per-shard busy/idle/barrier
-//      attribution and lookahead slack.
+//      stack's always-on Counters (exit 1 otherwise).
 //
 // The sampled time series is written to <prefix>.csv and <prefix>.json
-// (git-SHA stamped); the profiler report goes to <prefix>.profile.json
-// and the SLO report to <prefix>.slo.json:
+// (git-SHA stamped) and the SLO report to <prefix>.slo.json:
 //
 //   $ ./run_report            # writes run_report.{csv,json,...}
 //   $ ./run_report myrun
@@ -41,11 +36,9 @@
 #include "common/table.h"
 #include "metrics/metrics.h"
 #include "metrics/sampler.h"
-#include "obs/engine_profiler.h"
 #include "obs/slo_watchdog.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
-#include "ssd/sharded_device.h"
 #include "trace/tracer.h"
 #include "vbd/backend.h"
 #include "vbd/frontend.h"
@@ -350,47 +343,7 @@ int main(int argc, char** argv) {
         std::size(checks));
   }
 
-  // --- 6. Engine profiler: the full device again, on sharded cores ----------
-  std::printf("\nengine profiler (aged full ssd::Device on "
-              "sim::ShardedEngine, 4 channels):\n\n");
-  obs::EngineProfiler profiler;
-  ssd::Config pcfg = ssd::Config::Small();
-  pcfg.geometry.channels = 4;
-  {
-    ssd::ShardedDeviceRun prun;
-    prun.workers = 2;
-    prun.total_ios = 20000;
-    prun.observer = &profiler;
-    ssd::ShardedDeviceSim shsim(pcfg, prun);
-    shsim.Run();
-
-    Table shards({"shard", "role", "utilization", "busy", "idle",
-                  "barrier", "events"});
-    for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
-      const obs::ShardProfile& p = profiler.shard_profiles()[s];
-      shards.AddRow(
-          {Table::Int(s),
-           s + 1 == profiler.shard_profiles().size() ? "controller"
-                                                     : "channel",
-           Table::Num(p.Utilization() * 100, 1) + "%",
-           Table::Num(p.busy_wall_ns / 1e6, 1) + " ms",
-           Table::Num(p.idle_wall_ns / 1e6, 1) + " ms",
-           Table::Num(p.barrier_wall_ns / 1e6, 1) + " ms",
-           Table::Int(p.events)});
-    }
-    shards.Print();
-    const Histogram& slack = profiler.slack_hist();
-    std::printf(
-        "\nlookahead slack (next-event time past the window floor): "
-        "p50=%s p99=%s over %llu shard-windows, %llu windows, %llu "
-        "seam messages\n",
-        Table::Time(slack.P50()).c_str(), Table::Time(slack.P99()).c_str(),
-        static_cast<unsigned long long>(slack.count()),
-        static_cast<unsigned long long>(profiler.windows_observed()),
-        static_cast<unsigned long long>(profiler.messages()));
-  }
-
-  // --- 7. Export ------------------------------------------------------------
+  // --- 6. Export ------------------------------------------------------------
   const std::string csv = prefix + ".csv";
   const std::string json = prefix + ".json";
   const std::string meta = "\"git_sha\": \"" +
@@ -402,20 +355,14 @@ int main(int argc, char** argv) {
                  json.c_str());
     return 1;
   }
-  const std::string profile = prefix + ".profile.json";
-  if (!profiler.WriteReport(profile, bench::MetaJsonFields(&pcfg, 2)).ok()) {
-    std::fprintf(stderr, "cannot write %s\n", profile.c_str());
-    return 1;
-  }
   const std::string slo_json = prefix + ".slo.json";
   {
     std::ofstream f(slo_json, std::ios::trunc);
     f << "{\n  \"meta\": {" << meta << "},\n  \"slo\": "
       << watchdog.ReportJson() << "\n}\n";
   }
-  std::printf(
-      "wrote %s and %s (%zu samples x %zu columns), %s, %s\n",
-      csv.c_str(), json.c_str(), ts.rows(), ts.columns().size(),
-      profile.c_str(), slo_json.c_str());
+  std::printf("wrote %s and %s (%zu samples x %zu columns), %s\n",
+              csv.c_str(), json.c_str(), ts.rows(), ts.columns().size(),
+              slo_json.c_str());
   return ok ? 0 : 1;
 }

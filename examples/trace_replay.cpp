@@ -71,7 +71,7 @@ std::vector<TraceEntry> LoadTrace(const std::string& path,
                    line.c_str());
       continue;
     }
-    if (e.lba + e.nblocks > device_blocks) {
+    if (!blocklayer::ExtentInRange(e.lba, e.nblocks, device_blocks)) {
       std::fprintf(stderr, "skipping out-of-range line %zu\n", lineno);
       continue;
     }

@@ -6,18 +6,16 @@
 # exercise threads — the sharded engine's worker pool, the
 # multi-instance sweep harness, the vbd suite (whose sharded test runs
 # a real vbd::Backend's DRR arbiter on the sharded device's controller
-# shard while the engine's workers run the channel shards), the obs
-# suite (EngineProfiler shard scratch is written from worker threads
-# and folded by the coordinator under the engine's ack release/acquire
-# pair), and the sharded-device suite (the full controller/FTL/channel
-# stack split across the controller/channel seam), and the
-# vision-recovery suite (the post-block append device, host map, and
-# epoch-checkpoint recovery — single-threaded by construction, but ran
-# here so the nameless path can never regress into hidden sharing) —
-# plus bench_sharded_device (its profiled run included) and
-# bench_crossover. Any data race TSan
-# finds fails the script: the determinism story is only as good as the
-# absence of unsynchronized sharing at the seam.
+# shard while the engine's workers run the channel shards), the
+# sharded-device suite (the full controller/FTL/channel stack split
+# across the controller/channel seam), and the vision-recovery suite
+# (the post-block append device, host map, and epoch-checkpoint
+# recovery — single-threaded by construction, but ran here so the
+# nameless path can never regress into hidden sharing) — plus
+# bench_sharded_device (every worker count at bench-scale load) and
+# bench_crossover. Any data race TSan finds fails the script: the
+# determinism story is only as good as the absence of unsynchronized
+# sharing at the seam.
 #
 # Usage: scripts/check_tsan.sh [build-dir]     (default: build-tsan)
 set -euo pipefail
@@ -28,7 +26,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DSIM_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   >/dev/null
 cmake --build "$BUILD_DIR" --target sharded_sim_test parallel_test \
-  vbd_test obs_test sharded_device_test vision_recovery_test \
+  vbd_test sharded_device_test vision_recovery_test \
   bench_sharded_device bench_crossover \
   -j "$(nproc)" >/dev/null
 
@@ -44,9 +42,6 @@ echo "check_tsan: sweep harness tests (thread-confined full stacks)"
 
 echo "check_tsan: vbd suite (a Backend on the sharded device, engine workers)"
 "$BUILD_DIR/tests/vbd_test"
-
-echo "check_tsan: obs suite (profiler scratch written from worker threads)"
-"$BUILD_DIR/tests/obs_test"
 
 echo "check_tsan: sharded device suite (full Device across the seam)"
 "$BUILD_DIR/tests/sharded_device_test"

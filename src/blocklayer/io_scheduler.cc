@@ -23,7 +23,12 @@ bool IoScheduler::TryMerge(IoRequest& request) {
       counters_.Increment("merge_stream_rejects");
       continue;
     }
-    if (tail.lba + tail.nblocks != request.lba) continue;
+    // The tail must end exactly where the request starts, without its
+    // extent wrapping past LBA 2^64 - 1.
+    if (!ExtentInRange(tail.lba, tail.nblocks, request.lba) ||
+        tail.lba + tail.nblocks != request.lba) {
+      continue;
+    }
     if (tail.nblocks + request.nblocks > config_.max_merged_blocks) continue;
     counters_.Increment("back_merges");
     if (tracer_ != nullptr && tracer_->enabled() && sim_ != nullptr) {

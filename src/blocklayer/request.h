@@ -245,6 +245,14 @@ struct IoRequest {
   }
 };
 
+/// True when the extent [lba, lba + nblocks) lies inside [0, limit).
+/// Never forms `lba + nblocks`: that sum wraps for an LBA near 2^64, and
+/// a wrapped extent would pass a `lba + nblocks > limit` test.
+constexpr bool ExtentInRange(Lba lba, std::uint64_t nblocks,
+                             std::uint64_t limit) {
+  return nblocks <= limit && lba <= limit - nblocks;
+}
+
 /// Maps a block-layer op onto its trace origin class.
 inline trace::Origin OriginOf(IoOp op) {
   switch (op) {

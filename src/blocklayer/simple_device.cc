@@ -23,7 +23,7 @@ void SimpleBlockDevice::Submit(IoRequest request) {
     });
     return;
   }
-  if (request.lba + request.nblocks > config_.num_blocks) {
+  if (!ExtentInRange(request.lba, request.nblocks, config_.num_blocks)) {
     sim_->Schedule(0, [request = std::move(request)]() {
       request.on_complete(
           IoResult{Status::OutOfRange("beyond device"), {}});

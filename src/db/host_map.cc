@@ -48,7 +48,7 @@ void HostMap::Submit(blocklayer::IoRequest request) {
     });
     return;
   }
-  if (request.lba + request.nblocks > num_pages_) {
+  if (!blocklayer::ExtentInRange(request.lba, request.nblocks, num_pages_)) {
     sim_->Schedule(0, [request = std::move(request)]() {
       request.on_complete(blocklayer::IoResult{
           Status::OutOfRange("request beyond host map"), {}});

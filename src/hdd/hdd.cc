@@ -50,7 +50,8 @@ void Hdd::Submit(blocklayer::IoRequest request) {
     });
     return;
   }
-  if (request.lba + request.nblocks > config_.num_blocks) {
+  if (!blocklayer::ExtentInRange(request.lba, request.nblocks,
+                                 config_.num_blocks)) {
     sim_->Schedule(0, [request = std::move(request)]() {
       request.on_complete(blocklayer::IoResult{
           Status::OutOfRange("beyond device"), {}});

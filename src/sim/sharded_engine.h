@@ -14,79 +14,6 @@
 
 namespace postblock::sim {
 
-struct ShardedConfig;
-
-/// Execution-observer seam for the sharded engine. All hooks are
-/// no-ops by default and carry both clocks: sim-time window bounds and
-/// wall-clock nanoseconds (steady_clock). The engine reads the wall
-/// clock *only* when an observer is attached, and nothing an observer
-/// returns feeds back into windowing or merge decisions — attaching
-/// one is schedule-byte-identical by construction (the
-/// obs.profiler.neutral gate holds this).
-///
-/// Threading contract:
-///   - OnAttach / OnWindowBegin / OnWindowEnd / OnMessage run on the
-///     coordinator thread, strictly between windows.
-///   - OnShardWindow runs on the worker thread that executed the
-///     shard's window (exactly one call per shard per window; shard s
-///     is statically owned by worker s % workers). Implementations
-///     must confine writes to per-shard state; the engine's ack
-///     release / coordinator acquire pair makes those writes visible
-///     to OnWindowEnd without extra synchronization.
-///   - OnWorkerStall runs on helper threads (worker ids >= 1) after
-///     each generation-barrier wait; the reported span covers the
-///     whole wait, including coordinator merge time between windows.
-class EngineObserver {
- public:
-  virtual ~EngineObserver() = default;
-
-  /// Engine constructed; observe the final config (shards, workers,
-  /// lookahead) to size per-shard state.
-  virtual void OnAttach(const ShardedConfig& /*config*/) {}
-
-  /// Coordinator is about to run window [floor, end] (inclusive end:
-  /// floor + lookahead - 1, possibly clamped by a deadline).
-  virtual void OnWindowBegin(std::uint64_t /*round*/, SimTime /*floor*/,
-                             SimTime /*end*/, std::uint64_t /*wall_begin_ns*/) {}
-
-  /// Shard `shard` finished its slice of window `round` on thread
-  /// `worker`. `min_pending_before` is the shard's earliest pending
-  /// timestamp before the window ran (kNoEvent when it was idle) —
-  /// minus `floor`, that is the lookahead slack. `events_delta` is the
-  /// number of events the shard committed inside this window.
-  virtual void OnShardWindow(std::uint64_t /*round*/, std::uint32_t /*shard*/,
-                             std::uint32_t /*worker*/, SimTime /*floor*/,
-                             SimTime /*min_pending_before*/,
-                             std::uint64_t /*events_delta*/,
-                             std::uint64_t /*wall_begin_ns*/,
-                             std::uint64_t /*wall_end_ns*/) {}
-
-  /// All shards acked window `round`; the coordinator owns the engine
-  /// again. Fold per-shard scratch here.
-  virtual void OnWindowEnd(std::uint64_t /*round*/,
-                           std::uint64_t /*wall_end_ns*/) {}
-
-  /// One cross-shard message delivered (coordinator, merge order).
-  virtual void OnMessage(std::uint32_t /*from*/, std::uint32_t /*to*/,
-                         SimTime /*when*/) {}
-
-  /// Helper `worker` spent `stall_wall_ns` waiting at the generation
-  /// barrier before its latest release.
-  virtual void OnWorkerStall(std::uint32_t /*worker*/,
-                             std::uint64_t /*stall_wall_ns*/) {}
-
-  /// Window sampling stride, read once at attach. The engine calls the
-  /// wall-clocked hooks (OnWindowBegin / OnShardWindow / OnWindowEnd /
-  /// OnMessage / OnWorkerStall) only on every N-th window — the
-  /// default 1 observes everything. Windows on this engine run a few
-  /// µs; sampling keeps an always-on profiler's amortized cost in the
-  /// noise while every identity (wall-bucket conservation, the message
-  /// matrix vs. OnMessage calls) stays exact over the sampled set.
-  /// Sampling never touches the schedule: which windows run, and what
-  /// they commit, is identical at every stride.
-  virtual std::uint32_t WallSampleStride() const { return 1; }
-};
-
 /// Configuration for a ShardedEngine.
 struct ShardedConfig {
   /// Number of shards (independent event loops). Shard ids are
@@ -96,10 +23,10 @@ struct ShardedConfig {
   std::uint32_t shards = 1;
 
   /// Worker threads executing shard windows. 0 = sequential reference
-  /// loop (no pool, no atomics — the single-threaded core). W >= 1 uses
-  /// the calling thread plus W-1 helpers, so workers=1 exercises the
-  /// parallel code path degenerately. The committed schedule is
-  /// byte-identical at every value, including 0.
+  /// loop (no pool, no atomics — the single-threaded core). W >= 2 uses
+  /// the calling thread plus W-1 helpers; workers=1 has no helper and
+  /// runs the reference loop. The committed schedule is byte-identical
+  /// at every value, including 0.
   std::uint32_t workers = 0;
 
   /// Conservative-lookahead bound: every Post() issued from an event
@@ -109,11 +36,6 @@ struct ShardedConfig {
   /// width — shards run ahead `lookahead - 1` ns past the global next
   /// event before they must merge.
   SimTime lookahead = 1000;
-
-  /// Optional execution observer (obs::EngineProfiler). Not owned;
-  /// must outlive the engine. nullptr (the default) keeps the engine
-  /// free of wall-clock reads entirely.
-  EngineObserver* observer = nullptr;
 };
 
 /// Sharded parallel discrete-event engine: N per-shard event loops with
@@ -196,11 +118,10 @@ class ShardedEngine {
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 
-  /// Sentinel "no pending event" timestamp, as passed to
-  /// EngineObserver::OnShardWindow for idle shards.
+ private:
+  /// Sentinel "no pending event" timestamp.
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
- private:
   struct Message {
     SimTime when;
     std::uint32_t from;
@@ -217,35 +138,19 @@ class ShardedEngine {
     Simulator sim;
     std::vector<Message> outbox;
     std::uint64_t next_msg_seq = 0;
-    /// Earliest pending timestamp, cached by GlobalMinPending() (which
-    /// probes every shard anyway) so the observed RunShardRange can
-    /// report lookahead slack without a second wheel scan. Valid for
-    /// the window derived from that probe: messages were already
-    /// delivered, and nothing else touches the shard's queue until its
-    /// own RunUntil. Coordinator-written between windows; the
-    /// generation release/acquire pair publishes it to workers.
-    SimTime min_pending = kNoEvent;
   };
 
-  /// Delivers all pending outbox messages in merge order. Returns the
-  /// number delivered. Coordinator-only (between windows).
-  std::size_t DeliverMessages();
+  /// Delivers all pending outbox messages in merge order.
+  /// Coordinator-only (between windows).
+  void DeliverMessages();
   /// Earliest pending timestamp across shards, or kNoEvent when idle.
-  /// Caches each shard's own minimum in Shard::min_pending as a side
-  /// effect (the slack probe for an observed window).
-  SimTime GlobalMinPending();
-  /// Runs one window [floor, window_end] on every shard, using the
-  /// worker pool when configured. `floor` is the global min-pending
-  /// probe the window was derived from (observer-only; RunUntil clamps
-  /// window_end, so the floor cannot be recovered from it).
-  void RunWindow(SimTime floor, SimTime window_end);
-  /// Runs this worker's shards up to window_end. With an observer
-  /// attached, returns the wall timestamp of the last shard's end
-  /// (chained reads: each end doubles as the next begin; `wall_hint`
-  /// seeds the first when nonzero). Returns 0 unobserved.
-  std::uint64_t RunShardRange(std::uint32_t worker_id, SimTime floor,
-                              SimTime window_end,
-                              std::uint64_t wall_hint = 0);
+  SimTime GlobalMinPending() const;
+  /// Runs one window (every event with timestamp <= window_end) on
+  /// every shard, using the worker pool when configured.
+  void RunWindow(SimTime window_end);
+  /// Runs this worker's shards up to window_end: shard s belongs to
+  /// worker s % workers, and without a pool worker 0 runs them all.
+  void RunShardRange(std::uint32_t worker_id, SimTime window_end);
 
   // --- Worker pool -----------------------------------------------------
   // Generation barrier on C++20 atomic wait/notify with a short spin
@@ -269,15 +174,8 @@ class ShardedEngine {
   std::atomic<std::uint32_t> acks_{0};
   std::atomic<bool> stop_{false};
   // Published before the generation bump (the release/acquire pair on
-  // generation_ makes all three visible to helpers).
+  // generation_ makes it visible to helpers).
   SimTime pool_window_end_ = 0;
-  SimTime pool_window_floor_ = 0;
-  // The observer for the in-flight window: config_.observer on sampled
-  // windows (every obs_stride_-th, countdown below), nullptr otherwise.
-  // Workers and RunShardRange read this, never config_.observer.
-  EngineObserver* window_obs_ = nullptr;
-  std::uint32_t obs_stride_ = 1;
-  std::uint32_t obs_countdown_ = 1;  // fires (samples) when it hits 0
 
   std::vector<Message> merge_buf_;  // reused between rounds
 };

@@ -187,7 +187,8 @@ void Device::Admit(blocklayer::IoRequest request, SimTime admit_delay) {
     });
     return;
   }
-  if (request.lba + request.nblocks > num_blocks()) {
+  if (!blocklayer::ExtentInRange(request.lba, request.nblocks,
+                                 num_blocks())) {
     sim_->Schedule(0, [request = std::move(request)]() {
       request.on_complete(blocklayer::IoResult{
           Status::OutOfRange("request beyond device"), {}});

@@ -66,7 +66,6 @@ ShardedDeviceSim::ShardedDeviceSim(const Config& config,
   ec.shards = plan_.num_shards;
   ec.workers = run_.workers;
   ec.lookahead = plan_.Lookahead();
-  ec.observer = run_.observer;
   engine_ = std::make_unique<sim::ShardedEngine>(ec);
   router_ = std::make_unique<ShardRouter>(engine_.get(), plan_);
   std::vector<trace::Tracer*> channel_rings;

@@ -37,10 +37,6 @@ struct ShardedDeviceRun {
   /// controller ring. Their contents fold into ModelFingerprint(), so
   /// the digest gates also hold tracing to worker-count invariance.
   bool tracing = false;
-  /// Optional execution observer forwarded to the engine
-  /// (obs::EngineProfiler). Not owned; must outlive the run. Read-only
-  /// on the schedule; nullptr keeps the engine wall-clock-free.
-  sim::EngineObserver* observer = nullptr;
 };
 
 /// Owns engine + router + device + host loop for one run. Build, call

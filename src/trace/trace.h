@@ -121,11 +121,6 @@ inline constexpr std::uint32_t kPidFlash = 3;        // channels + LUNs
 /// own process ("tenant-N") — the multi-tenant view the vbd backend
 /// exports.
 inline constexpr std::uint32_t kPidTenantBase = 16;
-/// Wall-clock engine-execution tracks (obs::EngineProfiler) get their
-/// own pid space far above the tenant range, so dual-clock traces can
-/// merge sim-time and wall-time timelines into one Perfetto view
-/// without track collisions.
-inline constexpr std::uint32_t kPidEngineWall = 4096;
 
 inline const char* PidName(std::uint32_t pid) {
   switch (pid) {
@@ -135,8 +130,6 @@ inline const char* PidName(std::uint32_t pid) {
       return "controller";
     case kPidFlash:
       return "flash";
-    case kPidEngineWall:
-      return "engine-wall";
   }
   return pid >= kPidTenantBase ? "tenant" : "?";
 }
@@ -144,7 +137,7 @@ inline const char* PidName(std::uint32_t pid) {
 /// Exporter-facing pid label: layer name for the fixed pids,
 /// "tenant-<slot>" for tenant pids.
 inline std::string PidLabel(std::uint32_t pid) {
-  if (pid >= kPidTenantBase && pid < kPidEngineWall) {
+  if (pid >= kPidTenantBase) {
     return "tenant-" + std::to_string(pid - kPidTenantBase);
   }
   return PidName(pid);

@@ -222,8 +222,9 @@ void Backend::Submit(Frontend* fe, IoRequest request) {
 
   const IoOp op = request.op;
   if (op != IoOp::kFlush) {
-    if (request.nblocks == 0 || request.lba >= fe->capacity_ ||
-        request.nblocks > fe->capacity_ - request.lba) {
+    if (request.nblocks == 0 ||
+        !blocklayer::ExtentInRange(request.lba, request.nblocks,
+                                   fe->capacity_)) {
       ++fe->stats_.rejected_bounds;
       Reject(std::move(request.on_complete),
              Status::OutOfRange("IO outside tenant namespace"));

@@ -260,6 +260,36 @@ TEST(BlockLayerTest, MergeSchedulerMergesSequentialStream) {
   EXPECT_GT(layer.scheduler(0).counters().Get("back_merges"), 0u);
 }
 
+TEST(BlockLayerTest, MergeNeverJoinsExtentsAcrossTheTopLba) {
+  // A queued write of the last LBA and a write of LBA 0 "abut" only if
+  // the LBA wraps; merging them would hand the device one out-of-range
+  // request that takes the valid write down with it.
+  sim::Simulator sim;
+  SimpleBlockDevice dev(&sim, FastDevice());
+  BlockLayerConfig cfg;
+  cfg.scheduler = SchedulerKind::kMerge;
+  cfg.queue_depth = 1;  // the first write holds the slot; the rest queue
+  BlockLayer layer(&sim, &dev, cfg);
+  const Status pending = Status::Internal("never completed");
+  Status first = pending, top = pending, zero = pending;
+  layer.Submit(IoRequest::Write(100, {1},
+                                [&](const IoResult& r) { first = r.status; }));
+  layer.Submit(IoRequest::Write(~Lba{0}, {9},
+                                [&](const IoResult& r) { top = r.status; }));
+  layer.Submit(IoRequest::Write(0, {5},
+                                [&](const IoResult& r) { zero = r.status; }));
+  sim.Run();
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_EQ(top.code(), StatusCode::kOutOfRange) << top.ToString();
+  EXPECT_TRUE(zero.ok()) << zero.ToString();
+  EXPECT_EQ(layer.scheduler(0).counters().Get("back_merges"), 0u);
+  IoRequest r;
+  r.op = IoOp::kRead;
+  r.lba = 0;
+  r.nblocks = 1;
+  EXPECT_EQ(RunOne(&sim, &layer, std::move(r)).tokens, (Tokens{5}));
+}
+
 TEST(BlockLayerTest, CpuUtilizationReported) {
   sim::Simulator sim;
   SimpleBlockDevice dev(&sim, FastDevice());

@@ -571,6 +571,52 @@ INSTANTIATE_TEST_SUITE_P(
              kContractOpNames[std::get<1>(p.param)];
     });
 
+// --- Range checks at the top of the LBA space ------------------------------
+//
+// A write whose extent runs past LBA 2^64 - 1 wraps `lba + nblocks` back
+// to a small number. Every stack that takes block writes must still
+// refuse it OutOfRange and leave LBA 0 alone; the rest refuse it too
+// (a vbd tenant checks its namespace before the op).
+
+class RangeCheckTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(RangeCheckTest, WritePastTopLbaIsOutOfRangeAndLeavesLbaZero) {
+  sim::Simulator sim;
+  ContractStack stack = BuildStack(GetParam(), &sim);
+  ASSERT_NE(stack.top, nullptr);
+  sim.Run();  // settle construction-time work
+  const auto run = [&sim, &stack](IoRequest request) {
+    IoResult out{Status::Internal("never completed"), {}};
+    request.on_complete = [&out](const IoResult& r) { out = r; };
+    stack.top->Submit(std::move(request));
+    sim.Run();
+    return out;
+  };
+  const Lba top = ~Lba{0};
+  if (!stack.top->Supports(IoOp::kWrite)) {
+    const StatusCode code =
+        run(IoRequest::Write(top, {999, 222}, {})).status.code();
+    EXPECT_TRUE(code == StatusCode::kUnimplemented ||
+                code == StatusCode::kOutOfRange)
+        << static_cast<int>(code);
+    return;
+  }
+  ASSERT_TRUE(run(IoRequest::Write(0, {111}, {})).status.ok());
+  const IoResult wrapped = run(IoRequest::Write(top, {999, 222}, {}));
+  EXPECT_EQ(wrapped.status.code(), StatusCode::kOutOfRange)
+      << wrapped.status.ToString();
+  const IoResult read = run(IoRequest::Read(0, 1, {}));
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  ASSERT_EQ(read.tokens.size(), 1u);
+  EXPECT_EQ(read.tokens[0], 111u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayer, RangeCheckTest, testing::ValuesIn(kContractStacks),
+    [](const testing::TestParamInfo<RangeCheckTest::ParamType>& p) {
+      return p.param;
+    });
+
 // --- One device, both vocabularies -----------------------------------------
 //
 // The contract above sends one op to a fresh stack. These send both

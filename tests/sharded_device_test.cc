@@ -43,13 +43,19 @@ ShardedDeviceRun TestRun(std::uint32_t workers) {
   return run;
 }
 
+/// What a run must reproduce at every worker count: the model and the
+/// committed schedule, and how the engine windowed it — the rendezvous
+/// rounds and the cross-shard messages delivered.
 struct Digest {
   std::uint64_t model;
   std::uint64_t combined;
   std::uint64_t events;
+  std::uint64_t rounds;
+  std::uint64_t messages;
   bool operator==(const Digest& o) const {
     return model == o.model && combined == o.combined &&
-           events == o.events;
+           events == o.events && rounds == o.rounds &&
+           messages == o.messages;
   }
 };
 
@@ -60,7 +66,8 @@ Digest RunOnce(const Config& config, const ShardedDeviceRun& run,
   EXPECT_EQ(sim.io_errors(), 0u);
   if (wa != nullptr) *wa = sim.device()->WriteAmplification();
   return Digest{sim.ModelFingerprint(), sim.CombinedFingerprint(),
-                sim.engine()->events_executed()};
+                sim.engine()->events_executed(), sim.engine()->rounds(),
+                sim.engine()->messages_delivered()};
 }
 
 TEST(ShardedDeviceTest, ScheduleInvariantAcrossWorkerCounts) {

@@ -168,8 +168,9 @@ TEST(ShardedEngineTest, RunUntilLeavesLaterWorkQueued) {
 /// A random sharded workload: each shard runs a self-rescheduling chain
 /// with per-shard-domain random deltas; a quarter of events post a
 /// payload to a random other shard at now + lookahead + delta. Every
-/// observable (per-shard execution hash, payload fold, event counts) is
-/// folded into one digest alongside the engine fingerprints.
+/// observable (per-shard execution hash, payload fold, event counts,
+/// rendezvous rounds, messages delivered) is folded into one digest
+/// alongside the engine fingerprints.
 std::uint64_t RunRandomWorld(std::uint32_t workers, std::uint64_t seed) {
   constexpr std::uint32_t kShards = 5;
   constexpr SimTime kLookahead = 64;
@@ -233,6 +234,8 @@ std::uint64_t RunRandomWorld(std::uint32_t workers, std::uint64_t seed) {
   }
   digest = Fold(digest, engine.events_executed());
   digest = Fold(digest, engine.Now());
+  digest = Fold(digest, engine.rounds());
+  digest = Fold(digest, engine.messages_delivered());
   return digest;
 }
 
