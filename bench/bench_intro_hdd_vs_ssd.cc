@@ -60,7 +60,7 @@ int main() {
 
   {
     sim::Simulator sim;
-    hdd::Hdd disk(&sim, hdd::HddConfig{});
+    hdd::Hdd disk(&sim);
     const std::uint64_t span = disk.num_blocks();
     const auto seq = RunOn(&disk, &sim, false, false, span, 1);
     const auto rand = RunOn(&disk, &sim, true, false, span, 1);

@@ -128,6 +128,17 @@ void BlockLayer::Submit(IoRequest request) {
     RouteNonBlockOp(std::move(request), lower_, &counters_);
     return;
   }
+  if (request.op != IoOp::kFlush &&
+      !ExtentInRange(request.lba, request.nblocks, lower_->num_blocks()) &&
+      lower_->Supports(request.op)) {
+    // Refused before it takes a tag or a queue slot: queued, it could
+    // back-merge into a valid neighbour and fail that one too. (An op
+    // the device lacks goes on down to be refused Unimplemented.)
+    sim_->Schedule(0, [cb = std::move(request.on_complete)] {
+      if (cb) cb(IoResult{Status::OutOfRange("beyond device"), {}});
+    });
+    return;
+  }
   counters_.Increment("submitted");
   const std::uint32_t q = SelectQueue(request);
   StartIo(q, std::move(request));
@@ -285,9 +296,8 @@ void BlockLayer::FinishIo(IoState* st) {
   // ladder already ran, but a re-read can still succeed when the
   // failure was a transient (injected or queueing-sensitive) one.
   if (st->op == IoOp::kRead && st->result.status.IsDataLoss() &&
-      st->attempts < config_.retry.max_attempts) {
-    const SimTime backoff = config_.retry.backoff_ns
-                            << (st->attempts - 1);
+      st->attempts < kEioMaxAttempts) {
+    const SimTime backoff = kEioBackoffNs << (st->attempts - 1);
     ++st->attempts;
     counters_.Increment("eio_retries");
     auto resubmit = [this, st] { RetrySubmit(st); };

@@ -41,8 +41,6 @@ struct BlockLayerConfig {
   SchedulerKind scheduler = SchedulerKind::kMerge;
   /// Completion by interrupt (true) or polling (false).
   bool interrupt_completion = true;
-  /// Bounded resubmission of reads that completed with DataLoss.
-  IoRetryPolicy retry;
 
   // ---- multi-queue host path (blk-mq style) -------------------------
   /// Fixed inflight tags per queue; an IO holds one tag from submit to
@@ -116,8 +114,10 @@ class BlockLayer : public BlockDevice {
   std::uint32_t block_bytes() const override {
     return lower_->block_bytes();
   }
-  /// Block ops enter the software queues; hints complete here; other
-  /// ops pass through when the lower device supports them.
+  /// Block ops enter the software queues, except a supported read,
+  /// write or trim outside the device, which completes OutOfRange
+  /// without queueing; hints complete here; other ops pass through when
+  /// the lower device supports them.
   void Submit(IoRequest request) override;
   const Counters& counters() const { return counters_; }
 

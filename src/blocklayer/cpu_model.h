@@ -16,12 +16,12 @@ struct CpuCosts {
   SimTime polled_ns = 700;      // completion cost when polling instead
 
   /// The 2012-era single-queue block layer the paper describes.
-  static CpuCosts Legacy() { return CpuCosts{}; }
+  static constexpr CpuCosts Legacy() { return CpuCosts{}; }
   /// A streamlined multiqueue-style stack (reduced locking, per-core
   /// completions).
-  static CpuCosts Streamlined() { return {1200, 300, 1500, 400}; }
+  static constexpr CpuCosts Streamlined() { return {1200, 300, 1500, 400}; }
   /// User-space direct access (ioMemory SDK analogy): no kernel costs.
-  static CpuCosts Direct() { return {500, 0, 0, 250}; }
+  static constexpr CpuCosts Direct() { return {500, 0, 0, 250}; }
 };
 
 }  // namespace postblock::blocklayer

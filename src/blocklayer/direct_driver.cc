@@ -4,14 +4,8 @@
 
 namespace postblock::blocklayer {
 
-DirectDriver::DirectDriver(sim::Simulator* sim, BlockDevice* lower,
-                           const CpuCosts& cpu, std::uint32_t cores,
-                           const IoRetryPolicy& retry)
-    : sim_(sim),
-      lower_(lower),
-      cpu_(cpu),
-      cpu_res_(sim, "direct-cpu", static_cast<int>(cores)),
-      retry_(retry) {}
+DirectDriver::DirectDriver(sim::Simulator* sim, BlockDevice* lower)
+    : sim_(sim), lower_(lower), cpu_res_(sim, "direct-cpu", kCores) {}
 
 void DirectDriver::Submit(IoRequest request) {
   if (!IsBlockOp(request.op)) {
@@ -40,7 +34,7 @@ void DirectDriver::SubmitAttempt(IoRequest request, SimTime start,
     // ladder gets a bounded, backed-off resubmission (full attempt,
     // including submit CPU — the user-space driver really re-polls).
     if (op == IoOp::kRead && result.status.IsDataLoss() &&
-        attempt < retry_.max_attempts) {
+        attempt < kEioMaxAttempts) {
       counters_.Increment("eio_retries");
       IoRequest r;
       r.op = op;
@@ -49,14 +43,14 @@ void DirectDriver::SubmitAttempt(IoRequest request, SimTime start,
       r.priority = priority;
       r.span = span;
       r.on_complete = std::move(user_cb);
-      sim_->Schedule(retry_.backoff_ns << (attempt - 1),
+      sim_->Schedule(kEioBackoffNs << (attempt - 1),
                      [this, start, attempt, r = std::move(r)]() mutable {
                        SubmitAttempt(std::move(r), start, attempt + 1);
                      });
       return;
     }
     if (!result.status.ok()) counters_.Increment("io_errors");
-    cpu_res_.UseFor(cpu_.polled_ns,
+    cpu_res_.UseFor(kCpu.polled_ns,
                     [this, start, epoch, user_cb = std::move(user_cb),
                      result]() {
                       if (epoch != epoch_) return;
@@ -65,7 +59,7 @@ void DirectDriver::SubmitAttempt(IoRequest request, SimTime start,
                       if (user_cb) user_cb(result);
                     });
   };
-  cpu_res_.UseFor(cpu_.submit_ns,
+  cpu_res_.UseFor(kCpu.submit_ns,
                   [this, epoch, request = std::move(request)]() mutable {
                     if (epoch != epoch_) return;
                     lower_->Submit(std::move(request));

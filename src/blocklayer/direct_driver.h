@@ -19,10 +19,7 @@ namespace postblock::blocklayer {
 /// completion cost.
 class DirectDriver : public BlockDevice {
  public:
-  DirectDriver(sim::Simulator* sim, BlockDevice* lower,
-               const CpuCosts& cpu = CpuCosts::Direct(),
-               std::uint32_t cores = 4,
-               const IoRetryPolicy& retry = IoRetryPolicy());
+  DirectDriver(sim::Simulator* sim, BlockDevice* lower);
   ~DirectDriver() override = default;
 
   std::uint64_t num_blocks() const override { return lower_->num_blocks(); }
@@ -65,11 +62,13 @@ class DirectDriver : public BlockDevice {
   void SubmitAttempt(IoRequest request, SimTime start,
                      std::uint32_t attempt);
 
+  static constexpr CpuCosts kCpu = CpuCosts::Direct();
+  /// Host cores submitting and polling.
+  static constexpr int kCores = 4;
+
   sim::Simulator* sim_;
   BlockDevice* lower_;
-  CpuCosts cpu_;
   sim::Resource cpu_res_;
-  IoRetryPolicy retry_;
   std::uint64_t epoch_ = 0;
   Histogram latency_;
   Counters counters_;

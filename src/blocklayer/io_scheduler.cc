@@ -5,11 +5,15 @@
 
 namespace postblock::blocklayer {
 
+namespace {
+// Cap on a merged request's total span.
+constexpr std::uint32_t kMaxMergedBlocks = 128;
+}  // namespace
+
 IoScheduler::IoScheduler(IoSchedulerConfig config) : config_(config) {}
 
-IoScheduler::IoScheduler(SchedulerKind kind,
-                         std::uint32_t max_merged_blocks)
-    : IoScheduler(IoSchedulerConfig{kind, max_merged_blocks}) {}
+IoScheduler::IoScheduler(SchedulerKind kind)
+    : IoScheduler(IoSchedulerConfig{kind}) {}
 
 bool IoScheduler::TryMerge(IoRequest& request) {
   if (config_.kind != SchedulerKind::kMerge || queue_.empty()) return false;
@@ -29,7 +33,7 @@ bool IoScheduler::TryMerge(IoRequest& request) {
         tail.lba + tail.nblocks != request.lba) {
       continue;
     }
-    if (tail.nblocks + request.nblocks > config_.max_merged_blocks) continue;
+    if (tail.nblocks + request.nblocks > kMaxMergedBlocks) continue;
     counters_.Increment("back_merges");
     if (tracer_ != nullptr && tracer_->enabled() && sim_ != nullptr) {
       tracer_->Mark(trace::Stage::kSchedule, OriginOf(request.op),

@@ -25,8 +25,6 @@ const char* SchedulerKindName(SchedulerKind kind);
 /// Per-queue scheduling policy knobs.
 struct IoSchedulerConfig {
   SchedulerKind kind = SchedulerKind::kNoop;
-  /// Cap on a merged request's total span.
-  std::uint32_t max_merged_blocks = 128;
   /// How many queued requests (from the tail) a new request may merge
   /// into. 1 = the classic tail-only back-merge. A wider window lets a
   /// request coalesce past unrelated interleaved traffic.
@@ -52,8 +50,7 @@ struct IoSchedulerConfig {
 class IoScheduler {
  public:
   explicit IoScheduler(IoSchedulerConfig config);
-  explicit IoScheduler(SchedulerKind kind,
-                       std::uint32_t max_merged_blocks = 128);
+  explicit IoScheduler(SchedulerKind kind);
 
   /// Takes ownership of the request. Merged requests complete their
   /// original callbacks individually when the merged IO completes.

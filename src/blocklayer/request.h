@@ -99,17 +99,16 @@ class IoCallback : public sim::InplaceFunction<void(const IoResult&)> {
   std::uint16_t tag = kNoTag;
 };
 
-/// Bounded EIO retry for reads, mirroring the kernel's per-bio retry
-/// count: a read completing with DataLoss (uncorrectable media even
-/// after the device's own retry ladder) is resubmitted up to
-/// `max_attempts` total tries, each preceded by an exponentially grown
-/// backoff (`backoff_ns << attempt`). Writes and trims are never
-/// retried here — the FTL already places them on fresh blocks, so a
-/// failed write is a policy decision for the layer above.
-struct IoRetryPolicy {
-  std::uint32_t max_attempts = 3;  // total tries; 1 = no retry
-  SimTime backoff_ns = 2000;
-};
+/// Bounded EIO retry for reads in BlockLayer and DirectDriver,
+/// mirroring the kernel's per-bio retry count: a read completing with
+/// DataLoss (uncorrectable media even after the device's own retry
+/// ladder) is resubmitted up to kEioMaxAttempts total tries, each
+/// preceded by an exponentially grown backoff (kEioBackoffNs << attempt).
+/// Writes and trims are never retried here — the FTL already places
+/// them on fresh blocks, so a failed write is a policy decision for the
+/// layer above.
+inline constexpr std::uint32_t kEioMaxAttempts = 3;  // total tries
+inline constexpr SimTime kEioBackoffNs = 2000;
 
 /// One asynchronous host request. Move-only (the completion callable
 /// owns inline state); accidental copies on the submit path are compile

@@ -19,7 +19,6 @@ namespace postblock::blocklayer {
 /// model is the point of comparison.
 struct SimpleDeviceConfig {
   std::uint64_t num_blocks = 1 << 20;
-  std::uint32_t block_bytes = 4096;
   SimTime read_ns = 10 * kMicrosecond;   // PCM-array read of 4 KiB
   SimTime write_ns = 30 * kMicrosecond;  // PCM-array write of 4 KiB
   std::uint32_t units = 8;               // internal parallelism
@@ -32,13 +31,13 @@ class SimpleBlockDevice : public BlockDevice {
   ~SimpleBlockDevice() override = default;
 
   std::uint64_t num_blocks() const override { return config_.num_blocks; }
-  std::uint32_t block_bytes() const override {
-    return config_.block_bytes;
-  }
+  std::uint32_t block_bytes() const override { return kBlockBytes; }
   void Submit(IoRequest request) override;
   const Counters& counters() const { return counters_; }
 
  private:
+  static constexpr std::uint32_t kBlockBytes = 4096;
+
   /// One accepted request: its blocks are served independently by the
   /// units and the last one completes it. Pooled, and the result keeps
   /// its token capacity, so steady-state IO never allocates; the

@@ -14,6 +14,10 @@ constexpr std::size_t kOffRoot = 16;
 constexpr std::size_t kOffHeapFirst = 24;
 constexpr std::size_t kOffHeapLast = 32;
 constexpr std::size_t kOffNextPage = 40;
+// Classic mode: log blocks reserved at the top of the LBA space.
+constexpr std::uint64_t kWalRegionBlocks = 64;
+// Vision mode: PCM log region size.
+constexpr std::uint64_t kPcmLogBytes = 8 * kMiB;
 }  // namespace
 
 const char* WiringName(Wiring w) {
@@ -24,11 +28,10 @@ StorageManager::StorageManager(sim::Simulator* sim, ssd::Device* device,
                                const StorageConfig& config)
     : sim_(sim), device_(device), config_(config) {
   if (config_.wiring == Wiring::kVision) {
-    pcm::PcmConfig pcm_cfg;
-    pcm_cfg.capacity_bytes = config_.pcm_log_bytes;
-    pcm_ = std::make_unique<pcm::PcmDevice>(sim_, pcm_cfg);
+    pcm_ = std::make_unique<pcm::PcmDevice>(sim_,
+                                            pcm::PcmConfig{kPcmLogBytes});
     pcm_log_ = std::make_unique<core::PcmLog>(sim_, pcm_.get(), 0,
-                                              config_.pcm_log_bytes);
+                                              kPcmLogBytes);
     direct_ = std::make_unique<blocklayer::DirectDriver>(sim_, device_);
     // Capability probe, not config peeking: a device that advertises
     // append regions has no logical address space, so page IO must run
@@ -46,7 +49,7 @@ StorageManager::StorageManager(sim::Simulator* sim, ssd::Device* device,
     store_ = std::make_unique<core::HybridStore>(
         sim_, block_layer_.get(),
         /*log_region_start=*/DataRegionBlocks(),
-        /*log_region_blocks=*/config_.wal_region_blocks);
+        /*log_region_blocks=*/kWalRegionBlocks);
   }
   RebuildVolatileState();
 }
@@ -56,7 +59,7 @@ StorageManager::~StorageManager() = default;
 std::uint64_t StorageManager::DataRegionBlocks() const {
   const std::uint64_t total = device_->num_blocks();
   return config_.wiring == Wiring::kClassic
-             ? total - config_.wal_region_blocks
+             ? total - kWalRegionBlocks
              : total;
 }
 

@@ -52,10 +52,6 @@ const char* WiringName(Wiring w);
 struct StorageConfig {
   Wiring wiring = Wiring::kVision;
   std::size_t buffer_frames = 512;
-  /// Classic mode: log blocks reserved at the top of the LBA space.
-  std::uint64_t wal_region_blocks = 64;
-  /// Vision mode: PCM log region size.
-  std::uint64_t pcm_log_bytes = 8 * kMiB;
   blocklayer::BlockLayerConfig block_layer;  // classic data path
 };
 

@@ -4,6 +4,13 @@
 
 namespace postblock::flash {
 
+namespace {
+/// Each rung of the controller's read-retry ladder re-senses with a
+/// tuned reference voltage: error rates shrink by this factor per retry
+/// step, the same for every flash class.
+constexpr double kRetryRateDecay = 0.1;
+}  // namespace
+
 double ErrorModel::WearFactor(std::uint32_t erase_count) const {
   if (config_.endurance_cycles == 0) return 0.0;
   const double wear = static_cast<double>(erase_count) /
@@ -15,7 +22,7 @@ ReadOutcome ErrorModel::SampleRead(std::uint32_t erase_count, Rng* rng,
                                    std::uint32_t retry_step) const {
   double factor = WearFactor(erase_count);
   for (std::uint32_t i = 0; i < retry_step; ++i) {
-    factor *= config_.retry_rate_decay;
+    factor *= kRetryRateDecay;
   }
   const double p_uncorrectable =
       std::min(1.0, config_.base_uncorrectable_rate * factor);

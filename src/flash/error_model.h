@@ -26,11 +26,6 @@ struct ErrorModelConfig {
   double wear_amplification = 1e5;
   /// Probability an erase past endurance kills the block.
   double post_endurance_erase_failure = 0.02;
-  /// Each rung of the controller's read-retry ladder re-senses with a
-  /// tuned reference voltage: error rates shrink by this factor per
-  /// retry step. (Not part of the preset aggregates — same default for
-  /// every flash class.)
-  double retry_rate_decay = 0.1;
 
   static ErrorModelConfig Slc() {
     return {100000, 1e-5, 1e-10, 1e4, 0.01};
@@ -52,7 +47,7 @@ class ErrorModel {
   const ErrorModelConfig& config() const { return config_; }
 
   /// `retry_step` > 0 models a re-sense on the controller's retry
-  /// ladder: rates decay by retry_rate_decay^step. Always draws exactly
+  /// ladder: rates decay by kRetryRateDecay^step. Always draws exactly
   /// one random number, so attaching retries never perturbs clean-run
   /// schedules at step 0.
   ReadOutcome SampleRead(std::uint32_t erase_count, Rng* rng,

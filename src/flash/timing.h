@@ -17,18 +17,22 @@ struct Timing {
   SimTime read_ns = 40 * kMicrosecond;     // array read to page register
   SimTime program_ns = 400 * kMicrosecond; // page register to array
   SimTime erase_ns = 2 * kMillisecond;     // whole-block erase
-  SimTime cmd_ns = 200;                    // command/address cycles on bus
+  // The bus and energy figures below are the same for every flash
+  // class (the presets vary only the array times above).
+  static constexpr SimTime cmd_ns = 200;  // command/address cycles on bus
   /// Channel bus bandwidth for data transfers (ONFI-2 class).
-  std::uint64_t channel_mb_per_s = 200;
+  static constexpr std::uint64_t channel_mb_per_s = 200;
 
   /// Per-operation energy in nanojoules (the accounting of the authors'
   /// own uFLIP energy study, the paper's ref [2]). Benches report
   /// energy-per-host-write so GC/merge overheads show up as nJ, not
   /// just latency.
-  std::uint64_t read_energy_nj = 10'000;      // ~10 uJ array read
-  std::uint64_t program_energy_nj = 50'000;   // ~50 uJ array program
-  std::uint64_t erase_energy_nj = 150'000;    // ~150 uJ block erase
-  std::uint64_t transfer_nj_per_kib = 500;    // bus transfer energy
+  // ~10 uJ array read, ~50 uJ array program, ~150 uJ block erase, and
+  // the bus transfer energy per KiB.
+  static constexpr std::uint64_t read_energy_nj = 10'000;
+  static constexpr std::uint64_t program_energy_nj = 50'000;
+  static constexpr std::uint64_t erase_energy_nj = 150'000;
+  static constexpr std::uint64_t transfer_nj_per_kib = 500;
 
   /// Bus occupancy to move one page of `page_bytes`.
   /// bytes / (MB/s) = bytes * 1000 / mb_per_s nanoseconds (MB = 10^6 B).

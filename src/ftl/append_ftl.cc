@@ -17,13 +17,19 @@ constexpr std::uint64_t kPpaBits = 40;
 constexpr std::uint64_t kPpaMask = (1ull << kPpaBits) - 1;
 
 constexpr trace::Ctx kMigrateCtx{0, 0, trace::Origin::kGc};
+
+// When free blocks drop to this fraction of the array, the device starts
+// *cooperative migration* — it relocates the live pages of the deadest
+// block (firing the migration handler for each) and erases it. Not GC:
+// liveness is entirely host-declared via nameless-free; the device only
+// compacts fragmentation the host's frees created, and tells the host
+// about every move.
+constexpr double kMigrateWatermark = 0.06;
 }  // namespace
 
 AppendFtl::AppendFtl(ssd::Controller* controller)
     : controller_(controller),
-      regions_(controller->config().append_regions + 1),
       free_(controller->config().geometry.luns()),
-      live_count_(controller->config().geometry.total_blocks(), 0),
       in_flight_(controller->config().geometry.total_blocks(), 0),
       is_free_(controller->config().geometry.total_blocks(), true),
       is_active_(controller->config().geometry.total_blocks(), false) {
@@ -56,7 +62,7 @@ double AppendFtl::WriteAmplification() const {
 std::uint64_t AppendFtl::MappingTableBytes() const {
   // The whole translation state: one live/in-flight counter pair per
   // block plus an append point per region. No per-page anything.
-  return live_count_.size() * 4 + regions_.size() * 16;
+  return geom().total_blocks() * 4 + regions_.size() * 16;
 }
 
 void AppendFtl::RegisterMetrics(metrics::MetricRegistry* m) {
@@ -160,7 +166,7 @@ void AppendFtl::NamelessWrite(std::uint64_t token, std::uint64_t owner,
   a.token = token;
   a.owner = owner;
   a.owner_epoch = owner_epoch;
-  a.region = stream % static_cast<std::uint32_t>(regions_.size() - 1);
+  a.region = stream % kRegions;
   a.cb = std::move(cb);
   a.ctx = ctx;
   if (!queue_.empty() || !EnsureActive(a.region)) {
@@ -199,7 +205,6 @@ void AppendFtl::IssueAppend(PendingAppend a) {
           cb(std::move(st));
           return;
         }
-        ++live_count_[flat];
         ++live_pages_;
         const std::uint64_t gen =
             controller_->flash()->GetBlockInfo(ppa.Block()).erase_count;
@@ -289,8 +294,6 @@ void AppendFtl::NamelessFree(std::uint64_t name, WriteCallback cb,
   }
   counters_.Increment("host_frees");
   (void)controller_->flash()->MarkInvalid(ppa);
-  const std::uint64_t flat_block = FlatBlock(ppa.Block());
-  --live_count_[flat_block];
   --live_pages_;
   EraseIfDead(ppa.Block());
   PostGuarded(std::move(cb), Status::Ok());
@@ -298,11 +301,9 @@ void AppendFtl::NamelessFree(std::uint64_t name, WriteCallback cb,
 
 void AppendFtl::EraseIfDead(const flash::BlockAddr& block) {
   const std::uint64_t flat = FlatBlock(block);
-  if (is_free_[flat] || !BlockQuiet(flat) || live_count_[flat] != 0) {
-    return;
-  }
+  if (is_free_[flat] || !BlockQuiet(flat)) return;
   const flash::BlockInfo& bi = controller_->flash()->GetBlockInfo(block);
-  if (bi.bad || bi.write_point == 0) return;
+  if (bi.valid_pages != 0 || bi.bad || bi.write_point == 0) return;
   // Host freed the block's last live page: plain reclaim, no data
   // moves — the WA-1.0 path.
   counters_.Increment("reclaim_erases");
@@ -347,10 +348,9 @@ void AppendFtl::MaybeStartMigration() {
     CollectVictim(block);
     return;
   }
-  const double watermark = controller_->config().append_migrate_watermark;
   const std::uint64_t total = geom().total_blocks();
   if (static_cast<double>(FreeBlocksTotal()) >=
-      watermark * static_cast<double>(total)) {
+      kMigrateWatermark * static_cast<double>(total)) {
     return;
   }
   // Deadest quiet block wins; ties break on the lower flat index so the
@@ -363,11 +363,11 @@ void AppendFtl::MaybeStartMigration() {
     const flash::BlockAddr addr = flash::BlockAddr::FromFlat(geom(), flat);
     const flash::BlockInfo& bi = controller_->flash()->GetBlockInfo(addr);
     if (bi.bad || bi.write_point == 0) continue;
-    if (live_count_[flat] == bi.write_point) continue;  // nothing dead
-    if (!found || live_count_[flat] < victim_live) {
+    if (bi.valid_pages == bi.write_point) continue;  // nothing dead
+    if (!found || bi.valid_pages < victim_live) {
       found = true;
       victim_flat = flat;
-      victim_live = live_count_[flat];
+      victim_live = bi.valid_pages;
     }
   }
   if (!found) return;
@@ -396,7 +396,7 @@ void AppendFtl::RelocateNext(flash::BlockAddr victim, std::uint32_t page) {
     FinishVictim(victim);
     return;
   }
-  if (!EnsureActive(MigrationRegion(), /*for_migration=*/true)) {
+  if (!EnsureActive(kMigrationRegion, /*for_migration=*/true)) {
     // No destination blocks at all: abandon the collection; the block
     // stays intact (we never erase live data).
     counters_.Increment("migrate_aborts");
@@ -431,7 +431,7 @@ void AppendFtl::RelocateNext(flash::BlockAddr victim, std::uint32_t page) {
         }
         flash::PageData d = *res;
         d.seq = next_seq_++;
-        Region& r = regions_[MigrationRegion()];
+        Region& r = regions_[kMigrationRegion];
         const flash::Ppa dst{r.active.channel, r.active.lun,
                              r.active.plane, r.active.block,
                              r.next_page++};
@@ -451,9 +451,7 @@ void AppendFtl::RelocateNext(flash::BlockAddr victim, std::uint32_t page) {
                 FailQueueIfStuck();
                 return;
               }
-              ++live_count_[dst_flat];
               (void)controller_->flash()->MarkInvalid(old_ppa);
-              --live_count_[FlatBlock(victim)];
               counters_.Increment("migrate_page_moves");
               const std::uint64_t new_gen = controller_->flash()
                                                 ->GetBlockInfo(dst.Block())
@@ -545,7 +543,6 @@ Status AppendFtl::PowerCycle() {
     const flash::BlockInfo& bi = controller_->flash()->GetBlockInfo(addr);
     in_flight_[flat] = 0;
     is_active_[flat] = false;
-    live_count_[flat] = 0;
     if (bi.bad) {
       is_free_[flat] = false;
       continue;
@@ -556,18 +553,8 @@ Status AppendFtl::PowerCycle() {
       continue;
     }
     is_free_[flat] = false;
-    std::uint32_t live = 0;
-    for (std::uint32_t page = 0; page < bi.write_point; ++page) {
-      if (controller_->flash()->GetPageState({addr.channel, addr.lun,
-                                              addr.plane, addr.block,
-                                              page}) ==
-          flash::PageState::kValid) {
-        ++live;
-      }
-    }
-    live_count_[flat] = live;
-    live_pages_ += live;
-    if (live == 0) dead.push_back(addr);
+    live_pages_ += bi.valid_pages;
+    if (bi.valid_pages == 0) dead.push_back(addr);
   }
   // Fully-dead survivors (the host freed them; power died before the
   // erase) go back through the normal reclaim path.

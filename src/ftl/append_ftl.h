@@ -1,6 +1,7 @@
 #ifndef POSTBLOCK_FTL_APPEND_FTL_H_
 #define POSTBLOCK_FTL_APPEND_FTL_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -22,7 +23,7 @@ namespace postblock::ftl {
 ///     program time; translation state is per-block counters — the
 ///     mapping-table DRAM crossover against a page-map FTL.
 ///   - Per-region append points: a host stream maps to region
-///     (stream % append_regions); each region fills its own active
+///     (stream % kRegions); each region fills its own active
 ///     block, taking free blocks round-robin across LUNs so streams
 ///     keep channel parallelism without sharing erase blocks.
 ///   - No device-side GC. Liveness is declared by the host through
@@ -42,6 +43,11 @@ namespace postblock::ftl {
 /// indicts.
 class AppendFtl : public Ftl {
  public:
+  /// Independent append points (regions) for host streams. A host
+  /// stream maps to region (stream % kRegions); each region fills its
+  /// own active block, taking free blocks round-robin across LUNs.
+  static constexpr std::uint32_t kRegions = 4;
+
   explicit AppendFtl(ssd::Controller* controller);
   ~AppendFtl() override = default;
 
@@ -111,9 +117,6 @@ class AppendFtl : public Ftl {
   // --- Introspection (tests/benches) -------------------------------
   std::uint64_t live_pages() const { return live_pages_; }
   std::size_t FreeBlocksTotal() const;
-  std::uint32_t regions() const {
-    return static_cast<std::uint32_t>(regions_.size() - 1);
-  }
   ssd::Controller* controller() { return controller_; }
 
  private:
@@ -134,9 +137,7 @@ class AppendFtl : public Ftl {
 
   /// The hidden extra region migration/refresh relocations append into
   /// (never shared with a host stream).
-  std::uint32_t MigrationRegion() const {
-    return static_cast<std::uint32_t>(regions_.size() - 1);
-  }
+  static constexpr std::uint32_t kMigrationRegion = kRegions;
 
   /// Ensures `region` has an active block with a free page; false if
   /// the array is out of free blocks. Host regions never take the last
@@ -191,17 +192,17 @@ class AppendFtl : public Ftl {
   std::uint64_t epoch_ = 0;
   SequenceNumber next_seq_ = 1;
 
-  /// regions_[0..append_regions) serve host streams; the last entry is
-  /// the migration region.
-  std::vector<Region> regions_;
+  /// regions_[0..kRegions) serve host streams; the last entry is the
+  /// migration region.
+  std::array<Region, kRegions + 1> regions_{};
   /// Free blocks per global LUN, plus the round-robin cursor regions
   /// draw from (keeps streams striped across channels).
   std::vector<std::vector<flash::BlockAddr>> free_;
   std::uint32_t next_lun_ = 0;
 
-  // Per flat-block state. live/in-flight counts gate erase; the sum of
-  // these vectors *is* the device's translation state (MappingTableBytes).
-  std::vector<std::uint32_t> live_count_;
+  // Per flat-block state. The live count (the flash block's valid
+  // pages) and the in-flight count gate erase; one such counter pair per
+  // block *is* the device's translation state (MappingTableBytes).
   std::vector<std::uint32_t> in_flight_;
   std::vector<bool> is_free_;
   std::vector<bool> is_active_;

@@ -6,11 +6,16 @@
 
 namespace postblock::ftl {
 
+namespace {
+// Log blocks per LUN.
+constexpr std::uint32_t kLogBlocksPerLun = 4;
+}  // namespace
+
 HybridFtl::HybridFtl(ssd::Controller* controller)
     : LegacyFtl(controller), logs_(controller->config().geometry.luns()) {
   const auto& cfg = controller->config();
   const auto& g = cfg.geometry;
-  const std::uint32_t pool = cfg.hybrid_log_blocks_per_lun;
+  const std::uint32_t pool = kLogBlocksPerLun;
   // Leave the log pool plus two spares per LUN outside the user space.
   const std::uint64_t per_lun_vblocks =
       g.blocks_per_lun() > pool + 2 ? g.blocks_per_lun() - pool - 2 : 1;

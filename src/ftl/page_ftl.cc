@@ -11,6 +11,11 @@ namespace postblock::ftl {
 namespace {
 // Bound on mapping-consistency read retries; exceeded only by a bug.
 constexpr int kMaxReadRetries = 4;
+// Start GC on a LUN when its free-block count drops to this level.
+constexpr std::uint32_t kGcLowWatermarkBlocks = 3;
+// Static WL rate limit: at most one migration per this many GC erases
+// on the LUN (prevents migration storms; classic FTL pacing).
+constexpr std::uint32_t kWlMigrateIntervalErases = 8;
 }  // namespace
 
 PageFtl::PageFtl(ssd::Controller* controller, std::uint64_t logical_pages)
@@ -188,9 +193,7 @@ bool PageFtl::LunWedged(std::uint32_t lun) const {
   // its residents free something — the paper's point that a controller
   // needs the freedom to redirect writes across chips.
   const LunState& st = luns_[lun];
-  if (st.free_blocks.size() > controller_->config().gc.reserve_blocks) {
-    return false;
-  }
+  if (st.free_blocks.size() > kReserveBlocks) return false;
   if (st.gc_running) return false;  // reclamation in progress
   return !GcFeasible(lun);
 }
@@ -215,8 +218,7 @@ void PageFtl::EnqueueWrite(PendingWrite w) {
 bool PageFtl::TakeFreeBlock(std::uint32_t lun, bool for_gc) {
   LunState& st = luns_[lun];
   if (st.free_blocks.empty()) return false;
-  const auto& gc_cfg = controller_->config().gc;
-  if (!for_gc && st.free_blocks.size() <= gc_cfg.reserve_blocks) {
+  if (!for_gc && st.free_blocks.size() <= kReserveBlocks) {
     // The reserve is strictly for GC relocation writes: if the host
     // could drain it (even "just this once"), a later collection could
     // find itself with live pages to move and nowhere to put them.
@@ -710,8 +712,7 @@ void PageFtl::MaybeStartGc(std::uint32_t lun) {
   // Refresh requests outrank the watermark: the block is actively
   // decaying and must be rescued before its reads go uncorrectable.
   if (MaybeStartRefresh(lun)) return;
-  if (st.free_blocks.size() >=
-      controller_->config().gc.low_watermark_blocks) {
+  if (st.free_blocks.size() >= kGcLowWatermarkBlocks) {
     MaybeStartStaticWl(lun);
     return;
   }
@@ -735,10 +736,7 @@ void PageFtl::MaybeStartStaticWl(std::uint32_t lun) {
   // Pacing: a migration is only worth one per several GC erases —
   // otherwise a stubborn spread (e.g. a young mostly-invalid block GC
   // will soon handle anyway) causes a migration storm.
-  if (st.erases_since_wl <
-      wear_leveler_.config().migrate_interval_erases) {
-    return;
-  }
+  if (st.erases_since_wl < kWlMigrateIntervalErases) return;
   // Erase-count spread across this LUN's *data* blocks. Free blocks are
   // excluded: a young free block is available budget, not a problem —
   // only cold data pinning a young block wastes its cycles.

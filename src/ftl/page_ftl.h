@@ -33,6 +33,10 @@ namespace postblock::ftl {
 /// on-flash commit marker, and OOB-scan crash recovery (PowerCycle).
 class PageFtl : public Ftl {
  public:
+  /// Free blocks reserved per LUN for GC relocation writes (host writes
+  /// stall rather than take the last kReserveBlocks free blocks).
+  static constexpr std::uint32_t kReserveBlocks = 1;
+
   /// `logical_pages` overrides the host-visible page count (used by
   /// Dftl to extend the space with translation pages); 0 = derive from
   /// config.UserPages().

@@ -13,7 +13,6 @@ std::size_t WearLeveler::SelectFreeBlock(
     }
     return best;
   }
-  if (!config_.dynamic) return 0;
   std::size_t best = 0;
   for (std::size_t i = 1; i < free_block_wear.size(); ++i) {
     if (free_block_wear[i] < free_block_wear[best]) best = i;

@@ -25,8 +25,7 @@ class WearLeveler {
   /// erase count. Dynamic WL picks min-wear (hot incoming data should
   /// land on young blocks); a static-WL migration passes
   /// `prefer_worn=true` to land *cold* data on the most-worn block —
-  /// that is what retires the worn block's erase budget. Without
-  /// dynamic WL: FIFO (position 0).
+  /// that is what retires the worn block's erase budget.
   std::size_t SelectFreeBlock(const std::vector<std::uint32_t>& free_block_wear,
                               bool prefer_worn = false) const;
 

@@ -7,32 +7,26 @@
 
 namespace postblock::hdd {
 
-Hdd::Hdd(sim::Simulator* sim, const HddConfig& config)
-    : sim_(sim),
-      config_(config),
-      actuator_(sim, "hdd-actuator", 1),
-      tokens_(config.num_blocks, 0) {}
+Hdd::Hdd(sim::Simulator* sim)
+    : sim_(sim), actuator_(sim, "hdd-actuator", 1), tokens_(kNumBlocks, 0) {}
 
 SimTime Hdd::ServiceTime(Lba lba, std::uint32_t nblocks) const {
   const std::uint64_t bytes =
-      static_cast<std::uint64_t>(nblocks) * config_.block_bytes;
-  const SimTime transfer =
-      bytes * 1000 / config_.transfer_mb_per_s;  // MB = 10^6 B
+      static_cast<std::uint64_t>(nblocks) * kBlockBytes;
+  const SimTime transfer = bytes * 1000 / kTransferMbPerS;  // MB = 10^6 B
   if (lba == head_) {
     // Streaming: the head is already there, no rotation wait.
     return transfer;
   }
   const double distance =
       static_cast<double>(lba > head_ ? lba - head_ : head_ - lba) /
-      static_cast<double>(config_.num_blocks);
+      static_cast<double>(kNumBlocks);
   // Classic sqrt seek curve between track-to-track and full stroke.
   const SimTime seek =
-      config_.min_seek_ns +
-      static_cast<SimTime>(
-          static_cast<double>(config_.max_seek_ns - config_.min_seek_ns) *
-          std::sqrt(distance));
-  const SimTime half_rotation =
-      SimTime{30} * kSecond / (config_.rpm);  // 60s/rpm / 2
+      kMinSeekNs + static_cast<SimTime>(
+                       static_cast<double>(kMaxSeekNs - kMinSeekNs) *
+                       std::sqrt(distance));
+  const SimTime half_rotation = SimTime{30} * kSecond / kRpm;  // 60s/rpm / 2
   return seek + half_rotation + transfer;
 }
 
@@ -50,8 +44,7 @@ void Hdd::Submit(blocklayer::IoRequest request) {
     });
     return;
   }
-  if (!blocklayer::ExtentInRange(request.lba, request.nblocks,
-                                 config_.num_blocks)) {
+  if (!blocklayer::ExtentInRange(request.lba, request.nblocks, kNumBlocks)) {
     sim_->Schedule(0, [request = std::move(request)]() {
       request.on_complete(blocklayer::IoResult{
           Status::OutOfRange("beyond device"), {}});

@@ -18,24 +18,13 @@ namespace postblock::hdd {
 /// contrast — "a hundredfold improvement in terms of bandwidth and
 /// latency" (E10) — and as the device the block interface was designed
 /// around.
-struct HddConfig {
-  std::uint64_t num_blocks = 4ull << 20;  // 16 GiB of 4 KiB blocks
-  std::uint32_t block_bytes = 4096;
-  SimTime min_seek_ns = 500 * kMicrosecond;   // track-to-track
-  SimTime max_seek_ns = 14 * kMillisecond;    // full stroke
-  std::uint32_t rpm = 7200;
-  std::uint64_t transfer_mb_per_s = 140;      // media rate
-};
-
 class Hdd : public blocklayer::BlockDevice {
  public:
-  Hdd(sim::Simulator* sim, const HddConfig& config);
+  explicit Hdd(sim::Simulator* sim);
   ~Hdd() override = default;
 
-  std::uint64_t num_blocks() const override { return config_.num_blocks; }
-  std::uint32_t block_bytes() const override {
-    return config_.block_bytes;
-  }
+  std::uint64_t num_blocks() const override { return kNumBlocks; }
+  std::uint32_t block_bytes() const override { return kBlockBytes; }
   void Submit(blocklayer::IoRequest request) override;
   const Counters& counters() const { return counters_; }
 
@@ -44,8 +33,14 @@ class Hdd : public blocklayer::BlockDevice {
   SimTime ServiceTime(Lba lba, std::uint32_t nblocks) const;
 
  private:
+  static constexpr std::uint64_t kNumBlocks = 4ull << 20;  // 16 GiB of 4 KiB
+  static constexpr std::uint32_t kBlockBytes = 4096;
+  static constexpr SimTime kMinSeekNs = 500 * kMicrosecond;  // track-to-track
+  static constexpr SimTime kMaxSeekNs = 14 * kMillisecond;   // full stroke
+  static constexpr std::uint32_t kRpm = 7200;
+  static constexpr std::uint64_t kTransferMbPerS = 140;  // media rate
+
   sim::Simulator* sim_;
-  HddConfig config_;
   sim::Resource actuator_;
   Lba head_ = 0;  // block under the head after the last IO
   std::vector<std::uint64_t> tokens_;

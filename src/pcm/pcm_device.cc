@@ -9,8 +9,8 @@ namespace {
 // Calls fn(chunk index, offset in the chunk, offset in the range, n) for
 // each piece of [addr, addr + len) that lies in one chunk, in order.
 template <typename Fn>
-void ForEachPiece(std::uint64_t chunk_bytes, std::uint64_t addr,
-                  std::uint64_t len, Fn&& fn) {
+void ForEachPiece(std::uint64_t addr, std::uint64_t len, Fn&& fn) {
+  constexpr std::uint64_t chunk_bytes = PcmDevice::kChunkBytes;
   for (std::uint64_t pos = 0; pos < len;) {
     const std::uint64_t at = addr + pos;
     const std::uint64_t off = at % chunk_bytes;
@@ -24,11 +24,8 @@ void ForEachPiece(std::uint64_t chunk_bytes, std::uint64_t addr,
 PcmDevice::PcmDevice(sim::Simulator* sim, const PcmConfig& config)
     : sim_(sim),
       config_(config),
-      chunk_bytes_(
-          std::max<std::uint64_t>(1, kChunkBytes / config.line_bytes) *
-          config.line_bytes),
-      chunks_((config.capacity_bytes + chunk_bytes_ - 1) / chunk_bytes_),
-      bus_(sim, "pcm-bus", static_cast<int>(config.banks)) {}
+      chunks_((config.capacity_bytes + kChunkBytes - 1) / kChunkBytes),
+      bus_(sim, "pcm-bus", kBanks) {}
 
 bool PcmDevice::InRange(std::uint64_t addr, std::uint64_t len) const {
   return len <= config_.capacity_bytes &&
@@ -39,9 +36,9 @@ PcmDevice::Chunk& PcmDevice::Commit(std::uint64_t index) {
   Chunk& c = chunks_[index];
   if (c.bytes.empty()) {
     const std::uint64_t n = std::min(
-        chunk_bytes_, config_.capacity_bytes - index * chunk_bytes_);
+        kChunkBytes, config_.capacity_bytes - index * kChunkBytes);
     c.bytes.assign(n, 0);
-    c.wear.assign((n + config_.line_bytes - 1) / config_.line_bytes, 0);
+    c.wear.assign((n + kLineBytes - 1) / kLineBytes, 0);
     committed_bytes_ += n;
   }
   return c;
@@ -50,19 +47,19 @@ PcmDevice::Chunk& PcmDevice::Commit(std::uint64_t index) {
 std::uint64_t PcmDevice::LinesFor(std::uint64_t addr,
                                   std::uint64_t len) const {
   if (len == 0) return 0;
-  const std::uint64_t first = addr / config_.line_bytes;
-  const std::uint64_t last = (addr + len - 1) / config_.line_bytes;
+  const std::uint64_t first = addr / kLineBytes;
+  const std::uint64_t last = (addr + len - 1) / kLineBytes;
   return last - first + 1;
 }
 
 SimTime PcmDevice::ReadLatency(std::uint64_t len) const {
   const std::uint64_t lines = std::max<std::uint64_t>(1, LinesFor(0, len));
-  return lines * config_.read_ns_per_line;
+  return lines * kReadNsPerLine;
 }
 
 SimTime PcmDevice::WriteLatency(std::uint64_t len) const {
   const std::uint64_t lines = std::max<std::uint64_t>(1, LinesFor(0, len));
-  return lines * config_.write_ns_per_line;
+  return lines * kWriteNsPerLine;
 }
 
 void PcmDevice::Write(std::uint64_t addr,
@@ -90,16 +87,15 @@ void PcmDevice::FinishStore(Store* st) {
   StatusCb on_done = std::move(st->on_done);
   const bool landed = st->epoch == epoch_;  // else: power cut mid-store
   if (landed) {
-    const std::uint64_t line_bytes = config_.line_bytes;
     // A chunk holds whole lines, so a piece's lines are the chunk's own.
-    ForEachPiece(chunk_bytes_, st->addr, st->data.size(),
+    ForEachPiece(st->addr, st->data.size(),
                  [&](std::uint64_t index, std::uint64_t off,
                      std::uint64_t pos, std::uint64_t n) {
                    Chunk& c = Commit(index);
                    std::memcpy(c.bytes.data() + off, st->data.data() + pos,
                                n);
-                   const std::uint64_t last = (off + n - 1) / line_bytes;
-                   for (std::uint64_t l = off / line_bytes; l <= last; ++l) {
+                   const std::uint64_t last = (off + n - 1) / kLineBytes;
+                   for (std::uint64_t l = off / kLineBytes; l <= last; ++l) {
                      ++c.wear[l];
                    }
                  });
@@ -133,7 +129,7 @@ StatusOr<std::vector<std::uint8_t>> PcmDevice::Peek(std::uint64_t addr,
     return Status::OutOfRange("pcm peek beyond capacity");
   }
   std::vector<std::uint8_t> out(len, 0);  // never-stored chunks read 0
-  ForEachPiece(chunk_bytes_, addr, len,
+  ForEachPiece(addr, len,
                [&](std::uint64_t index, std::uint64_t off, std::uint64_t pos,
                    std::uint64_t n) {
                  const Chunk& c = chunks_[index];

@@ -16,30 +16,25 @@
 
 namespace postblock::pcm {
 
-/// Phase-change memory timing/geometry. Circa-2012 figures: reads near
-/// DRAM, writes several times slower; byte-addressable; in-place update
-/// (no erase); finite but large per-line endurance.
+/// Phase-change memory size. The timing is the device's own (PcmDevice).
 struct PcmConfig {
   std::uint64_t capacity_bytes = 64 * kMiB;
-  std::uint32_t line_bytes = 64;          // access granularity on the bus
-  SimTime read_ns_per_line = 100;
-  SimTime write_ns_per_line = 500;
-  std::uint32_t banks = 4;                // concurrent line accesses
-  std::uint64_t endurance_writes = 100'000'000;  // per line (C4 analogue)
 };
 
 /// PCM plugged on the memory bus (the paper's Section 3 principle 1
 /// target for synchronous persistence). Access is modeled as occupying
-/// one of `banks` concurrent units for the per-line latency — there is
-/// no block indirection, no erase, no garbage collection.
+/// one of kBanks concurrent units for the per-line latency — there is
+/// no block indirection, no erase, no garbage collection. Circa-2012
+/// figures: reads near DRAM, writes several times slower;
+/// byte-addressable; in-place update (no erase).
 ///
 /// Modeled capacity is not host memory. `capacity_bytes` bounds the
 /// address space; the contents and per-line wear counters live in
-/// chunks of kChunkBytes (rounded down to whole lines, so a line never
-/// spans two chunks), and a chunk is allocated zeroed when the first
-/// store into it lands. A never-stored chunk reads as zeros, exactly as
-/// a fresh device would, so a 64 MiB device that holds a 4 KiB log
-/// commits one chunk.
+/// chunks of kChunkBytes (whole lines, so a line never spans two
+/// chunks), and a chunk is allocated zeroed when the first store into
+/// it lands. A never-stored chunk reads as zeros, exactly as a fresh
+/// device would, so a 64 MiB device that holds a 4 KiB log commits one
+/// chunk.
 class PcmDevice {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;
@@ -98,6 +93,15 @@ class PcmDevice {
   void RegisterMetrics(metrics::MetricRegistry* m);
 
  private:
+  /// Access granularity on the bus.
+  static constexpr std::uint64_t kLineBytes = 64;
+  static constexpr SimTime kReadNsPerLine = 100;
+  static constexpr SimTime kWriteNsPerLine = 500;
+  /// Concurrent line accesses.
+  static constexpr int kBanks = 4;
+  static_assert(kChunkBytes % kLineBytes == 0,
+                "a line never spans two chunks");
+
   /// One store on the bus. Pooled, and `data` keeps its capacity, so a
   /// steady stream of log appends never allocates; the bus-grant and
   /// completion lambdas capture {this, store*} and stay inline.
@@ -125,7 +129,6 @@ class PcmDevice {
 
   sim::Simulator* sim_;
   PcmConfig config_;
-  std::uint64_t chunk_bytes_;  // kChunkBytes rounded down to whole lines
   std::vector<Chunk> chunks_;
   std::uint64_t committed_bytes_ = 0;
   sim::Resource bus_;

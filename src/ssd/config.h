@@ -63,23 +63,14 @@ const char* GcPolicyKindName(GcPolicyKind kind);
 
 struct GcConfig {
   GcPolicyKind policy = GcPolicyKind::kGreedy;
-  /// Start GC on a LUN when its free-block count drops to this level.
-  std::uint32_t low_watermark_blocks = 3;
-  /// Free blocks reserved for GC relocation writes (host writes stall
-  /// rather than take the last `reserve_blocks` free blocks).
-  std::uint32_t reserve_blocks = 1;
 };
 
+/// Dynamic WL (allocate the least-worn free block) is always on.
 struct WearLevelConfig {
-  /// Dynamic WL: allocate the least-worn free block.
-  bool dynamic = true;
   /// Static WL: migrate cold data into worn blocks when the erase-count
   /// spread across *data* blocks exceeds the threshold.
   bool static_enabled = false;
   std::uint32_t spread_threshold = 64;
-  /// Rate limit: at most one migration per this many GC erases on the
-  /// LUN (prevents migration storms; classic FTL pacing).
-  std::uint32_t migrate_interval_erases = 8;
 };
 
 /// Battery-backed controller RAM write cache ("safe cache"): a write IO
@@ -87,27 +78,18 @@ struct WearLevelConfig {
 /// one).
 struct WriteBufferConfig {
   std::uint32_t pages = 0;  // 0 disables the buffer
-  /// Controller latency to accept a buffered write.
-  SimTime insert_ns = 5 * kMicrosecond;
   /// Buffer survives power loss (battery/supercap). If false, a power
   /// cut drops un-drained writes.
   bool battery_backed = true;
-  /// Max concurrent drain programs issued per LUN.
-  std::uint32_t drain_depth_per_lun = 1;
 };
 
 /// Controller-level error recovery (the reliability layer over the
 /// chip's stochastic ErrorModel — Myth 1's "error management must
 /// happen at the SSD level"). Defaults are always-on but cost nothing
 /// on clean runs: every knob only acts when ECC actually reports an
-/// error.
+/// error. The read-retry ladder's depth and rung cost are constants of
+/// the controller (controller.cc).
 struct ReliabilityConfig {
-  /// Read-retry ladder depth: after an uncorrectable first read the
-  /// controller re-senses up to this many more times, each rung adding
-  /// an escalating multiple of the array read time. 0 disables.
-  std::uint32_t read_retry_steps = 4;
-  /// Extra array time per rung = rung_index * this fraction of tR.
-  double retry_latency_factor = 1.0;
   /// After this many *correctable* reads from one physical block the
   /// FTL refreshes it (relocates live data before errors become
   /// uncorrectable). 0 disables refresh.
@@ -143,14 +125,6 @@ struct Config {
   /// Fixed controller firmware overhead added to every host-visible op.
   SimTime controller_overhead_ns = 2 * kMicrosecond;
 
-  /// Per-command admission cost on the batched doorbell path
-  /// (BlockDevice::SubmitBatch): the i-th command of one doorbell ring
-  /// is admitted at controller_overhead_ns + i * doorbell_cmd_ns. The
-  /// firmware fetches SQ entries sequentially, but the fixed
-  /// per-doorbell overhead is paid once for the whole batch — that
-  /// amortization is what makes batching pay.
-  SimTime doorbell_cmd_ns = 200;
-
   /// Cross-layer tracer shared by every layer of this device (not
   /// owned; may be null). Attaching a tracer wires span propagation and
   /// the GC-stall attribution counters through the whole stack; stage
@@ -174,21 +148,6 @@ struct Config {
   /// luns_per_channel *= planes_per_lun.
   bool plane_parallelism = false;
 
-  /// Vision-append FTL: independent append points (regions). A host
-  /// stream maps to region (stream % append_regions); each region fills
-  /// its own active block, taking free blocks round-robin across LUNs.
-  std::uint32_t append_regions = 4;
-  /// Vision-append FTL: when free blocks drop to this fraction of the
-  /// array, the device starts *cooperative migration* — it relocates
-  /// the live pages of the deadest block (firing the migration handler
-  /// for each) and erases it. Not GC: liveness is entirely
-  /// host-declared via nameless-free; the device only compacts
-  /// fragmentation the host's frees created, and tells the host about
-  /// every move.
-  double append_migrate_watermark = 0.06;
-
-  /// Hybrid FTL: log blocks per LUN.
-  std::uint32_t hybrid_log_blocks_per_lun = 4;
   /// DFTL: cached mapping table capacity, in translation pages.
   std::uint32_t dftl_cmt_pages = 64;
   /// DFTL: LBAs covered by one translation page.

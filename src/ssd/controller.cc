@@ -9,6 +9,15 @@
 
 namespace postblock::ssd {
 
+namespace {
+/// Read-retry ladder depth: after an uncorrectable first read the
+/// controller re-senses up to this many more times, each rung adding an
+/// escalating multiple of the array read time.
+constexpr std::uint32_t kReadRetrySteps = 4;
+/// Extra array time per rung = rung_index * this fraction of tR.
+constexpr double kRetryLatencyFactor = 1.0;
+}  // namespace
+
 Controller::Controller(sim::Simulator* sim, const Config& config)
     : sim_(sim),
       config_(config),
@@ -322,7 +331,7 @@ void Controller::ReadArrayPhase(Op* op) {
   if (op->retry > 0) {
     array_read += static_cast<SimTime>(
         static_cast<double>(config_.timing.read_ns) *
-        config_.reliability.retry_latency_factor * op->retry);
+        kRetryLatencyFactor * op->retry);
   }
   array_read += PenaltyOf(op);
   RecordCellOp(op, array_read);
@@ -353,7 +362,7 @@ void Controller::FinishRead(Op* op) {
       t.read_energy_nj +
           t.transfer_nj_per_kib * config_.geometry.page_size_bytes / 1024);
   if (!result.ok() && result.status().IsDataLoss() &&
-      op->retry < config_.reliability.read_retry_steps) {
+      op->retry < kReadRetrySteps) {
     ++op->retry;
     flash_.mutable_counters()->Increment("read_retries");
     if (TracedHealth(op)) {

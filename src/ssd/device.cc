@@ -14,6 +14,14 @@ namespace postblock::ssd {
 
 namespace {
 
+/// Per-command admission cost on the batched doorbell path
+/// (BlockDevice::SubmitBatch): the i-th command of one doorbell ring is
+/// admitted at controller_overhead_ns + i * kDoorbellCmdNs. The firmware
+/// fetches SQ entries sequentially, but the fixed per-doorbell overhead
+/// is paid once for the whole batch — that amortization is what makes
+/// batching pay.
+constexpr SimTime kDoorbellCmdNs = 200;
+
 /// Completes an op this device does not implement: a typed refusal,
 /// inline and before admission, never a silent drop or an emulation.
 void Refuse(blocklayer::IoRequest& request, const char* why) {
@@ -127,7 +135,7 @@ void Device::SubmitBatch(std::vector<blocklayer::IoRequest>& batch) {
   for (blocklayer::IoRequest& r : batch) {
     if (RouteUnadmitted(r)) continue;
     Admit(std::move(r), offset);
-    offset += config_.doorbell_cmd_ns;
+    offset += kDoorbellCmdNs;
   }
 }
 
@@ -287,14 +295,13 @@ void Device::SubmitPageOps(IoRecord* rec) {
             // Served from the write cache: a kMap blip, no flash work.
             tracer_->Record(trace::Stage::kMap, origin, span, 0,
                             dev_track_, sim_->Now(),
-                            sim_->Now() + config_.write_buffer.insert_ns,
-                            lba);
+                            sim_->Now() + WriteBuffer::kInsertNs, lba);
           }
           auto hit = [this, rec, i, gen, buffered] {
             OnPageDone(rec, gen, i, Status::Ok(), buffered);
           };
           static_assert(sim::InplaceCallback::fits<decltype(hit)>());
-          sim_->Schedule(config_.write_buffer.insert_ns, hit);
+          sim_->Schedule(WriteBuffer::kInsertNs, hit);
           continue;
         }
         ftl_->Read(lba, read_done(i), page_ctx());
@@ -411,7 +418,7 @@ bool Device::Supports(blocklayer::IoOp op) const {
 host::DeviceCaps Device::Caps() const {
   host::DeviceCaps caps = host::HostInterface::Caps();
   if (append_ftl_ != nullptr) {
-    caps.append_regions = config_.append_regions;
+    caps.append_regions = ftl::AppendFtl::kRegions;
   }
   caps.mapping_table_bytes = ftl_->MappingTableBytes();
   return caps;

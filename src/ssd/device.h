@@ -56,7 +56,7 @@ class Device : public blocklayer::BlockDevice {
   void Submit(blocklayer::IoRequest request) override;
   /// One doorbell ring admitting the whole batch: the fixed controller
   /// overhead is paid once, then commands are fetched from the SQ at
-  /// doorbell_cmd_ns intervals — admission is pipelined, not serial.
+  /// kDoorbellCmdNs intervals — admission is pipelined, not serial.
   void SubmitBatch(std::vector<blocklayer::IoRequest>& batch) override;
   const Counters& counters() const { return counters_; }
 

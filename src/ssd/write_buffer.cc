@@ -4,13 +4,18 @@
 
 namespace postblock::ssd {
 
+namespace {
+// Max concurrent drain programs issued per LUN.
+constexpr std::uint32_t kDrainDepthPerLun = 1;
+}  // namespace
+
 WriteBuffer::WriteBuffer(sim::Simulator* sim, ftl::Ftl* ftl,
                          const WriteBufferConfig& config,
                          std::uint32_t num_luns)
     : sim_(sim),
       ftl_(ftl),
       config_(config),
-      max_inflight_(config.drain_depth_per_lun * num_luns) {}
+      max_inflight_(kDrainDepthPerLun * num_luns) {}
 
 bool WriteBuffer::Lookup(Lba lba, std::uint64_t* token) const {
   auto it = entries_.find(lba);
@@ -32,8 +37,7 @@ void WriteBuffer::SubmitWrite(Lba lba, std::uint64_t token,
       it->second.queued = true;
       drain_fifo_.push_back(lba);
     }
-    sim_->Schedule(config_.insert_ns,
-                   [cb = std::move(cb)]() { cb(Status::Ok()); });
+    sim_->Schedule(kInsertNs, [cb = std::move(cb)]() { cb(Status::Ok()); });
     PumpDrain();
     return;
   }
@@ -50,8 +54,7 @@ void WriteBuffer::SubmitWrite(Lba lba, std::uint64_t token,
   e.queued = true;
   entries_[lba] = e;
   drain_fifo_.push_back(lba);
-  sim_->Schedule(config_.insert_ns,
-                 [cb = std::move(cb)]() { cb(Status::Ok()); });
+  sim_->Schedule(kInsertNs, [cb = std::move(cb)]() { cb(Status::Ok()); });
   PumpDrain();
 }
 

@@ -23,6 +23,10 @@ namespace postblock::ssd {
 /// sequential writes converges.
 class WriteBuffer {
  public:
+  /// Controller latency to accept a buffered write (a read hit on the
+  /// buffer costs the same).
+  static constexpr SimTime kInsertNs = 5 * kMicrosecond;
+
   WriteBuffer(sim::Simulator* sim, ftl::Ftl* ftl,
               const WriteBufferConfig& config,
               std::uint32_t num_luns);
@@ -30,7 +34,7 @@ class WriteBuffer {
   WriteBuffer(const WriteBuffer&) = delete;
   WriteBuffer& operator=(const WriteBuffer&) = delete;
 
-  /// Buffers one page write. Completes after `insert_ns` once space is
+  /// Buffers one page write. Completes after kInsertNs once space is
   /// available (overwrites of buffered LBAs absorb in place).
   void SubmitWrite(Lba lba, std::uint64_t token,
                    ftl::Ftl::WriteCallback cb);

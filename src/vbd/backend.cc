@@ -13,6 +13,13 @@ using blocklayer::IoOp;
 using blocklayer::IoRequest;
 using blocklayer::IoResult;
 
+namespace {
+// Host-side cost of a rejected request (bounds, quota, state): the
+// rejection completes this long after submit. Nonzero so a closed loop
+// hammering a rejecting tenant still advances simulated time.
+constexpr SimTime kRejectLatencyNs = 1 * kMicrosecond;
+}  // namespace
+
 Backend::Backend(sim::Simulator* sim, blocklayer::BlockDevice* lower,
                  BackendConfig config)
     : sim_(sim), lower_(lower), config_(config) {
@@ -258,9 +265,7 @@ void Backend::Submit(Frontend* fe, IoRequest request) {
       const std::uint64_t full = request.nblocks == 64
                                      ? ~0ull
                                      : (1ull << request.nblocks) - 1;
-      // A device without reads (vision-append) refuses the read below
-      // instead of the map answering it.
-      if (zero_mask == full && lower_->Supports(IoOp::kRead)) {
+      if (zero_mask == full) {
         ServeThinRead(fe, *t, std::move(request));
         return;
       }
@@ -319,7 +324,7 @@ void Backend::ServeThinRead(Frontend* fe, Tenant& t, IoRequest request) {
   trace::SpanId span = request.span;
   if (Traced() && span == 0) span = config_.tracer->NewSpan();
   sim_->Schedule(
-      config_.thin_read_latency_ns,
+      kThinReadLatencyNs,
       [this, fe, nblocks, start, span, track = t.track,
        mrl = t.m_read_lat, lba = request.lba,
        cb = std::move(request.on_complete)]() {
@@ -347,7 +352,7 @@ void Backend::ServeThinRead(Frontend* fe, Tenant& t, IoRequest request) {
 void Backend::Reject(IoCallback cb, Status status) {
   counters_.Increment("rejected");
   if (!cb) return;
-  sim_->Schedule(config_.reject_latency_ns,
+  sim_->Schedule(kRejectLatencyNs,
                  [cb = std::move(cb), status = std::move(status)]() {
                    cb(IoResult{status, {}});
                  });

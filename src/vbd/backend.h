@@ -55,6 +55,10 @@ namespace postblock::vbd {
 /// tenants, the Backend is idle state.
 class Backend {
  public:
+  /// Latency of a read served entirely from the allocation map (every
+  /// addressed block unwritten): thin reads never touch the media.
+  static constexpr SimTime kThinReadLatencyNs = 1 * kMicrosecond;
+
   Backend(sim::Simulator* sim, blocklayer::BlockDevice* lower,
           BackendConfig config = {});
   ~Backend();
@@ -158,8 +162,8 @@ class Backend {
   /// Returns `io` to the pool, dropping its callback and request.
   void ReleaseIo(VbdIo* io);
 
-  /// Completes `cb` with `status` after the configured rejection
-  /// latency (typed failure, simulated host-side cost).
+  /// Completes `cb` with `status` after kRejectLatencyNs (typed
+  /// failure, simulated host-side cost).
   void Reject(blocklayer::IoCallback cb, Status status);
   void OnLowerComplete(VbdIo* io, const blocklayer::IoResult& result);
   void DispatchIo(VbdIo* io);

@@ -7,7 +7,9 @@
 namespace postblock::vbd {
 
 void Frontend::Submit(blocklayer::IoRequest request) {
-  if (!blocklayer::IsBlockOp(request.op)) {
+  // A block op the device below lacks is refused Unimplemented here,
+  // before the backend checks the namespace or charges the quota.
+  if (!blocklayer::IsBlockOp(request.op) || !Supports(request.op)) {
     RouteNonBlockOp(std::move(request));
     return;
   }

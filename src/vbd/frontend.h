@@ -31,8 +31,9 @@ class Frontend : public blocklayer::BlockDevice {
  public:
   std::uint64_t num_blocks() const override { return capacity_; }
   std::uint32_t block_bytes() const override { return block_bytes_; }
-  /// Block ops cross to the Backend; a hint completes here and other
-  /// ops complete Unimplemented (a tenant namespace is block-only).
+  /// Block ops the device below supports cross to the Backend; a hint
+  /// completes here and every other op completes Unimplemented (a
+  /// tenant namespace is block-only).
   void Submit(blocklayer::IoRequest request) override;
   /// The block ops the device below the Backend supports, and hints.
   bool Supports(blocklayer::IoOp op) const override;

@@ -83,14 +83,6 @@ struct BackendConfig {
   /// 0 = pass-through admission: every request dispatches immediately
   /// (the neutral default).
   std::uint32_t shared_depth = 0;
-  /// Host-side cost of a rejected request (bounds, quota, state):
-  /// the rejection completes this long after submit. Nonzero so a
-  /// closed loop hammering a rejecting tenant still advances simulated
-  /// time.
-  SimTime reject_latency_ns = 1 * kMicrosecond;
-  /// Latency of a read served entirely from the allocation map (every
-  /// addressed block unwritten): thin reads never touch the media.
-  SimTime thin_read_latency_ns = 1 * kMicrosecond;
   /// Trim the tenant's extent on the lower device once a destroy has
   /// drained, before the namespace returns to the free list — the FTL
   /// reclaims the capacity instead of garbage-collecting dead data.

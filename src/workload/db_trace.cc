@@ -2,9 +2,14 @@
 
 namespace postblock::workload {
 
+namespace {
+// Skew of the zipf key distribution.
+constexpr double kZipfTheta = 0.9;
+}  // namespace
+
 DbTrace::DbTrace(const DbTraceConfig& config)
     : config_(config),
-      keys_(config.key_space, config.zipf_theta, config.seed),
+      keys_(config.key_space, kZipfTheta, config.seed),
       rng_(config.seed ^ 0x5eed) {}
 
 KvOp DbTrace::Next() {

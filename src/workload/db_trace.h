@@ -18,12 +18,12 @@ struct KvOp {
   std::uint64_t value = 0;
 };
 
-/// OLTP-ish trace generator: zipf-skewed keys, configurable update
-/// fraction — a stand-in for the commit-heavy database workloads whose
-/// log writes the paper wants routed to PCM (E7).
+/// OLTP-ish trace generator: zipf-skewed keys (kZipfTheta in
+/// db_trace.cc), configurable update fraction — a stand-in for the
+/// commit-heavy database workloads whose log writes the paper wants
+/// routed to PCM (E7).
 struct DbTraceConfig {
   std::uint64_t key_space = 100'000;
-  double zipf_theta = 0.9;
   double put_fraction = 0.5;
   double delete_fraction = 0.02;
   std::uint64_t seed = 23;

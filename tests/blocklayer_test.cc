@@ -290,6 +290,36 @@ TEST(BlockLayerTest, MergeNeverJoinsExtentsAcrossTheTopLba) {
   EXPECT_EQ(RunOne(&sim, &layer, std::move(r)).tokens, (Tokens{5}));
 }
 
+TEST(BlockLayerTest, OutOfRangeWriteIsRefusedBeforeItCanMerge) {
+  // A write that abuts the device's end from outside must not queue: a
+  // back-merge would join it to the valid write of the last LBA, and
+  // the merged IO would fail both.
+  sim::Simulator sim;
+  SimpleBlockDevice dev(&sim, FastDevice());  // 4,096 blocks
+  BlockLayerConfig cfg;
+  cfg.scheduler = SchedulerKind::kMerge;
+  cfg.queue_depth = 1;  // the first write holds the slot; the rest queue
+  BlockLayer layer(&sim, &dev, cfg);
+  const Status pending = Status::Internal("never completed");
+  Status first = pending, last = pending, beyond = pending;
+  layer.Submit(IoRequest::Write(100, {1},
+                                [&](const IoResult& r) { first = r.status; }));
+  layer.Submit(IoRequest::Write(4095, {2},
+                                [&](const IoResult& r) { last = r.status; }));
+  layer.Submit(IoRequest::Write(
+      4096, {3}, [&](const IoResult& r) { beyond = r.status; }));
+  sim.Run();
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(last.ok()) << last.ToString();
+  EXPECT_EQ(beyond.code(), StatusCode::kOutOfRange) << beyond.ToString();
+  EXPECT_EQ(layer.scheduler(0).counters().Get("back_merges"), 0u);
+  IoRequest r;
+  r.op = IoOp::kRead;
+  r.lba = 4095;
+  r.nblocks = 1;
+  EXPECT_EQ(RunOne(&sim, &layer, std::move(r)).tokens, (Tokens{2}));
+}
+
 TEST(BlockLayerTest, CpuUtilizationReported) {
   sim::Simulator sim;
   SimpleBlockDevice dev(&sim, FastDevice());

@@ -256,8 +256,6 @@ TEST_F(DeviceTest, BatteryBackedBufferSurvivesPowerCycle) {
 TEST_F(DeviceTest, VolatileBufferLosesUndrainedWrites) {
   Config c = BufferedConfig(64);
   c.write_buffer.battery_backed = false;
-  // Make the drain slow enough that the write is still buffered.
-  c.write_buffer.drain_depth_per_lun = 1;
   Build(c);
   IoRequest w;
   w.op = IoOp::kWrite;
@@ -343,7 +341,7 @@ TEST_F(DeviceTest, StaleCompletionNeverCompletesRecycledRecord) {
     ++read_completions;
   };
   device_->Submit(std::move(r));
-  ASSERT_LT(c.controller_overhead_ns, c.write_buffer.insert_ns);
+  ASSERT_LT(c.controller_overhead_ns, WriteBuffer::kInsertNs);
   simulator_->Run();
   EXPECT_EQ(device_->io_records_allocated(), 1u);
   EXPECT_EQ(stale_completions, 0);

@@ -27,8 +27,6 @@ namespace {
 
 ssd::Config FaultConfig() {
   ssd::Config c = ssd::Config::Small();  // 2ch x 2lun x 32blk x 16pg
-  c.gc.low_watermark_blocks = 3;
-  c.gc.reserve_blocks = 1;
   // Pure scripted determinism: the stochastic model never fires, so
   // every fault in these tests is one this file injected.
   c.errors = flash::ErrorModelConfig::None();

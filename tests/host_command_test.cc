@@ -181,7 +181,7 @@ TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
   ssd::Device append_dev(&sim, acfg);
   host::DeviceCaps ac = append_dev.Caps();
   EXPECT_TRUE(ac.nameless);
-  EXPECT_EQ(ac.append_regions, acfg.append_regions);
+  EXPECT_EQ(ac.append_regions, ftl::AppendFtl::kRegions);
   EXPECT_FALSE(ac.Supports(IoOp::kRead));
   EXPECT_FALSE(ac.Supports(IoOp::kWrite));
   EXPECT_FALSE(ac.Supports(IoOp::kTrim));
@@ -191,7 +191,7 @@ TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
   // Layers restate the device's caps; HybridStore adds the one thing
   // only it can claim — the synchronous PCM persistence path.
   blocklayer::DirectDriver direct(&sim, &append_dev);
-  EXPECT_EQ(direct.Caps().append_regions, acfg.append_regions);
+  EXPECT_EQ(direct.Caps().append_regions, ftl::AppendFtl::kRegions);
   EXPECT_TRUE(direct.Caps().nameless);
   pcm::PcmConfig pcm_cfg;
   pcm::PcmDevice pcm(&sim, pcm_cfg);
@@ -471,7 +471,7 @@ ContractStack BuildStack(const std::string& name, sim::Simulator* sim) {
   if (name == "simple") {
     s.top = s.Add<SimpleBlockDevice>(sim, SimpleDeviceConfig{});
   } else if (name == "hdd") {
-    s.top = s.Add<hdd::Hdd>(sim, hdd::HddConfig{});
+    s.top = s.Add<hdd::Hdd>(sim);
   } else if (name == "ssd_block") {
     s.top = AddDevice(s, sim, ssd::FtlKind::kBlockMap);
   } else if (name.rfind("ssd_", 0) == 0) {
@@ -575,8 +575,8 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // A write whose extent runs past LBA 2^64 - 1 wraps `lba + nblocks` back
 // to a small number. Every stack that takes block writes must still
-// refuse it OutOfRange and leave LBA 0 alone; the rest refuse it too
-// (a vbd tenant checks its namespace before the op).
+// refuse it OutOfRange and leave LBA 0 alone; the rest refuse it
+// Unimplemented, before any range check.
 
 class RangeCheckTest : public testing::TestWithParam<std::string> {};
 
@@ -596,9 +596,7 @@ TEST_P(RangeCheckTest, WritePastTopLbaIsOutOfRangeAndLeavesLbaZero) {
   if (!stack.top->Supports(IoOp::kWrite)) {
     const StatusCode code =
         run(IoRequest::Write(top, {999, 222}, {})).status.code();
-    EXPECT_TRUE(code == StatusCode::kUnimplemented ||
-                code == StatusCode::kOutOfRange)
-        << static_cast<int>(code);
+    EXPECT_EQ(code, StatusCode::kUnimplemented) << static_cast<int>(code);
     return;
   }
   ASSERT_TRUE(run(IoRequest::Write(0, {111}, {})).status.ok());

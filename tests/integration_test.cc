@@ -143,7 +143,7 @@ TEST_F(InvariantTest, FreeBlockCountsStayWithinGeometry) {
   EXPECT_LE(total_free, g.total_blocks());
   // GC must keep at least the reserve available per LUN at quiescence.
   for (std::uint32_t l = 0; l < g.luns(); ++l) {
-    EXPECT_GE(ftl_->FreeBlocks(l), cfg_.gc.reserve_blocks) << "lun " << l;
+    EXPECT_GE(ftl_->FreeBlocks(l), ftl::PageFtl::kReserveBlocks) << "lun " << l;
   }
 }
 

@@ -16,8 +16,6 @@ namespace {
 
 ssd::Config SmallConfig() {
   ssd::Config c = ssd::Config::Small();  // 2ch x 2lun x 32blk x 16pg
-  c.gc.low_watermark_blocks = 3;
-  c.gc.reserve_blocks = 1;
   return c;
 }
 

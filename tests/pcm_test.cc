@@ -39,9 +39,6 @@ TEST(PcmDeviceTest, WriteThenReadRoundTrips) {
 TEST(PcmDeviceTest, LatencyScalesWithLines) {
   sim::Simulator sim;
   pcm::PcmConfig cfg;
-  cfg.read_ns_per_line = 100;
-  cfg.write_ns_per_line = 500;
-  cfg.line_bytes = 64;
   pcm::PcmDevice dev(&sim, cfg);
   EXPECT_EQ(dev.ReadLatency(64), 100u);
   EXPECT_EQ(dev.ReadLatency(65), 200u);
@@ -136,7 +133,6 @@ TEST(PcmDeviceTest, WearTracksLineWrites) {
 TEST(PcmDeviceTest, BanksAllowConcurrentAccess) {
   sim::Simulator sim;
   pcm::PcmConfig cfg;
-  cfg.banks = 4;
   pcm::PcmDevice dev(&sim, cfg);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
@@ -417,7 +413,7 @@ blocklayer::IoResult RunHdd(sim::Simulator* sim, hdd::Hdd* dev,
 
 TEST(HddTest, RoundTrip) {
   sim::Simulator sim;
-  hdd::Hdd dev(&sim, hdd::HddConfig{});
+  hdd::Hdd dev(&sim);
   blocklayer::IoRequest w;
   w.op = blocklayer::IoOp::kWrite;
   w.lba = 100;
@@ -433,7 +429,7 @@ TEST(HddTest, RoundTrip) {
 
 TEST(HddTest, StreamingSkipsSeekAndRotation) {
   sim::Simulator sim;
-  hdd::Hdd dev(&sim, hdd::HddConfig{});
+  hdd::Hdd dev(&sim);
   // After an IO ending at lba X, an IO starting at X is pure transfer.
   EXPECT_LT(dev.ServiceTime(0, 1), 100 * kMicrosecond);
   // Far-away random access costs seek + rotation: milliseconds.
@@ -442,7 +438,7 @@ TEST(HddTest, StreamingSkipsSeekAndRotation) {
 
 TEST(HddTest, RandomIsOrdersOfMagnitudeSlowerThanSequential) {
   sim::Simulator sim;
-  hdd::Hdd dev(&sim, hdd::HddConfig{});
+  hdd::Hdd dev(&sim);
   const SimTime far = dev.ServiceTime(dev.num_blocks() - 1, 1);
   const SimTime near = dev.ServiceTime(0, 1);
   EXPECT_GT(far, 50 * near);
@@ -450,7 +446,7 @@ TEST(HddTest, RandomIsOrdersOfMagnitudeSlowerThanSequential) {
 
 TEST(HddTest, SingleActuatorSerializes) {
   sim::Simulator sim;
-  hdd::Hdd dev(&sim, hdd::HddConfig{});
+  hdd::Hdd dev(&sim);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     blocklayer::IoRequest r;
@@ -467,7 +463,7 @@ TEST(HddTest, SingleActuatorSerializes) {
 
 TEST(HddTest, TrimIsNoOp) {
   sim::Simulator sim;
-  hdd::Hdd dev(&sim, hdd::HddConfig{});
+  hdd::Hdd dev(&sim);
   blocklayer::IoRequest t;
   t.op = blocklayer::IoOp::kTrim;
   t.lba = 0;

@@ -223,7 +223,7 @@ TEST(VbdThin, UnwrittenReadsZeroFilledNeverTouchMedia) {
   ASSERT_EQ(r.tokens.size(), 4u);
   for (std::uint64_t tok : r.tokens) EXPECT_EQ(tok, 0u);
   EXPECT_EQ(dev.counters().Get("requests"), before);
-  EXPECT_EQ(sim.Now() - t0, backend.config().thin_read_latency_ns);
+  EXPECT_EQ(sim.Now() - t0, Backend::kThinReadLatencyNs);
   EXPECT_EQ(fe->stats().thin_reads, 1u);
 
   // Partially-written read: forwarded, unwritten blocks zero-filled.
@@ -235,6 +235,28 @@ TEST(VbdThin, UnwrittenReadsZeroFilledNeverTouchMedia) {
   EXPECT_EQ(r.tokens[1], 777u);
   EXPECT_EQ(r.tokens[2], 0u);
   EXPECT_EQ(fe->stats().zero_filled_blocks, 4u + 2u);
+}
+
+TEST(VbdQuota, WriteTheDeviceRefusesChargesNothing) {
+  // A vision-append device takes no block writes. The tenant refuses
+  // them Unimplemented before the backend checks the namespace, marks
+  // an LBA written or charges quota: the device's refusal below would
+  // refund none of it.
+  sim::Simulator sim;
+  ssd::Config c = ssd::Config::Small();
+  c.ftl = ssd::FtlKind::kVisionAppend;
+  ssd::Device dev(&sim, c);
+  Backend backend(&sim, &dev, BackendConfig{});
+  auto fe_or = backend.CreateTenant(TC(64));
+  ASSERT_TRUE(fe_or.ok());
+  Frontend* fe = fe_or.value();
+  ASSERT_FALSE(fe->Supports(IoOp::kWrite));
+  EXPECT_EQ(RunOne(&sim, fe, IoOp::kWrite, 0, 1, {1}).status.code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(RunOne(&sim, fe, IoOp::kWrite, 64, 1, {1}).status.code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(fe->quota_used(), 0u);
+  EXPECT_EQ(fe->stats().blocks_written, 0u);
 }
 
 // --- Lifecycle --------------------------------------------------------

@@ -348,6 +348,100 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
   EXPECT_EQ(dev.append_ftl()->live_pages(), values.size());
 }
 
+TEST(AppendDeviceTest, FreeOfAPageBeingMigratedCountsOnce) {
+  // A host free can land while cooperative migration copies that very
+  // page; the copy then lands over a dead page. The victim block's live
+  // count must drop once, for the free. Dropped a second time for the
+  // move, it wraps below zero and carries the error through the erase
+  // into the block's next life, where it reaches zero while one page is
+  // still live — and the block is reclaimed under that live name.
+  sim::Simulator sim;
+  ssd::Device dev(&sim, AppendSsd());
+  const flash::Geometry& g = AppendSsd().geometry;
+  std::map<std::uint64_t, std::uint64_t> values;  // name -> token
+  std::uint64_t victim = ~0ull;                   // flat block
+  dev.SetMigrationHandler([&](std::uint64_t old_name,
+                              std::uint64_t new_name) {
+    auto it = values.find(old_name);
+    if (it == values.end()) {  // a move of a page the host freed
+      victim = flash::Ppa::FromFlat(g, old_name & ((1ull << 40) - 1))
+                   .Block()
+                   .Flatten(g);
+      return;
+    }
+    values.emplace(new_name, it->second);
+    values.erase(it);
+  });
+  const auto& counters = dev.ftl()->counters();
+  const auto migrating = [&counters] {
+    return counters.Get("migrate_runs") + counters.Get("refresh_runs") >
+           counters.Get("migrate_erases") + counters.Get("migrate_aborts");
+  };
+  std::uint64_t token = 1;
+  const auto write = [&] {
+    std::uint64_t name = ~0ull;
+    dev.Submit(blocklayer::IoRequest::NamelessWrite(
+        token, [&](const blocklayer::IoResult& r) {
+          ASSERT_TRUE(r.status.ok()) << r.status;
+          name = r.tokens[0];
+        }));
+    EXPECT_TRUE(sim.RunUntilPredicate([&] { return name != ~0ull; }));
+    values.emplace(name, token++);
+    return name;
+  };
+  const auto free_name = [&](std::uint64_t name) {
+    values.erase(name);
+    dev.Submit(blocklayer::IoRequest::NamelessFree(
+        name, [](const blocklayer::IoResult& r) {
+          EXPECT_TRUE(r.status.ok()) << r.status;
+        }));
+  };
+  const auto block_of = [&g](std::uint64_t name) {
+    return flash::Ppa::FromFlat(g, name & ((1ull << 40) - 1))
+        .Block()
+        .Flatten(g);
+  };
+
+  // Fragment until a migration run is copying, then free every name:
+  // the page in flight is freed under the copy.
+  const std::uint64_t capacity = dev.append_ftl()->user_pages();
+  for (std::uint64_t i = 0; i < capacity * 6 / 10; ++i) write();
+  for (int i = 0; i < 100000 && !migrating(); ++i) {
+    if (i % 4 == 0) free_name(values.begin()->first);
+    write();
+  }
+  ASSERT_TRUE(migrating());
+  std::vector<std::uint64_t> all;
+  for (const auto& [name, t] : values) all.push_back(name);
+  for (std::uint64_t name : all) free_name(name);
+  sim.Run();
+  ASSERT_NE(victim, ~0ull) << "no copy landed over a freed page";
+
+  // Reuse the victim block until it is full and no longer active, then
+  // free all of its pages but one.
+  std::vector<std::uint64_t> in_victim;
+  for (std::uint64_t i = 0; i < capacity; ++i) {
+    const std::uint64_t name = write();
+    if (in_victim.size() == g.pages_per_block) break;
+    if (block_of(name) == victim) in_victim.push_back(name);
+  }
+  ASSERT_EQ(in_victim.size(), g.pages_per_block);
+  for (std::size_t i = 1; i < in_victim.size(); ++i) {
+    free_name(in_victim[i]);
+  }
+  sim.Run();
+  Status st = Status::Internal("pending");
+  std::uint64_t got = 0;
+  dev.Submit(blocklayer::IoRequest::NamelessRead(
+      in_victim[0], [&](const blocklayer::IoResult& r) {
+        st = r.status;
+        if (r.status.ok()) got = r.tokens[0];
+      }));
+  sim.Run();
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(got, values.at(in_victim[0]));
+}
+
 // --- Run-twice determinism ---------------------------------------------------
 
 std::string WorkloadDigest(Wiring wiring, bool append_device) {
