@@ -13,7 +13,6 @@
 #include "common/table.h"
 #include "common/rng.h"
 #include "core/atomic_write.h"
-#include "core/nameless.h"
 #include "db/log_store.h"
 #include "workload/patterns.h"
 
@@ -68,11 +67,14 @@ void AtomicExperiment() {
           device.controller()->counters().Get("pages_programmed");
       SimTime latency = 0;
       if (native) {
-        core::AtomicWriter writer(&sim, &device);
+        const SimTime t0 = sim.Now();
         bool fired = false;
-        writer.WriteAtomic(pages, [&](Status) { fired = true; });
+        device.Submit(blocklayer::IoRequest::AtomicGroup(
+            pages, [&](const blocklayer::IoResult&) {
+              latency = sim.Now() - t0;
+              fired = true;
+            }));
         sim.RunUntilPredicate([&] { return fired; });
-        latency = writer.latency().max();
       } else {
         core::JournaledAtomicWriter writer(&sim, &device,
                                            /*journal_start=*/10000,
@@ -160,8 +162,9 @@ void LogOnLogExperiment() {
       "  negotiated over a richer interface.\n");
 }
 
-/// False if any nameless write, free or read failed, or a name read
-/// back a payload other than the one written under it.
+/// False if any nameless write, free or read failed, a name read back
+/// a payload other than the one written under it, or the host's list
+/// saw fewer migration callbacks than the device made page moves.
 bool NamelessExperiment() {
   bench::Section("nameless writes: device picks the address, host holds names");
   ssd::Config cfg = ssd::Config::Small();
@@ -173,17 +176,17 @@ bool NamelessExperiment() {
   cfg.ftl = ssd::FtlKind::kVisionAppend;
   sim::Simulator sim;
   ssd::Device device(&sim, cfg);
-  core::NamelessStore store(&sim, &device);
-  using Name = core::NamelessStore::Name;
   // The host's (name, payload) list in write order; the peer callback
-  // re-files a moved page under its new name.
-  std::vector<std::pair<Name, std::uint64_t>> pages;
+  // re-files a moved page under its new name. A callback for a name the
+  // list does not hold is not counted.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pages;
   std::uint64_t migrations = 0;
-  store.SetMigrationHandler([&](Name old_name, Name new_name) {
-    ++migrations;
+  device.SetMigrationHandler([&](std::uint64_t old_name,
+                                 std::uint64_t new_name) {
     for (auto& page : pages) {
       if (page.first == old_name) {
         page.first = new_name;
+        ++migrations;
         break;
       }
     }
@@ -195,19 +198,23 @@ bool NamelessExperiment() {
                  st.ToString().c_str());
     ok = false;
   };
-  auto settle = [&](const bool& fired, const char* op) {
-    if (!sim.RunUntilPredicate([&] { return fired; })) {
-      check(Status::Internal("never completed"), op);
-    }
+  // Submits `request` and runs until it completes; returns its result.
+  auto run = [&](blocklayer::IoRequest request, const char* op) {
+    blocklayer::IoResult out{Status::Internal("never completed"), {}};
+    bool fired = false;
+    request.on_complete = [&](const blocklayer::IoResult& r) {
+      out = r;
+      fired = true;
+    };
+    device.Submit(std::move(request));
+    sim.RunUntilPredicate([&] { return fired; });
+    check(out.status, op);
+    return out;
   };
   auto write = [&](std::uint64_t token) {
-    bool fired = false;
-    store.Write(token, [&](StatusOr<Name> r) {
-      check(r.status(), "write");
-      if (r.ok()) pages.emplace_back(*r, token);
-      fired = true;
-    });
-    settle(fired, "write");
+    const blocklayer::IoResult r =
+        run(blocklayer::IoRequest::NamelessWrite(token, {}), "write");
+    if (r.status.ok()) pages.emplace_back(r.tokens[0], token);
   };
   const std::size_t capacity = device.num_blocks();
   // Fill 60%, then free/rewrite cycles to provoke relocations.
@@ -219,12 +226,7 @@ bool NamelessExperiment() {
     // forces relocations (and thus peer migration callbacks).
     std::size_t freed = 0;
     for (std::size_t i = 0; i < pages.size(); i += 4) {
-      bool fired = false;
-      store.Free(pages[i].first, [&](Status st) {
-        check(st, "free");
-        fired = true;
-      });
-      settle(fired, "free");
+      run(blocklayer::IoRequest::NamelessFree(pages[i].first, {}), "free");
       ++freed;
     }
     std::size_t kept = 0;
@@ -236,21 +238,27 @@ bool NamelessExperiment() {
   }
   // Every name the host holds reads back its own payload.
   for (const auto& [name, token] : pages) {
-    bool fired = false;
-    store.Read(name, [&, token = token](StatusOr<std::uint64_t> r) {
-      check(r.ok() && *r != token ? Status::DataLoss("wrong payload")
-                                  : r.status(),
-            "read");
-      fired = true;
-    });
-    settle(fired, "read");
+    const blocklayer::IoResult r =
+        run(blocklayer::IoRequest::NamelessRead(name, {}), "read");
+    if (r.status.ok() && r.tokens[0] != token) {
+      check(Status::DataLoss("wrong payload"), "read");
+    }
+  }
+  const std::uint64_t moves =
+      device.ftl()->counters().Get("migrate_page_moves");
+  if (migrations != moves) {
+    std::fprintf(stderr,
+                 "migration callbacks %llu != device page moves %llu\n",
+                 static_cast<unsigned long long>(migrations),
+                 static_cast<unsigned long long>(moves));
+    ok = false;
   }
   Table table({"metric", "LBA interface", "nameless interface"});
   table.AddRow({"device map RAM (Caps().mapping_table_bytes)",
                 Table::Int(lba_device.Caps().mapping_table_bytes) + " B",
                 Table::Int(device.Caps().mapping_table_bytes) + " B"});
   table.AddRow({"pages the host tracks", "n/a (host picks LBAs)",
-                Table::Int(store.live()) + " names"});
+                Table::Int(pages.size()) + " names"});
   table.AddRow({"peer migration callbacks", "n/a (device hides moves)",
                 Table::Int(migrations)});
   table.AddRow({"host allocation state", "allocator + free list",

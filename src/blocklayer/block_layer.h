@@ -126,13 +126,7 @@ class BlockLayer : public BlockDevice {
   /// writes) pass through untouched — the block layer cannot add value
   /// to an op it cannot name, which is the paper's point.
   bool Supports(IoOp op) const override;
-  /// Capability discovery and migration handling are pure pass-through:
-  /// this layer adds nothing to either (only its own mask bits).
-  host::DeviceCaps Caps() const override {
-    host::DeviceCaps caps = lower_->Caps();
-    caps.command_mask = CapabilityMask();
-    return caps;
-  }
+  /// Migration handling is pure pass-through: this layer adds nothing.
   void SetMigrationHandler(host::MigrationHandler handler) override {
     lower_->SetMigrationHandler(std::move(handler));
   }

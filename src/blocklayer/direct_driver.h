@@ -35,13 +35,7 @@ class DirectDriver : public BlockDevice {
 
   /// Every op but a hint is the device's to support.
   bool Supports(IoOp op) const override;
-  /// Capability discovery and migration handling pass straight through
-  /// (the driver only restates its own command mask).
-  host::DeviceCaps Caps() const override {
-    host::DeviceCaps caps = lower_->Caps();
-    caps.command_mask = CapabilityMask();
-    return caps;
-  }
+  /// Migration handling passes straight through.
   void SetMigrationHandler(host::MigrationHandler handler) override {
     lower_->SetMigrationHandler(std::move(handler));
   }

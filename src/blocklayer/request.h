@@ -21,7 +21,7 @@ namespace postblock::blocklayer {
 /// device cannot express. That is why capability discovery
 /// (host::HostInterface::Supports) is part of the API: a host must be
 /// able to ask which part of this set the stack underneath speaks. The
-/// values index capability-mask bits and per-op counter tables.
+/// values index per-op counter tables.
 enum class IoOp : std::uint8_t {
   kRead = 0,
   kWrite,

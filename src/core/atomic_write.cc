@@ -4,22 +4,6 @@
 
 namespace postblock::core {
 
-AtomicWriter::AtomicWriter(sim::Simulator* sim, host::HostInterface* dev)
-    : sim_(sim), dev_(dev) {}
-
-void AtomicWriter::WriteAtomic(
-    std::vector<std::pair<Lba, std::uint64_t>> pages, StatusCb cb) {
-  const SimTime start = sim_->Now();
-  counters_.Increment("atomic_writes");
-  counters_.Add("pages", pages.size());
-  dev_->Submit(blocklayer::IoRequest::AtomicGroup(
-      std::move(pages), [this, start, cb = std::move(cb)](
-                            const blocklayer::IoResult& res) {
-        latency_.Record(sim_->Now() - start);
-        cb(res.status);
-      }));
-}
-
 JournaledAtomicWriter::JournaledAtomicWriter(sim::Simulator* sim,
                                              blocklayer::BlockDevice* dev,
                                              Lba journal_start,

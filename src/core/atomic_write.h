@@ -9,45 +9,18 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "host/command.h"
 #include "sim/inplace_callback.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
 
 namespace postblock::core {
 
-/// Native multi-page atomic writes — the "new commands at the driver's
-/// interface" the paper cites from Ouyang et al. [17]. The FTL already
-/// does copy-on-write, so atomicity costs one extra commit-marker page;
-/// mappings flip all-or-nothing, and recovery discards uncommitted
-/// groups.
-///
-/// A pure host-side client of the host API: each group is one
-/// IoRequest::AtomicGroup through HostInterface::Submit, so it runs
-/// over any stack that passes the op through, and completes
-/// Unimplemented on one that cannot express it.
-class AtomicWriter {
- public:
-  using StatusCb = sim::InplaceFunction<void(Status)>;
-
-  AtomicWriter(sim::Simulator* sim, host::HostInterface* dev);
-
-  void WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages,
-                   StatusCb cb);
-
-  const Histogram& latency() const { return latency_; }
-  const Counters& counters() const { return counters_; }
-
- private:
-  sim::Simulator* sim_;
-  host::HostInterface* dev_;
-  Histogram latency_;
-  Counters counters_;
-};
-
 /// What a database must do *without* device atomic writes: a double-
 /// write journal over the plain block interface (InnoDB-style). Every
-/// atomic group costs 2n+2 block writes and two flush barriers.
+/// atomic group costs 2n+2 block writes and two flush barriers. The
+/// native command (Ouyang et al. [17]) is one IoRequest::AtomicGroup
+/// through Submit, which the page-map FTL executes with one extra
+/// commit-marker page.
 class JournaledAtomicWriter {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;

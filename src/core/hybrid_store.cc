@@ -5,9 +5,8 @@
 
 namespace postblock::core {
 
-HybridStore::HybridStore(sim::Simulator* sim,
-                         blocklayer::BlockDevice* data_path, PcmLog* pcm_log)
-    : sim_(sim), data_path_(data_path), pcm_log_(pcm_log) {}
+HybridStore::HybridStore(sim::Simulator* sim, PcmLog* pcm_log)
+    : sim_(sim), pcm_log_(pcm_log) {}
 
 HybridStore::HybridStore(sim::Simulator* sim,
                          blocklayer::BlockDevice* data_path,
@@ -64,7 +63,6 @@ void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
   // Commit-critical: jumps lazy page flushes under a priority scheduler
   // (ref [13]).
   write.priority = 1;
-  write.stream = wal_stream_;
   write.span = p->span;
   write.on_complete = [this, p](const blocklayer::IoResult& wr) {
     OnLogWritten(p, wr);
@@ -83,7 +81,6 @@ void HybridStore::OnLogWritten(Persist* p, const blocklayer::IoResult& wr) {
   blocklayer::IoRequest flush;
   flush.op = blocklayer::IoOp::kFlush;
   flush.nblocks = 1;
-  flush.stream = wal_stream_;
   flush.span = p->span;
   flush.on_complete = [this, p](const blocklayer::IoResult& fr) {
     OnLogFlushed(p, fr);
@@ -112,14 +109,6 @@ void HybridStore::FinishPersist(Persist* p, Status st) {
   StatusCb cb = std::move(p->cb);
   persists_.Release(p);
   cb(std::move(st));
-}
-
-std::vector<std::vector<std::uint8_t>> HybridStore::DurableRecords() const {
-  if (pcm_log_ != nullptr) return pcm_log_->RecoverAll();
-  return std::vector<std::vector<std::uint8_t>>(
-      classic_durable_.begin(),
-      classic_durable_.begin() +
-          static_cast<std::ptrdiff_t>(classic_slots_.size()));
 }
 
 struct HybridStore::RecoveryScan {
@@ -178,16 +167,6 @@ void HybridStore::TruncateLog(StatusCb cb) {
   classic_slots_.clear();  // classic_durable_ keeps its buffers
   log_head_block_ = 0;
   sim_->Schedule(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
-}
-
-void HybridStore::Submit(blocklayer::IoRequest request) {
-  // Block ops are the async class; hints and extended ops are the data
-  // path's business, unclassified.
-  if (blocklayer::IsBlockOp(request.op)) {
-    counters_.Increment("async_requests");
-    if (request.stream == 0) request.stream = async_stream_;
-  }
-  data_path_->Submit(std::move(request));
 }
 
 }  // namespace postblock::core

@@ -18,37 +18,29 @@
 
 namespace postblock::core {
 
-/// The paper's Section 3 storage architecture in one object: keep
-/// synchronous and asynchronous persistence patterns separate (Mohan's
-/// suggestion, ref [16]).
+/// The paper's Section 3 storage architecture for the write-ahead log:
+/// keep synchronous and asynchronous persistence patterns separate
+/// (Mohan's suggestion, ref [16]). This is the synchronous half — the
+/// WAL's persistence back-end; the asynchronous half (lazy page writes,
+/// prefetching, reads) is the data path itself, which the storage
+/// manager's buffer pool drives directly.
 ///
-///   - SyncPersist(record): the commit-critical path. In *vision* mode
-///     it is a PCM log append over the memory bus (hundreds of ns); in
-///     *classic* mode it is a 4 KiB log-block write + flush through the
-///     block device interface (hundreds of us) — records are padded to a
-///     whole block because the interface has no smaller unit.
-///   - Submit(request): lazy writes, prefetching, reads — always the
-///     block-granular device path.
-///
-/// The async class is a host::HostInterface: every request flows to the
-/// data path, and block ops get the store's stream classification on
-/// the way, so a multi-queue block layer with stream_queues pins
-/// commit-critical WAL traffic (wal_stream) and lazy traffic
-/// (async_stream) to different software queues. The store answers
-/// Supports from the data path, which decides every op.
-class HybridStore : public host::HostInterface {
+///   - Vision mode: SyncPersist(record) is a PCM log append over the
+///     memory bus (hundreds of ns).
+///   - Classic mode: it is a 4 KiB log-block write + flush through the
+///     block device interface (hundreds of us) — records are padded to
+///     a whole block because the interface has no smaller unit.
+class HybridStore {
  public:
   using StatusCb = sim::InplaceFunction<void(Status)>;
   using RecordsCb =
       sim::InplaceFunction<void(std::vector<std::vector<std::uint8_t>>)>;
 
-  /// Vision wiring: sync -> PCM log, async -> `data_path`.
-  HybridStore(sim::Simulator* sim, blocklayer::BlockDevice* data_path,
-              PcmLog* pcm_log);
+  /// Vision wiring: sync -> PCM log.
+  HybridStore(sim::Simulator* sim, PcmLog* pcm_log);
 
   /// Classic wiring: sync -> a reserved LBA region of `data_path`
-  /// (round-robin log blocks, flush after every record), async -> the
-  /// same device.
+  /// (round-robin log blocks, flush after every record).
   HybridStore(sim::Simulator* sim, blocklayer::BlockDevice* data_path,
               Lba log_region_start, std::uint64_t log_region_blocks);
 
@@ -70,37 +62,6 @@ class HybridStore : public host::HostInterface {
   /// span down the block stack.
   void set_tracer(trace::Tracer* tracer);
 
-  /// Forwards to the data path; a block op is counted in
-  /// async_requests and takes async_stream when it is unclassified.
-  void Submit(blocklayer::IoRequest request) override;
-  bool Supports(blocklayer::IoOp op) const override {
-    return data_path_->Supports(op);
-  }
-  /// Capability discovery: the data path's caps, plus the one thing
-  /// this layer adds that no device below can claim — a synchronous
-  /// byte-granular PCM persistence path (vision mode).
-  host::DeviceCaps Caps() const override {
-    host::DeviceCaps caps = data_path_->Caps();
-    caps.pcm_sync = vision_mode();
-    return caps;
-  }
-  void SetMigrationHandler(host::MigrationHandler handler) override {
-    data_path_->SetMigrationHandler(std::move(handler));
-  }
-
-  /// Stream classification for queue pinning: classic-mode SyncPersist
-  /// log write+flush carry `wal_stream`; unclassified async requests
-  /// carry `async_stream`. Both default to 0 (off — no pinning).
-  void set_streams(std::uint8_t wal_stream, std::uint8_t async_stream) {
-    wal_stream_ = wal_stream;
-    async_stream_ = async_stream;
-  }
-
-  /// All records whose SyncPersist completed (i.e. that would survive a
-  /// crash), in persist order. Vision mode scans the PCM log region;
-  /// classic mode reflects the log blocks on the device.
-  std::vector<std::vector<std::uint8_t>> DurableRecords() const;
-
   /// Recovery's view: re-reads the classic log region through the data
   /// path and returns the longest intact prefix of durable records. A
   /// log block that reads back failed (uncorrectable media, even after
@@ -113,9 +74,6 @@ class HybridStore : public host::HostInterface {
 
   /// Resets the log after a checkpoint. Durable when the callback fires.
   void TruncateLog(StatusCb cb);
-
-  blocklayer::BlockDevice* data_path() { return data_path_; }
-  PcmLog* pcm_log() { return pcm_log_; }
 
   const Histogram& sync_latency() const { return sync_latency_; }
   const Counters& counters() const { return counters_; }
@@ -145,12 +103,8 @@ class HybridStore : public host::HostInterface {
   void FinishPersist(Persist* p, Status st);
 
   sim::Simulator* sim_;
-  blocklayer::BlockDevice* data_path_;
+  blocklayer::BlockDevice* data_path_ = nullptr;  // classic mode only
   PcmLog* pcm_log_ = nullptr;
-
-  // Stream classification (0 = unclassified, no queue pinning).
-  std::uint8_t wal_stream_ = 0;
-  std::uint8_t async_stream_ = 0;
 
   // Classic-mode log region state.
   Lba log_region_start_ = 0;

@@ -6,13 +6,8 @@ namespace postblock::db {
 
 BufferPool::BufferPool(sim::Simulator* sim,
                        blocklayer::BlockDevice* device,
-                       PageImageStore* images, std::size_t frames,
-                       bool allow_steal)
-    : sim_(sim),
-      device_(device),
-      images_(images),
-      capacity_(frames),
-      allow_steal_(allow_steal) {}
+                       PageImageStore* images, std::size_t frames)
+    : sim_(sim), device_(device), images_(images), capacity_(frames) {}
 
 std::size_t BufferPool::dirty_count() const {
   std::size_t n = 0;
@@ -48,8 +43,9 @@ void BufferPool::Pin(PageId id, PinCallback cb) {
   }
   counters_.Increment("misses");
 
-  // Make room. Eviction is synchronous bookkeeping; in no-steal mode a
-  // fully dirty pool is a configuration error surfaced to the caller.
+  // Make room. Eviction is synchronous bookkeeping; a pool full of
+  // pinned or dirty frames (no-steal) is a configuration error surfaced
+  // to the caller.
   while (frames_.size() + loading_.size() > capacity_) {
     if (!EvictOne()) {
       auto waiters = std::move(loading_[id]);
@@ -70,21 +66,7 @@ bool BufferPool::EvictOne() {
     auto fit = frames_.find(victim);
     if (fit == frames_.end()) continue;
     Frame* f = fit->second.get();
-    if (f->pins > 0) continue;
-    if (f->dirty && !allow_steal_) continue;
-    if (f->dirty) {
-      // Steal mode: asynchronous write-back, frame leaves immediately
-      // (the image registry keeps the bytes alive for the IO).
-      counters_.Increment("steals");
-      const std::uint64_t token = images_->Register(victim, f->bytes);
-      blocklayer::IoRequest w;
-      w.op = blocklayer::IoOp::kWrite;
-      w.lba = victim;
-      w.nblocks = 1;
-      w.tokens = {token};
-      w.on_complete = [](const blocklayer::IoResult&) {};
-      device_->Submit(std::move(w));
-    }
+    if (f->pins > 0 || f->dirty) continue;
     counters_.Increment("evictions");
     lru_.erase(lru_pos_[victim]);
     lru_pos_.erase(victim);
@@ -230,18 +212,6 @@ void BufferPool::PowerCycle() {
   lru_pos_.clear();
   loading_.clear();
   counters_.Increment("power_cycles");
-}
-
-void BufferPool::InvalidateClean() {
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (!it->second->dirty && it->second->pins == 0) {
-      lru_.erase(lru_pos_[it->first]);
-      lru_pos_.erase(it->first);
-      it = frames_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace postblock::db

@@ -30,20 +30,18 @@ struct Frame {
 /// Page cache over a block device, with LRU eviction and asynchronous
 /// miss handling.
 ///
-/// Operated in *no-steal* mode (the default): dirty frames are never
-/// written back by eviction, only by explicit FlushPage/FlushAll at
-/// commit/checkpoint time. Together with the storage manager's
-/// deferred-update policy this keeps the on-device tree exactly at the
-/// last checkpoint, which is what makes logical WAL redo sound (see
-/// DESIGN.md). Steal mode exists for IO-pattern experiments.
+/// No-steal: dirty frames are never written back by eviction, only by
+/// explicit FlushPage/FlushAll at commit/checkpoint time. Together with
+/// the storage manager's deferred-update policy this keeps the
+/// on-device tree exactly at the last checkpoint, which is what makes
+/// logical WAL redo sound (see DESIGN.md).
 class BufferPool {
  public:
   using PinCallback = sim::InplaceFunction<void(StatusOr<Frame*>)>;
   using StatusCb = sim::InplaceFunction<void(Status)>;
 
   BufferPool(sim::Simulator* sim, blocklayer::BlockDevice* device,
-             PageImageStore* images, std::size_t frames,
-             bool allow_steal = false);
+             PageImageStore* images, std::size_t frames);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -71,9 +69,6 @@ class BufferPool {
   /// Writes every dirty frame back; fires when all are durable (plus a
   /// device flush barrier).
   void FlushAll(StatusCb cb);
-
-  /// Drops every clean, unpinned frame (post-recovery cache reset).
-  void InvalidateClean();
 
   /// Simulates power loss: every frame, pin, pending load and waiter is
   /// gone (the lower layers' epoch guards keep stale completions from
@@ -120,7 +115,6 @@ class BufferPool {
   blocklayer::BlockDevice* device_;
   PageImageStore* images_;
   std::size_t capacity_;
-  bool allow_steal_;
 
   std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
   std::list<PageId> lru_;  // front = most recent

@@ -44,8 +44,9 @@ class HostMap : public blocklayer::BlockDevice {
   using StatusCb = sim::InplaceFunction<void(Status)>;
 
   /// `dev` is the typed stack underneath (it must speak nameless — the
-  /// storage manager probes Caps() before wiring this in). `num_pages`
-  /// is the advertised logical capacity, `page_bytes` the page size.
+  /// storage manager probes Supports() before wiring this in).
+  /// `num_pages` is the advertised logical capacity, `page_bytes` the
+  /// page size.
   HostMap(sim::Simulator* sim, host::HostInterface* dev,
           std::uint64_t num_pages, std::uint32_t page_bytes);
 

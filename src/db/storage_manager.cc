@@ -33,16 +33,15 @@ StorageManager::StorageManager(sim::Simulator* sim, ssd::Device* device,
     pcm_log_ = std::make_unique<core::PcmLog>(sim_, pcm_.get(), 0,
                                               kPcmLogBytes);
     direct_ = std::make_unique<blocklayer::DirectDriver>(sim_, device_);
-    // Capability probe, not config peeking: a device that advertises
-    // append regions has no logical address space, so page IO must run
-    // over the host-owned map speaking the nameless vocabulary.
-    if (direct_->Caps().append_regions > 0) {
+    // Capability probe, not config peeking: a device that issues names
+    // has no logical address space, so page IO must run over the
+    // host-owned map speaking the nameless vocabulary.
+    if (direct_->Supports(blocklayer::IoOp::kNamelessWrite)) {
       host_map_ = std::make_unique<HostMap>(sim_, direct_.get(),
                                             device_->num_blocks(),
                                             device_->block_bytes());
     }
-    store_ = std::make_unique<core::HybridStore>(sim_, direct_.get(),
-                                                 pcm_log_.get());
+    store_ = std::make_unique<core::HybridStore>(sim_, pcm_log_.get());
   } else {
     block_layer_ = std::make_unique<blocklayer::BlockLayer>(
         sim_, device_, config_.block_layer);

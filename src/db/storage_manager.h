@@ -34,17 +34,18 @@ namespace postblock::db {
 ///   kVision  — Section 3 wiring: synchronous WAL appends go to PCM over
 ///     the memory bus; data page IO takes the direct driver (no block
 ///     layer). What checkpoints look like depends on what the device
-///     underneath speaks — discovered through Caps(), never by reading
-///     its config:
+///     underneath speaks — discovered through Supports(), never by
+///     reading its config:
 ///       * a page-map device executes the checkpoint as one atomic
 ///         write group;
-///       * a post-block append device (Caps().append_regions > 0) gets
-///         the full de-indirected data path: page IO runs over a
-///         host-owned map (db::HostMap) speaking only the nameless
-///         vocabulary, checkpoints are epoch-tagged nameless writes
-///         with the meta page written last as the commit point, and
-///         recovery rebuilds the host map from the device's LiveNames
-///         scan (OOB owner stamps) before WAL replay.
+///       * a post-block append device (one that supports
+///         IoOp::kNamelessWrite) gets the full de-indirected data
+///         path: page IO runs over a host-owned map (db::HostMap)
+///         speaking only the nameless vocabulary, checkpoints are
+///         epoch-tagged nameless writes with the meta page written
+///         last as the commit point, and recovery rebuilds the host
+///         map from the device's LiveNames scan (OOB owner stamps)
+///         before WAL replay.
 enum class Wiring { kClassic = 0, kVision };
 
 const char* WiringName(Wiring w);
@@ -108,6 +109,10 @@ class StorageManager {
   BTree* tree() { return tree_.get(); }
   HeapFile* heap() { return heap_.get(); }
   core::HybridStore* store() { return store_.get(); }
+  /// The data path's top layer: the block layer in classic wiring, the
+  /// direct driver in vision wiring (the other one is null).
+  blocklayer::BlockLayer* block_layer() { return block_layer_.get(); }
+  blocklayer::DirectDriver* direct() { return direct_.get(); }
   /// The PCM under the WAL (vision wiring; null in classic).
   pcm::PcmDevice* pcm() { return pcm_.get(); }
   /// The page-image registry: what the device may still return.

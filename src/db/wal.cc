@@ -67,17 +67,6 @@ void Wal::Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx) {
   store_->SyncPersist(encoded_, std::move(cb), ctx);
 }
 
-std::vector<WalBatch> Wal::Recover() const {
-  std::vector<WalBatch> out;
-  for (const auto& record : store_->DurableRecords()) {
-    WalBatch batch;
-    if (DecodeBatch(record, &batch)) {
-      out.push_back(std::move(batch));
-    }
-  }
-  return out;
-}
-
 void Wal::RecoverVerified(BatchesCb cb) {
   counters_.Increment("verified_recoveries");
   store_->RecoverRecords(

@@ -47,9 +47,6 @@ class Wal {
   /// stream makes no per-commit allocation here.
   void Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx = {});
 
-  /// Replays every durable batch in commit order (post-crash).
-  std::vector<WalBatch> Recover() const;
-
   /// Media-verified recovery: re-reads the log from the device and
   /// replays only the intact prefix — a log page lost to an
   /// uncorrectable media error truncates replay at the torn point (see

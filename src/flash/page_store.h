@@ -29,7 +29,7 @@ struct PageData {
   std::uint64_t token = 0;
   /// Atomic-write group id (0 = not part of a group). A group's pages
   /// only become durable once a commit marker page for the group exists
-  /// (see ftl::PageFtl::WriteAtomic and core::AtomicWriter).
+  /// (see ftl::PageFtl::WriteAtomic).
   std::uint64_t group = 0;
 
   friend bool operator==(const PageData&, const PageData&) = default;

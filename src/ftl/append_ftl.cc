@@ -451,6 +451,16 @@ void AppendFtl::RelocateNext(flash::BlockAddr victim, std::uint32_t page) {
                 FailQueueIfStuck();
                 return;
               }
+              if (controller_->flash()->GetPageState(old_ppa) !=
+                  flash::PageState::kValid) {
+                // The host freed the page while it was being copied. No
+                // name points at the copy, so it dies here; kept valid,
+                // it would pin its block forever.
+                (void)controller_->flash()->MarkInvalid(dst);
+                counters_.Increment("migrate_copies_dropped");
+                RelocateNext(victim, page + 1);
+                return;
+              }
               (void)controller_->flash()->MarkInvalid(old_ppa);
               counters_.Increment("migrate_page_moves");
               const std::uint64_t new_gen = controller_->flash()

@@ -43,11 +43,6 @@ namespace postblock::ftl {
 /// indicts.
 class AppendFtl : public Ftl {
  public:
-  /// Independent append points (regions) for host streams. A host
-  /// stream maps to region (stream % kRegions); each region fills its
-  /// own active block, taking free blocks round-robin across LUNs.
-  static constexpr std::uint32_t kRegions = 4;
-
   explicit AppendFtl(ssd::Controller* controller);
   ~AppendFtl() override = default;
 
@@ -135,6 +130,10 @@ class AppendFtl : public Ftl {
     trace::Ctx ctx;
   };
 
+  /// Independent append points (regions) for host streams. A host
+  /// stream maps to region (stream % kRegions); each region fills its
+  /// own active block, taking free blocks round-robin across LUNs.
+  static constexpr std::uint32_t kRegions = 4;
   /// The hidden extra region migration/refresh relocations append into
   /// (never shared with a host stream).
   static constexpr std::uint32_t kMigrationRegion = kRegions;

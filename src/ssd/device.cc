@@ -415,13 +415,8 @@ bool Device::Supports(blocklayer::IoOp op) const {
   return false;
 }
 
-host::DeviceCaps Device::Caps() const {
-  host::DeviceCaps caps = host::HostInterface::Caps();
-  if (append_ftl_ != nullptr) {
-    caps.append_regions = ftl::AppendFtl::kRegions;
-  }
-  caps.mapping_table_bytes = ftl_->MappingTableBytes();
-  return caps;
+DeviceCaps Device::Caps() const {
+  return DeviceCaps{ftl_->MappingTableBytes()};
 }
 
 void Device::SetMigrationHandler(host::MigrationHandler handler) {

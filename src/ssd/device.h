@@ -22,6 +22,15 @@
 
 namespace postblock::ssd {
 
+/// Device::Caps()'s answer: what only the device knows about itself,
+/// not derivable from Supports().
+struct DeviceCaps {
+  /// Device-side mapping-table DRAM right now, in bytes. The crossover
+  /// study's third axis: a full page-map FTL pays 8 B per logical page;
+  /// an append-mode device pays per-block bookkeeping only.
+  std::uint64_t mapping_table_bytes = 0;
+};
+
 /// A complete simulated SSD exposed through the legacy block device
 /// interface: controller + FTL (per Config::ftl) + optional safe write
 /// cache. This is the device every myth bench and the "conservative"
@@ -68,9 +77,8 @@ class Device : public blocklayer::BlockDevice {
   /// false here completes inline with a typed Unimplemented, before
   /// admission.
   bool Supports(blocklayer::IoOp op) const override;
-  /// Identify: adds the truths only the device knows (append regions,
-  /// live mapping-table DRAM) to the derivable command mask.
-  host::DeviceCaps Caps() const override;
+  /// Identify: the live mapping-table DRAM.
+  DeviceCaps Caps() const;
   /// Host migration handler for named pages (old name -> new name),
   /// handed straight to the vision-append FTL, which fires it as each
   /// move lands. Dropped on any other FTL: it issues no names to move.

@@ -1,5 +1,6 @@
-// Vision-layer tests: HybridStore (sync->PCM vs classic), AtomicWriter
-// vs JournaledAtomicWriter, NamelessStore.
+// Vision-layer tests: HybridStore (sync->PCM vs classic), the native
+// atomic group vs JournaledAtomicWriter, and the nameless vocabulary
+// submitted to the append device.
 
 #include <memory>
 #include <set>
@@ -10,7 +11,6 @@
 #include "blocklayer/direct_driver.h"
 #include "core/atomic_write.h"
 #include "core/hybrid_store.h"
-#include "core/nameless.h"
 #include "core/pcm_log.h"
 #include "pcm/pcm_device.h"
 #include "sim/simulator.h"
@@ -35,7 +35,7 @@ class HybridStoreTest : public ::testing::Test {
 };
 
 TEST_F(HybridStoreTest, VisionSyncPersistGoesToPcm) {
-  HybridStore store(&sim_, &device_, &log_);
+  HybridStore store(&sim_, &log_);
   EXPECT_TRUE(store.vision_mode());
   bool done = false;
   store.SyncPersist(std::vector<std::uint8_t>(100, 1), [&](Status st) {
@@ -66,7 +66,7 @@ TEST_F(HybridStoreTest, ClassicSyncPersistCostsAPageWriteAndFlush) {
 }
 
 TEST_F(HybridStoreTest, VisionCommitLatencyOrdersOfMagnitudeLower) {
-  HybridStore vision(&sim_, &device_, &log_);
+  HybridStore vision(&sim_, &log_);
   HybridStore classic(&sim_, &device_, 0, 64);
   for (int i = 0; i < 16; ++i) {
     vision.SyncPersist(std::vector<std::uint8_t>(64, 1), [](Status) {});
@@ -77,29 +77,28 @@ TEST_F(HybridStoreTest, VisionCommitLatencyOrdersOfMagnitudeLower) {
             classic.sync_latency().Mean());
 }
 
-TEST_F(HybridStoreTest, AsyncPathForwardsToDevice) {
-  HybridStore store(&sim_, &device_, &log_);
-  bool done = false;
-  blocklayer::IoRequest w;
-  w.op = blocklayer::IoOp::kWrite;
-  w.lba = 1;
-  w.nblocks = 1;
-  w.tokens = {5};
-  w.on_complete = [&](const blocklayer::IoResult& r) {
-    ASSERT_TRUE(r.status.ok());
-    done = true;
-  };
-  store.Submit(std::move(w));
-  sim_.Run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(store.counters().Get("async_requests"), 1u);
-}
-
 // --- Atomic writes -------------------------------------------------------------
 
 class AtomicTest : public ::testing::Test {
  protected:
   AtomicTest() : device_(&sim_, ssd::Config::Small()) {}
+
+  // Submits one native atomic group; returns its latency once it
+  // completed Ok.
+  SimTime WriteAtomic(std::vector<std::pair<Lba, std::uint64_t>> pages) {
+    const SimTime t0 = sim_.Now();
+    SimTime latency = 0;
+    bool done = false;
+    device_.Submit(blocklayer::IoRequest::AtomicGroup(
+        std::move(pages), [&](const blocklayer::IoResult& r) {
+          EXPECT_TRUE(r.status.ok());
+          latency = sim_.Now() - t0;
+          done = true;
+        }));
+    sim_.Run();
+    EXPECT_TRUE(done);
+    return latency;
+  }
 
   std::uint64_t ReadToken(Lba lba) {
     std::uint64_t token = ~0ull;
@@ -123,14 +122,7 @@ class AtomicTest : public ::testing::Test {
 };
 
 TEST_F(AtomicTest, NativeAtomicWriteVisible) {
-  AtomicWriter writer(&sim_, &device_);
-  bool done = false;
-  writer.WriteAtomic({{1, 11}, {2, 22}}, [&](Status st) {
-    ASSERT_TRUE(st.ok());
-    done = true;
-  });
-  sim_.Run();
-  ASSERT_TRUE(done);
+  WriteAtomic({{1, 11}, {2, 22}});
   EXPECT_EQ(ReadToken(1), 11u);
   EXPECT_EQ(ReadToken(2), 22u);
 }
@@ -154,21 +146,18 @@ TEST_F(AtomicTest, JournaledWriterVisibleButCostsDouble) {
 }
 
 TEST_F(AtomicTest, NativeCheaperThanJournaled) {
-  AtomicWriter native(&sim_, &device_);
   JournaledAtomicWriter journaled(&sim_, &device_, 100, 64);
   std::vector<std::pair<Lba, std::uint64_t>> batch;
   for (Lba lba = 0; lba < 8; ++lba) batch.emplace_back(lba, lba + 1);
-  bool d1 = false;
-  native.WriteAtomic(batch, [&](Status) { d1 = true; });
+  const SimTime native = WriteAtomic(batch);
+  bool done = false;
+  journaled.WriteAtomic(batch, [&](Status) { done = true; });
   sim_.Run();
-  bool d2 = false;
-  journaled.WriteAtomic(batch, [&](Status) { d2 = true; });
-  sim_.Run();
-  ASSERT_TRUE(d1 && d2);
-  EXPECT_LT(native.latency().max(), journaled.latency().max());
+  ASSERT_TRUE(done);
+  EXPECT_LT(native, journaled.latency().max());
 }
 
-// --- NamelessStore ----------------------------------------------------------
+// --- Nameless vocabulary ----------------------------------------------------
 
 // Names are physical, so only the vision-append device issues them.
 ssd::Config AppendConfig() {
@@ -179,62 +168,60 @@ ssd::Config AppendConfig() {
 
 class NamelessTest : public ::testing::Test {
  protected:
-  NamelessTest() : device_(&sim_, AppendConfig()), store_(&sim_, &device_) {}
+  NamelessTest() : device_(&sim_, AppendConfig()) {}
 
-  NamelessStore::Name WriteSync(std::uint64_t token) {
-    NamelessStore::Name name = 0;
+  // Submits `request` and runs until it completes.
+  blocklayer::IoResult Run(blocklayer::IoRequest request) {
+    blocklayer::IoResult out{Status::Internal("not run"), {}};
     bool fired = false;
-    store_.Write(token, [&](StatusOr<NamelessStore::Name> r) {
-      ASSERT_TRUE(r.ok());
-      name = *r;
+    request.on_complete = [&](const blocklayer::IoResult& r) {
+      out = r;
       fired = true;
-    });
-    EXPECT_TRUE(sim_.RunUntilPredicate([&] { return fired; }));
-    return name;
-  }
-
-  StatusOr<std::uint64_t> ReadSync(NamelessStore::Name name) {
-    StatusOr<std::uint64_t> out = Status::Internal("not run");
-    bool fired = false;
-    store_.Read(name, [&](StatusOr<std::uint64_t> r) {
-      out = std::move(r);
-      fired = true;
-    });
+    };
+    device_.Submit(std::move(request));
     EXPECT_TRUE(sim_.RunUntilPredicate([&] { return fired; }));
     return out;
   }
 
+  std::uint64_t WriteSync(std::uint64_t token) {
+    const blocklayer::IoResult r =
+        Run(blocklayer::IoRequest::NamelessWrite(token, {}));
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    return r.status.ok() ? r.tokens[0] : 0;
+  }
+
+  StatusOr<std::uint64_t> ReadSync(std::uint64_t name) {
+    const blocklayer::IoResult r =
+        Run(blocklayer::IoRequest::NamelessRead(name, {}));
+    if (!r.status.ok()) return r.status;
+    return r.tokens[0];
+  }
+
   sim::Simulator sim_;
   ssd::Device device_;
-  NamelessStore store_;
 };
 
 TEST_F(NamelessTest, WriteReturnsUsableName) {
   const auto name = WriteSync(77);
   EXPECT_EQ(*ReadSync(name), 77u);
-  EXPECT_EQ(store_.live(), 1u);
+  EXPECT_EQ(device_.append_ftl()->live_pages(), 1u);
 }
 
 TEST_F(NamelessTest, DistinctWritesGetDistinctNames) {
-  std::set<NamelessStore::Name> names;
+  std::set<std::uint64_t> names;
   for (int i = 0; i < 32; ++i) names.insert(WriteSync(i + 1));
   EXPECT_EQ(names.size(), 32u);
 }
 
 TEST_F(NamelessTest, FreeReleasesName) {
   const auto name = WriteSync(5);
-  bool freed = false;
-  store_.Free(name, [&](Status st) {
-    ASSERT_TRUE(st.ok());
-    freed = true;
-  });
-  sim_.Run();
-  ASSERT_TRUE(freed);
-  EXPECT_EQ(store_.live(), 0u);
+  EXPECT_TRUE(Run(blocklayer::IoRequest::NamelessFree(name, {})).status.ok());
+  EXPECT_EQ(device_.append_ftl()->live_pages(), 0u);
   EXPECT_TRUE(ReadSync(name).status().IsNotFound());
 }
 
 TEST_F(NamelessTest, UnknownNameRejected) {
+  // The append device answers a name it never issued NotFound itself.
   EXPECT_TRUE(ReadSync(0xDEADBEEF).status().IsNotFound());
 }
 

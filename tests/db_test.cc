@@ -160,7 +160,7 @@ TEST_F(DbFixture, DirtyPageSurvivesFlushAndReload) {
     flushed = true;
   });
   RunUntil([&] { return flushed; });
-  pool_.InvalidateClean();
+  pool_.PowerCycle();
   EXPECT_EQ(pool_.resident(), 0u);
   Frame* again = nullptr;
   pool_.Pin(5, [&](StatusOr<Frame*> f) { again = *f; });
@@ -199,8 +199,7 @@ TEST(BufferPoolEvictionTest, NoStealRefusesToEvictDirty) {
   sim::Simulator sim;
   ssd::Device device(&sim, DbSsdConfig());
   PageImageStore images;
-  BufferPool pool(&sim, &device, &images, /*frames=*/2,
-                  /*allow_steal=*/false);
+  BufferPool pool(&sim, &device, &images, /*frames=*/2);
   // Fill both frames with dirty pages.
   for (PageId id = 1; id <= 2; ++id) {
     bool done = false;
@@ -219,38 +218,6 @@ TEST(BufferPoolEvictionTest, NoStealRefusesToEvictDirty) {
   });
   ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
   EXPECT_TRUE(seen.IsResourceExhausted());
-}
-
-TEST(BufferPoolEvictionTest, StealModeWritesBackAndEvicts) {
-  sim::Simulator sim;
-  ssd::Device device(&sim, DbSsdConfig());
-  PageImageStore images;
-  BufferPool pool(&sim, &device, &images, /*frames=*/2,
-                  /*allow_steal=*/true);
-  for (PageId id = 1; id <= 2; ++id) {
-    bool done = false;
-    pool.Pin(id, [&](StatusOr<Frame*> f) {
-      (*f)->bytes[0] = static_cast<std::uint8_t>(id);
-      done = true;
-    });
-    ASSERT_TRUE(sim.RunUntilPredicate([&] { return done; }));
-    pool.Unpin(id, /*dirty=*/true);
-  }
-  Frame* third = nullptr;
-  pool.Pin(3, [&](StatusOr<Frame*> f) {
-    ASSERT_TRUE(f.ok());
-    third = *f;
-  });
-  ASSERT_TRUE(sim.RunUntilPredicate([&] { return third != nullptr; }));
-  EXPECT_GE(pool.counters().Get("steals"), 1u);
-  pool.Unpin(3, false);
-  // The stolen page reads back with its content.
-  sim.Run();  // let the steal write-back land
-  Frame* one = nullptr;
-  pool.Pin(1, [&](StatusOr<Frame*> f) { one = *f; });
-  ASSERT_TRUE(sim.RunUntilPredicate([&] { return one != nullptr; }));
-  EXPECT_EQ(one->bytes[0], 1);
-  pool.Unpin(1, false);
 }
 
 // --- WAL codec -----------------------------------------------------------------

@@ -246,10 +246,42 @@ TEST(PrioritySchedulerTest, LogWriteOvertakesQueuedDataWrites) {
   EXPECT_LT(log_pos, 4u);
 }
 
+// A block device that records the classification of every request it
+// forwards to a SimpleBlockDevice underneath.
+class RecordingDevice : public blocklayer::BlockDevice {
+ public:
+  struct Seen {
+    blocklayer::IoOp op;
+    Lba lba;
+    std::uint32_t nblocks;
+    std::uint8_t priority;
+    std::uint8_t stream;
+  };
+
+  explicit RecordingDevice(sim::Simulator* sim)
+      : lower_(sim, blocklayer::SimpleDeviceConfig{}) {}
+
+  std::uint64_t num_blocks() const override { return lower_.num_blocks(); }
+  std::uint32_t block_bytes() const override {
+    return lower_.block_bytes();
+  }
+  void Submit(blocklayer::IoRequest request) override {
+    seen.push_back({request.op, request.lba, request.nblocks,
+                    request.priority, request.stream});
+    lower_.Submit(std::move(request));
+  }
+
+  std::vector<Seen> seen;
+
+ private:
+  blocklayer::SimpleBlockDevice lower_;
+};
+
 TEST(PrioritySchedulerTest, ClassicWalWritesCarryPriority) {
   sim::Simulator sim;
-  ssd::Device device(&sim, ssd::Config::Small());
-  core::HybridStore store(&sim, &device, /*log_region_start=*/0,
+  RecordingDevice device(&sim);
+  constexpr Lba kLogStart = 100;
+  core::HybridStore store(&sim, &device, kLogStart,
                           /*log_region_blocks=*/16);
   bool fired = false;
   store.SyncPersist({1, 2, 3}, [&](Status st) {
@@ -257,9 +289,32 @@ TEST(PrioritySchedulerTest, ClassicWalWritesCarryPriority) {
     fired = true;
   });
   ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
-  // The priority marker itself is set inside SyncPersist; this test
-  // pins the contract (log IO = priority 1) via the counter path.
   EXPECT_EQ(store.counters().Get("sync_persists"), 1u);
+  // One commit-critical log-block write at the region's first LBA, on
+  // no stream of its own, then one flush barrier.
+  ASSERT_EQ(device.seen.size(), 2u);
+  EXPECT_EQ(device.seen[0].op, blocklayer::IoOp::kWrite);
+  EXPECT_EQ(device.seen[0].lba, kLogStart);
+  EXPECT_EQ(device.seen[0].nblocks, 1u);
+  EXPECT_EQ(device.seen[0].priority, 1);
+  EXPECT_EQ(device.seen[0].stream, 0);
+  EXPECT_EQ(device.seen[1].op, blocklayer::IoOp::kFlush);
+
+  // Recovery re-reads the log block at the same priority.
+  device.seen.clear();
+  std::size_t records = 0;
+  bool recovered = false;
+  store.RecoverRecords([&](std::vector<std::vector<std::uint8_t>> r) {
+    records = r.size();
+    recovered = true;
+  });
+  sim.Run();
+  ASSERT_TRUE(recovered);
+  EXPECT_EQ(records, 1u);
+  ASSERT_EQ(device.seen.size(), 1u);
+  EXPECT_EQ(device.seen[0].op, blocklayer::IoOp::kRead);
+  EXPECT_EQ(device.seen[0].lba, kLogStart);
+  EXPECT_EQ(device.seen[0].priority, 1);
 }
 
 // --- Regression: strict FCFS resource handoff --------------------------------

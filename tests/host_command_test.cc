@@ -1,8 +1,8 @@
 // The one host API: IoRequest through HostInterface::Submit across
 // every layer (SimpleBlockDevice, Hdd, ssd::Device, BlockLayer,
-// DirectDriver, vbd::Frontend, HostMap, HybridStore), with capability
-// answers held to behaviour, both vocabularies sent to one device of
-// each FTL kind, plus TagSet and IoCallback units.
+// DirectDriver, vbd::Frontend, HostMap), with capability answers held
+// to behaviour, both vocabularies sent to one device of each FTL kind,
+// plus TagSet and IoCallback units.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,13 +16,10 @@
 #include "blocklayer/direct_driver.h"
 #include "blocklayer/simple_device.h"
 #include "common/statusor.h"
-#include "core/hybrid_store.h"
-#include "core/pcm_log.h"
 #include "db/host_map.h"
 #include "hdd/hdd.h"
 #include "host/command.h"
 #include "host/tag_set.h"
-#include "pcm/pcm_device.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
 #include "vbd/backend.h"
@@ -41,6 +38,16 @@ using blocklayer::SimpleDeviceConfig;
 
 std::uint32_t Bit(IoOp k) {
   return 1u << static_cast<std::uint32_t>(k);
+}
+
+// The ops `stack` answers Supports for, one bit per IoOp.
+std::uint32_t SupportedOps(const host::HostInterface& stack) {
+  std::uint32_t ops = 0;
+  for (std::size_t k = 0; k < blocklayer::kNumIoOps; ++k) {
+    const auto op = static_cast<IoOp>(k);
+    if (stack.Supports(op)) ops |= Bit(op);
+  }
+  return ops;
 }
 
 ssd::Config SmallConfig(ssd::FtlKind ftl) {
@@ -135,72 +142,58 @@ TEST(HostCommandTest, CapabilityMasksPerLayer) {
   const std::uint32_t basic = Bit(IoOp::kRead) | Bit(IoOp::kWrite) |
                               Bit(IoOp::kTrim) | Bit(IoOp::kFlush) |
                               Bit(IoOp::kHint);
-  EXPECT_EQ(simple.CapabilityMask(), basic);
+  EXPECT_EQ(SupportedOps(simple), basic);
   EXPECT_FALSE(simple.Supports(IoOp::kAtomicGroup));
 
   // The page-mapped SSD adds atomic groups to the block ops. It issues
   // no names: the nameless vocabulary is the append device's alone.
   ssd::Device dev(&sim, ssd::Config::Small());
   const std::uint32_t atomic = basic | Bit(IoOp::kAtomicGroup);
-  EXPECT_EQ(dev.CapabilityMask(), atomic);
+  EXPECT_EQ(SupportedOps(dev), atomic);
 
   // Stacked layers advertise what the device below can do.
   BlockLayer over_simple(&sim, &simple, BlockLayerConfig{});
-  EXPECT_EQ(over_simple.CapabilityMask(), basic);
+  EXPECT_EQ(SupportedOps(over_simple), basic);
   BlockLayer over_ssd(&sim, &dev, BlockLayerConfig{});
-  EXPECT_EQ(over_ssd.CapabilityMask(), atomic);
+  EXPECT_EQ(SupportedOps(over_ssd), atomic);
   blocklayer::DirectDriver direct(&sim, &dev);
-  EXPECT_EQ(direct.CapabilityMask(), atomic);
+  EXPECT_EQ(SupportedOps(direct), atomic);
 }
 
 TEST(HostCommandTest, DeviceCapsProbeReplacesConfigPeeking) {
   sim::Simulator sim;
   // A plain block device: hints only, no extended vocabulary.
   SimpleBlockDevice simple(&sim, SimpleDeviceConfig{});
-  host::DeviceCaps sc = simple.Caps();
-  EXPECT_FALSE(sc.nameless);
-  EXPECT_FALSE(sc.atomic_groups);
-  EXPECT_TRUE(sc.hint_classes);
-  EXPECT_FALSE(sc.pcm_sync);
-  EXPECT_EQ(sc.append_regions, 0u);
+  EXPECT_FALSE(simple.Supports(IoOp::kNamelessWrite));
+  EXPECT_FALSE(simple.Supports(IoOp::kNamelessRead));
+  EXPECT_FALSE(simple.Supports(IoOp::kNamelessFree));
+  EXPECT_FALSE(simple.Supports(IoOp::kAtomicGroup));
+  EXPECT_TRUE(simple.Supports(IoOp::kHint));
 
   // The page-mapped SSD: atomic groups but no names, and the DRAM
   // argument in one number — the device L2P is sized by the *logical
   // space* (8 B per logical page, whether mapped or not).
   ssd::Device dev(&sim, ssd::Config::Small());
-  host::DeviceCaps dc = dev.Caps();
-  EXPECT_FALSE(dc.nameless);
-  EXPECT_TRUE(dc.atomic_groups);
-  EXPECT_EQ(dc.append_regions, 0u);
-  EXPECT_EQ(dc.mapping_table_bytes, dev.num_blocks() * 8);
+  EXPECT_FALSE(dev.Supports(IoOp::kNamelessWrite));
+  EXPECT_TRUE(dev.Supports(IoOp::kAtomicGroup));
+  EXPECT_EQ(dev.Caps().mapping_table_bytes, dev.num_blocks() * 8);
 
-  // The post-block append device: nameless-only vocabulary, advertised
-  // append regions, no logical address space behind kRead/kWrite/kTrim.
+  // The post-block append device: nameless-only vocabulary, no logical
+  // address space behind kRead/kWrite/kTrim.
   ssd::Config acfg = ssd::Config::Small();
   acfg.ftl = ssd::FtlKind::kVisionAppend;
   ssd::Device append_dev(&sim, acfg);
-  host::DeviceCaps ac = append_dev.Caps();
-  EXPECT_TRUE(ac.nameless);
-  EXPECT_EQ(ac.append_regions, ftl::AppendFtl::kRegions);
-  EXPECT_FALSE(ac.Supports(IoOp::kRead));
-  EXPECT_FALSE(ac.Supports(IoOp::kWrite));
-  EXPECT_FALSE(ac.Supports(IoOp::kTrim));
-  EXPECT_TRUE(ac.Supports(IoOp::kFlush));
-  EXPECT_TRUE(ac.Supports(IoOp::kNamelessWrite));
+  EXPECT_TRUE(append_dev.Supports(IoOp::kNamelessWrite));
+  EXPECT_TRUE(append_dev.Supports(IoOp::kNamelessRead));
+  EXPECT_TRUE(append_dev.Supports(IoOp::kNamelessFree));
+  EXPECT_FALSE(append_dev.Supports(IoOp::kRead));
+  EXPECT_FALSE(append_dev.Supports(IoOp::kWrite));
+  EXPECT_FALSE(append_dev.Supports(IoOp::kTrim));
+  EXPECT_TRUE(append_dev.Supports(IoOp::kFlush));
 
-  // Layers restate the device's caps; HybridStore adds the one thing
-  // only it can claim — the synchronous PCM persistence path.
+  // Layers answer from the device below.
   blocklayer::DirectDriver direct(&sim, &append_dev);
-  EXPECT_EQ(direct.Caps().append_regions, ftl::AppendFtl::kRegions);
-  EXPECT_TRUE(direct.Caps().nameless);
-  pcm::PcmConfig pcm_cfg;
-  pcm::PcmDevice pcm(&sim, pcm_cfg);
-  core::PcmLog pcm_log(&sim, &pcm, 0, 1 * kMiB);
-  core::HybridStore vision_store(&sim, &direct, &pcm_log);
-  EXPECT_TRUE(vision_store.Caps().pcm_sync);
-  core::HybridStore classic_store(&sim, &simple, /*log_region_start=*/0,
-                                  /*log_region_blocks=*/8);
-  EXPECT_FALSE(classic_store.Caps().pcm_sync);
+  EXPECT_TRUE(direct.Supports(IoOp::kNamelessWrite));
 }
 
 TEST(HostCommandTest, UnsupportedExtendedKindsNeverSilentlyDrop) {
@@ -390,52 +383,13 @@ TEST(HostCommandTest, DirectDriverPassesExtendedCommandsThrough) {
   (void)name;
 }
 
-// --- HybridStore stream classification ------------------------------------
-
-TEST(HostCommandTest, HybridStoreStampsStreamsForQueuePinning) {
-  sim::Simulator sim;
-  SimpleBlockDevice dev(&sim, SimpleDeviceConfig{});
-  BlockLayerConfig cfg;
-  cfg.nr_queues = 4;
-  cfg.stream_queues = true;
-  BlockLayer layer(&sim, &dev, cfg);
-  core::HybridStore store(&sim, &layer, /*log_region_start=*/0,
-                          /*log_region_blocks=*/64);
-  store.set_streams(/*wal_stream=*/1, /*async_stream=*/2);
-
-  // Unclassified async traffic inherits async_stream -> queue 2.
-  bool read_ok = false;
-  store.Submit(IoRequest::Read(
-      100, 1, [&read_ok](const IoResult& r) { read_ok = r.status.ok(); }));
-  sim.Run();
-  EXPECT_TRUE(read_ok);
-  EXPECT_EQ(store.counters().Get("async_requests"), 1u);
-  EXPECT_EQ(layer.scheduler(2).counters().Get("enqueued"), 1u);
-
-  // Commit-critical WAL write+flush land on wal_stream's queue 1.
-  Status persisted = Status::Internal("pending");
-  store.SyncPersist({0xaa, 0xbb},
-                    [&persisted](Status st) { persisted = st; });
-  sim.Run();
-  EXPECT_TRUE(persisted.ok());
-  EXPECT_EQ(layer.scheduler(1).counters().Get("enqueued"), 2u);
-  EXPECT_EQ(layer.counters().Get("stream_pins"), 3u);
-
-  // An explicitly classified request keeps its own stream.
-  IoRequest c = IoRequest::Read(101, 1, [](const IoResult&) {});
-  c.stream = 3;
-  store.Submit(std::move(c));
-  sim.Run();
-  EXPECT_EQ(layer.scheduler(3).counters().Get("enqueued"), 1u);
-}
-
 // --- Capability contract: every layer, every op ---------------------------
 //
 // Every HostInterface implementation in src/, over a page-map and over a
 // vision-append device where it stacks, and every op: the answer a host
-// gets from Supports (and from Caps().command_mask) must match what a
-// submission does — Unimplemented exactly when the op is disclaimed —
-// and the callback fires exactly once.
+// gets from Supports must match what a submission does — Unimplemented
+// exactly when the op is disclaimed — and the callback fires exactly
+// once.
 
 // One stack under test, owning every layer it is built from.
 struct ContractStack {
@@ -459,13 +413,13 @@ const std::string kContractStacks[] = {
     "simple",      "hdd",           "ssd_page",       "ssd_block",
     "ssd_append",  "blocklayer_page", "blocklayer_append",
     "direct_page", "direct_append", "vbd_page",       "vbd_append",
-    "hostmap",     "hybrid_classic", "hybrid_vision",
+    "hostmap",
 };
 
 ContractStack BuildStack(const std::string& name, sim::Simulator* sim) {
   ContractStack s;
-  const bool append = name.find("append") != std::string::npos ||
-                      name == "hostmap" || name == "hybrid_vision";
+  const bool append =
+      name.find("append") != std::string::npos || name == "hostmap";
   const ssd::FtlKind ftl =
       append ? ssd::FtlKind::kVisionAppend : ssd::FtlKind::kPageMap;
   if (name == "simple") {
@@ -491,16 +445,6 @@ ContractStack BuildStack(const std::string& name, sim::Simulator* sim) {
   } else if (name == "hostmap") {
     ssd::Device* dev = AddDevice(s, sim, ftl);
     s.top = s.Add<db::HostMap>(sim, dev, 64, dev->block_bytes());
-  } else if (name == "hybrid_classic") {
-    s.top = s.Add<core::HybridStore>(sim, AddDevice(s, sim, ftl),
-                                     /*log_region_start=*/0,
-                                     /*log_region_blocks=*/8);
-  } else if (name == "hybrid_vision") {
-    auto* direct =
-        s.Add<blocklayer::DirectDriver>(sim, AddDevice(s, sim, ftl));
-    auto* pcm = s.Add<pcm::PcmDevice>(sim, pcm::PcmConfig{});
-    auto* log = s.Add<core::PcmLog>(sim, pcm, 0, 1 * kMiB);
-    s.top = s.Add<core::HybridStore>(sim, direct, log);
   }
   return s;
 }
@@ -547,8 +491,6 @@ TEST_P(CapabilityContractTest, AnswerMatchesBehaviour) {
   sim.Run();  // settle construction-time work
 
   const bool supported = stack.top->Supports(op);
-  EXPECT_EQ((stack.top->Caps().command_mask >> static_cast<int>(op)) & 1u,
-            supported ? 1u : 0u);
   int fired = 0;
   Status status = Status::Internal("never completed");
   stack.top->Submit(ContractRequest(op, [&fired, &status](const IoResult& r) {

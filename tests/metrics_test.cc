@@ -932,13 +932,11 @@ TEST_P(StorageInventoryTest, PinsStreamsAndFinalRows) {
                       manager.tree()->counters().Get(n));
   }
   if (wiring == db::Wiring::kClassic) {
-    const auto* layer = static_cast<const blocklayer::BlockLayer*>(
-        manager.store()->data_path());
+    const blocklayer::BlockLayer* layer = manager.block_layer();
     rows.emplace_back("blk.submitted", layer->counters().Get("submitted"));
     rows.emplace_back("blk.completed", layer->counters().Get("completed"));
   } else {
-    const auto* direct = static_cast<const blocklayer::DirectDriver*>(
-        manager.store()->data_path());
+    const blocklayer::DirectDriver* direct = manager.direct();
     rows.emplace_back("direct.submitted",
                       direct->counters().Get("submitted"));
     rows.emplace_back("direct.completed",

@@ -18,7 +18,6 @@
 
 #include "blocklayer/request.h"
 #include "common/rng.h"
-#include "core/nameless.h"
 #include "db/storage_manager.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
@@ -111,8 +110,9 @@ class VisionRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(VisionRecoveryTest, AppendWiringIsCapabilityProbed) {
-  // The manager must have discovered the append device through Caps()
-  // and wired the host-owned map in — not by peeking at the config.
+  // The manager must have discovered the append device through
+  // Supports() and wired the host-owned map in — not by peeking at the
+  // config.
   ASSERT_NE(manager_->host_map(), nullptr);
   ASSERT_NE(device_->append_ftl(), nullptr);
   EXPECT_GT(manager_->host_map()->live(), 0u);   // bootstrap checkpoint
@@ -287,33 +287,38 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
   // with its original payload.
   sim::Simulator sim;
   ssd::Device dev(&sim, AppendSsd());
-  core::NamelessStore store(&sim, &dev);
-  ASSERT_TRUE(store.device_supported());
+  ASSERT_TRUE(dev.Supports(blocklayer::IoOp::kNamelessWrite));
   std::map<std::uint64_t, std::uint64_t> values;  // name -> token
-  store.SetMigrationHandler([&](std::uint64_t old_name,
-                                std::uint64_t new_name) {
+  dev.SetMigrationHandler([&](std::uint64_t old_name,
+                              std::uint64_t new_name) {
     auto it = values.find(old_name);
     ASSERT_NE(it, values.end()) << "migration callback for unknown name";
     values.emplace(new_name, it->second);
     values.erase(it);
   });
-  auto write = [&](std::uint64_t token) {
+  // Submits `request` and runs until it completes.
+  const auto run = [&](blocklayer::IoRequest request) {
+    blocklayer::IoResult out{Status::Internal("never completed"), {}};
     bool fired = false;
-    store.Write(token, [&](StatusOr<std::uint64_t> r) {
-      ASSERT_TRUE(r.ok()) << r.status();
-      values.emplace(*r, token);
+    request.on_complete = [&](const blocklayer::IoResult& r) {
+      out = r;
       fired = true;
-    });
-    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+    };
+    dev.Submit(std::move(request));
+    EXPECT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
+    return out;
+  };
+  auto write = [&](std::uint64_t token) {
+    const blocklayer::IoResult r =
+        run(blocklayer::IoRequest::NamelessWrite(token, {}));
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    values.emplace(r.tokens[0], token);
   };
   auto free_name = [&](std::uint64_t name) {
-    bool fired = false;
-    store.Free(name, [&](Status st) {
-      ASSERT_TRUE(st.ok()) << st;
-      fired = true;
-    });
-    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
     values.erase(name);
+    const blocklayer::IoResult r =
+        run(blocklayer::IoRequest::NamelessFree(name, {}));
+    ASSERT_TRUE(r.status.ok()) << r.status;
   };
   const std::uint64_t capacity = dev.append_ftl()->user_pages();
   std::uint64_t token = 1;
@@ -334,15 +339,10 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
   EXPECT_GT(dev.ftl()->counters().Get("migrate_page_moves"), 0u);
   // Every name the host holds reads back its own payload.
   for (const auto& [name, expect] : values) {
-    std::uint64_t got = 0;
-    bool fired = false;
-    store.Read(name, [&](StatusOr<std::uint64_t> r) {
-      ASSERT_TRUE(r.ok()) << r.status();
-      got = *r;
-      fired = true;
-    });
-    ASSERT_TRUE(sim.RunUntilPredicate([&] { return fired; }));
-    ASSERT_EQ(got, expect) << "name " << name;
+    const blocklayer::IoResult r =
+        run(blocklayer::IoRequest::NamelessRead(name, {}));
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    ASSERT_EQ(r.tokens[0], expect) << "name " << name;
   }
   // Migration never invented or lost space.
   EXPECT_EQ(dev.append_ftl()->live_pages(), values.size());
@@ -350,33 +350,46 @@ TEST(AppendDeviceTest, CooperativeMigrationKeepsNamesReadable) {
 
 TEST(AppendDeviceTest, FreeOfAPageBeingMigratedCountsOnce) {
   // A host free can land while cooperative migration copies that very
-  // page; the copy then lands over a dead page. The victim block's live
-  // count must drop once, for the free. Dropped a second time for the
-  // move, it wraps below zero and carries the error through the erase
-  // into the block's next life, where it reaches zero while one page is
-  // still live — and the block is reclaimed under that live name.
+  // page. The copy must die with it: no migration callback names the
+  // freed page, and no valid page is left that no host name reaches (a
+  // leaked copy pins its block forever). The victim block, once erased,
+  // must serve a new life in which its last live page stays readable.
   sim::Simulator sim;
   ssd::Device dev(&sim, AppendSsd());
   const flash::Geometry& g = AppendSsd().geometry;
+  const auto block_of = [&g](std::uint64_t name) {
+    return flash::Ppa::FromFlat(g, name & ((1ull << 40) - 1))
+        .Block()
+        .Flatten(g);
+  };
+  const auto& counters = dev.ftl()->counters();
+  const auto runs = [&counters] {
+    return counters.Get("migrate_runs") + counters.Get("refresh_runs");
+  };
+  const auto migrating = [&counters, &runs] {
+    return runs() > counters.Get("migrate_erases") +
+                        counters.Get("migrate_aborts");
+  };
+  flash::FlashArray* flash = dev.append_ftl()->controller()->flash();
+  const auto valid_pages = [&g, flash](std::uint64_t flat) {
+    return flash->GetBlockInfo(flash::BlockAddr::FromFlat(g, flat))
+        .valid_pages;
+  };
   std::map<std::uint64_t, std::uint64_t> values;  // name -> token
-  std::uint64_t victim = ~0ull;                   // flat block
+  std::uint64_t victim = ~0ull;  // flat block the last move came from
+  std::uint64_t victim_run = 0;  // the migration run that moved it
   dev.SetMigrationHandler([&](std::uint64_t old_name,
                               std::uint64_t new_name) {
     auto it = values.find(old_name);
-    if (it == values.end()) {  // a move of a page the host freed
-      victim = flash::Ppa::FromFlat(g, old_name & ((1ull << 40) - 1))
-                   .Block()
-                   .Flatten(g);
+    if (it == values.end()) {
+      ADD_FAILURE() << "migration callback for freed name " << old_name;
       return;
     }
+    victim = block_of(old_name);
+    victim_run = runs();
     values.emplace(new_name, it->second);
     values.erase(it);
   });
-  const auto& counters = dev.ftl()->counters();
-  const auto migrating = [&counters] {
-    return counters.Get("migrate_runs") + counters.Get("refresh_runs") >
-           counters.Get("migrate_erases") + counters.Get("migrate_aborts");
-  };
   std::uint64_t token = 1;
   const auto write = [&] {
     std::uint64_t name = ~0ull;
@@ -396,26 +409,36 @@ TEST(AppendDeviceTest, FreeOfAPageBeingMigratedCountsOnce) {
           EXPECT_TRUE(r.status.ok()) << r.status;
         }));
   };
-  const auto block_of = [&g](std::uint64_t name) {
-    return flash::Ppa::FromFlat(g, name & ((1ull << 40) - 1))
-        .Block()
-        .Flatten(g);
-  };
 
-  // Fragment until a migration run is copying, then free every name:
-  // the page in flight is freed under the copy.
+  // Fragment until a migration run has moved a page and is copying the
+  // next one (its victim still holds a valid page), then free every
+  // name, the victim's first: the page in flight is freed under the
+  // copy.
   const std::uint64_t capacity = dev.append_ftl()->user_pages();
   for (std::uint64_t i = 0; i < capacity * 6 / 10; ++i) write();
-  for (int i = 0; i < 100000 && !migrating(); ++i) {
+  const auto copying = [&] {
+    return migrating() && victim_run == runs() && valid_pages(victim) > 0;
+  };
+  for (int i = 0; i < 100000 && !copying(); ++i) {
     if (i % 4 == 0) free_name(values.begin()->first);
     write();
   }
-  ASSERT_TRUE(migrating());
+  ASSERT_TRUE(copying());
   std::vector<std::uint64_t> all;
-  for (const auto& [name, t] : values) all.push_back(name);
+  for (const auto& [name, t] : values) {
+    if (block_of(name) == victim) all.push_back(name);
+  }
+  for (const auto& [name, t] : values) {
+    if (block_of(name) != victim) all.push_back(name);
+  }
   for (std::uint64_t name : all) free_name(name);
   sim.Run();
-  ASSERT_NE(victim, ~0ull) << "no copy landed over a freed page";
+  EXPECT_GE(counters.Get("migrate_copies_dropped"), 1u);
+  std::uint64_t valid = 0;
+  for (std::uint64_t flat = 0; flat < g.total_blocks(); ++flat) {
+    valid += valid_pages(flat);
+  }
+  EXPECT_EQ(valid, dev.append_ftl()->live_pages());
 
   // Reuse the victim block until it is full and no longer active, then
   // free all of its pages but one.
