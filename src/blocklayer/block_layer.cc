@@ -23,7 +23,6 @@ BlockLayer::BlockLayer(sim::Simulator* sim, BlockDevice* lower,
     pair.scheduler = std::make_unique<IoScheduler>(sched);
     pair.lock = std::make_unique<sim::Resource>(
         sim, "blkq-lock-" + std::to_string(q));
-    pair.tags = host::TagSet(config_.tags_per_queue);
     if (tracer_ != nullptr) {
       q_tracks_.push_back(tracer_->RegisterTrack(
           trace::kPidHost, "blkq-" + std::to_string(q)));
@@ -85,13 +84,12 @@ BlockLayer::BlockLayer(sim::Simulator* sim, BlockDevice* lower,
 }
 
 BlockLayer::IoState* BlockLayer::AcquireIo(std::uint32_t q) {
-  QueuePair& pair = queues_[q];
-  const std::uint32_t tag = pair.tags.Acquire();
-  if (tag == host::TagSet::kNoTag) return nullptr;
-  while (pair.states.size() <= tag) pair.states.emplace_back();
-  IoState* st = &pair.states[tag];
+  if (config_.tags_per_queue > 0 &&
+      tags_in_use(q) >= config_.tags_per_queue) {
+    return nullptr;  // fixed tag set: backpressure
+  }
+  IoState* st = queues_[q].ios.Acquire();
   st->q = q;
-  st->tag = tag;
   return st;
 }
 
@@ -99,9 +97,10 @@ void BlockLayer::ReleaseIo(IoState* st) {
   st->req = IoRequest{};
   st->user_cb = nullptr;
   // st->result keeps its token capacity: the next device completion on
-  // this tag copies into it without allocating.
-  QueuePair& pair = queues_[st->q];
-  pair.tags.Release(st->tag);
+  // this record copies into it without allocating.
+  const std::uint32_t q = st->q;
+  QueuePair& pair = queues_[q];
+  pair.ios.Release(st);
   // A freed tag resumes one parked request through the full submit path
   // (it pays submission CPU now — the backpressure stall is visible in
   // its latency).
@@ -109,7 +108,7 @@ void BlockLayer::ReleaseIo(IoState* st) {
     counters_.Increment("tag_resumes");
     IoRequest next = std::move(pair.waiters.front());
     pair.waiters.pop_front();
-    StartIo(st->q, std::move(next));
+    StartIo(q, std::move(next));
   }
 }
 
@@ -174,15 +173,9 @@ void BlockLayer::StartIo(std::uint32_t q, IoRequest request) {
 
   // Wrap the completion: device completion -> completion CPU cost
   // (interrupt or poll) -> caller. Dropped if the host reset meanwhile.
-  // The wrapper carries (queue_id, tag) so lower layers can attribute
-  // the completion to its software queue without a lookup.
   request.on_complete = [this, st](const IoResult& result) {
     OnDeviceComplete(st, result);
   };
-  request.on_complete.queue_id = static_cast<std::uint16_t>(st->q);
-  request.on_complete.tag =
-      st->tag < IoCallback::kNoTag ? static_cast<std::uint16_t>(st->tag)
-                                   : IoCallback::kNoTag;
   st->req = std::move(request);
 
   // Submission path: per-core CPU work, then the (possibly contended)
@@ -326,7 +319,7 @@ void BlockLayer::FinishIo(IoState* st) {
     }
   }
   // The caller hears the result straight from the released state: the
-  // only writers of st->result are this tag's next device completion
+  // only writers of st->result are this record's next device completion
   // and retry, and both run from later events, never inside `cb`.
   IoCallback cb = std::move(st->user_cb);
   ReleaseIo(st);
@@ -347,10 +340,6 @@ void BlockLayer::RetrySubmit(IoState* st) {
   r.on_complete = [this, st](const IoResult& result) {
     OnDeviceComplete(st, result);
   };
-  r.on_complete.queue_id = static_cast<std::uint16_t>(st->q);
-  r.on_complete.tag =
-      st->tag < IoCallback::kNoTag ? static_cast<std::uint16_t>(st->tag)
-                                   : IoCallback::kNoTag;
   st->result = IoResult{};
   st->req = std::move(r);
   // Re-enter at the queue stage: the retry pays lock + scheduling again
@@ -366,17 +355,17 @@ void BlockLayer::PowerCycle() {
     // be resurrected by the ReleaseIo calls below.
     pair.waiters.clear();
     // Ring-resident completions: their device completion already ran;
-    // reclaim the tagged state directly.
+    // reclaim their state directly.
     ++pair.cq_gen;
     pair.cq_flush_armed = false;
     for (IoState* st : pair.cq_ring) ReleaseIo(st);
     pair.cq_ring.clear();
     while (!pair.scheduler->empty()) {
       // Each queued request's on_complete is the OnDeviceComplete
-      // wrapper holding a tagged IoState. Run it under the already
-      // bumped epoch: the stale-epoch check returns the IoState to the
-      // pool without touching `outstanding` or the caller's callback,
-      // so dropped requests don't orphan their tagged state.
+      // wrapper holding an IoState. Run it under the already bumped
+      // epoch: the stale-epoch check returns the IoState to the pool
+      // without touching `outstanding` or the caller's callback, so
+      // dropped requests don't orphan their state.
       IoRequest r = pair.scheduler->Dequeue();
       if (r.on_complete) {
         IoResult dropped;
@@ -392,8 +381,14 @@ void BlockLayer::PowerCycle() {
   }
 }
 
-IoRequest BlockLayer::WrapDispatchAccounting(std::uint32_t q,
-                                             IoRequest r) {
+IoRequest BlockLayer::TakeNext(std::uint32_t q) {
+  QueuePair& pair = queues_[q];
+  IoRequest r = pair.scheduler->Dequeue();
+  if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
+    tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span, 0,
+                    q_tracks_[q], r.enqueued_at, sim_->Now(), r.lba);
+  }
+  ++pair.outstanding;
   // Depth accounting must track *device* IOs, not submitter callbacks:
   // a k-way merged request is one dispatch whose completion fans out to
   // k per-state wrappers, so decrementing in the per-state wrapper
@@ -401,8 +396,6 @@ IoRequest BlockLayer::WrapDispatchAccounting(std::uint32_t q,
   // exactly once per dequeued request, before the fan-out runs.
   const std::uint64_t epoch = epoch_;
   IoCallback done = std::move(r.on_complete);
-  const std::uint16_t qid = done.queue_id;
-  const std::uint16_t tag = done.tag;
   r.on_complete = [this, q, epoch,
                    done = std::move(done)](const IoResult& result) {
     if (epoch == epoch_) {
@@ -419,8 +412,6 @@ IoRequest BlockLayer::WrapDispatchAccounting(std::uint32_t q,
     }
     done(result);
   };
-  r.on_complete.queue_id = qid;
-  r.on_complete.tag = tag;
   return r;
 }
 
@@ -437,14 +428,7 @@ void BlockLayer::Dispatch(std::uint32_t q) {
   if (config_.doorbell_batch <= 1) {
     while (pair.outstanding < config_.queue_depth &&
            !pair.scheduler->empty()) {
-      IoRequest r = pair.scheduler->Dequeue();
-      if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
-        tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
-                        0, q_tracks_[q], r.enqueued_at, sim_->Now(),
-                        r.lba);
-      }
-      ++pair.outstanding;
-      lower_->Submit(WrapDispatchAccounting(q, std::move(r)));
+      lower_->Submit(TakeNext(q));
     }
     return;
   }
@@ -458,14 +442,7 @@ void BlockLayer::Dispatch(std::uint32_t q) {
     while (pair.outstanding < config_.queue_depth &&
            !pair.scheduler->empty() &&
            batch->size() < config_.doorbell_batch) {
-      IoRequest r = pair.scheduler->Dequeue();
-      if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
-        tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
-                        0, q_tracks_[q], r.enqueued_at, sim_->Now(),
-                        r.lba);
-      }
-      ++pair.outstanding;
-      batch->push_back(WrapDispatchAccounting(q, std::move(r)));
+      batch->push_back(TakeNext(q));
     }
     counters_.Increment("doorbells");
     counters_.Add("doorbell_cmds", batch->size());
@@ -499,16 +476,8 @@ void BlockLayer::DispatchShared() {
       [this](std::uint32_t q) { return !queues_[q].scheduler->empty(); },
       [this](std::uint32_t q) { return WeightOf(q); },
       [this](std::uint32_t q) {
-        QueuePair& pair = queues_[q];
-        IoRequest r = pair.scheduler->Dequeue();
-        if (Traced() && r.span != 0 && sim_->Now() > r.enqueued_at) {
-          tracer_->Record(trace::Stage::kQueueWait, OriginOf(r.op), r.span,
-                          0, q_tracks_[q], r.enqueued_at, sim_->Now(),
-                          r.lba);
-        }
-        ++pair.outstanding;
         ++shared_outstanding_;
-        lower_->Submit(WrapDispatchAccounting(q, std::move(r)));
+        lower_->Submit(TakeNext(q));
       });
   if (rounds > 0) counters_.Add("drr_rounds", rounds);
 }
@@ -519,15 +488,13 @@ bool BlockLayer::Supports(IoOp op) const {
 
 std::size_t BlockLayer::io_states_allocated() const {
   std::size_t total = 0;
-  for (const auto& pair : queues_) total += pair.states.size();
+  for (const auto& pair : queues_) total += pair.ios.allocated();
   return total;
 }
 
 std::size_t BlockLayer::io_states_free() const {
   std::size_t total = 0;
-  for (const auto& pair : queues_) {
-    total += pair.states.size() - pair.tags.in_use();
-  }
+  for (const auto& pair : queues_) total += pair.ios.free();
   return total;
 }
 

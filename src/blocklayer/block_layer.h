@@ -13,7 +13,6 @@
 #include "blocklayer/request.h"
 #include "common/histogram.h"
 #include "common/stats.h"
-#include "host/tag_set.h"
 #include "metrics/metrics.h"
 #include "sim/pool.h"
 #include "sim/resource.h"
@@ -43,10 +42,10 @@ struct BlockLayerConfig {
   bool interrupt_completion = true;
 
   // ---- multi-queue host path (blk-mq style) -------------------------
-  /// Fixed inflight tags per queue; an IO holds one tag from submit to
-  /// completion and the tag indexes its state record. 0 = elastic (the
-  /// old pooled behaviour: grows on demand, never backpressures).
-  /// Exhaustion of a fixed set parks the request until a tag frees.
+  /// Fixed inflight tags per queue: at most this many IOs hold a state
+  /// record from submit to completion. 0 = elastic (the pool grows on
+  /// demand and never backpressures). Exhaustion of a fixed set parks
+  /// the request until a record frees.
   std::uint32_t tags_per_queue = 0;
   /// Pin nonzero IoRequest::stream to queue (stream % nr_queues), so
   /// e.g. commit-critical WAL traffic owns a queue instead of sharing
@@ -138,21 +137,22 @@ class BlockLayer : public BlockDevice {
   double CpuUtilization() const { return cpu_.Utilization(); }
 
   /// Simulates power loss / host reset: queued and in-flight requests
-  /// are dropped without completing (their tagged IoStates are
-  /// reclaimed — scheduler-resident and ring-resident ones immediately,
-  /// in-flight ones when their stale completion arrives). Tag waiters
-  /// are dropped too.
+  /// are dropped without completing (their IoStates are reclaimed —
+  /// scheduler-resident and ring-resident ones immediately, in-flight
+  /// ones when their stale completion arrives). Tag waiters are dropped
+  /// too.
   void PowerCycle();
 
   /// IoState accounting, for tests: records ever allocated (across all
   /// queues) and records currently free. Equal when no IO is in flight
-  /// — a gap at quiescence means tagged state leaked.
+  /// — a gap at quiescence means IO state leaked.
   std::size_t io_states_allocated() const;
   std::size_t io_states_free() const;
 
-  /// Tag set of queue q (tests: capacity/in_use/exhausted).
-  const host::TagSet& tags(std::uint32_t q) const {
-    return queues_[q].tags;
+  /// IOs holding a state record (a tag) on queue q.
+  std::size_t tags_in_use(std::uint32_t q) const {
+    const sim::RecordPool<IoState>& ios = queues_[q].ios;
+    return ios.allocated() - ios.free();
   }
   /// Requests parked waiting for a tag on queue q.
   std::size_t tag_waiters(std::uint32_t q) const {
@@ -160,17 +160,14 @@ class BlockLayer : public BlockDevice {
   }
 
  private:
-  /// Per-IO state, tag-addressed per queue: `tag` indexes into the
-  /// owning queue's `states` deque (stable addresses), so inflight
-  /// lookup is an index, not a pooled-pointer search. Submission and
-  /// completion stage lambdas capture only {this, IoState*}, small
-  /// enough for InplaceCallback's inline buffer, so the block layer's
-  /// hot path schedules without heap allocation.
+  /// Per-IO state, pooled per queue pair. Submission and completion
+  /// stage lambdas capture only {this, IoState*}, small enough for
+  /// InplaceCallback's inline buffer, so the block layer's hot path
+  /// schedules without heap allocation.
   struct IoState {
     SimTime start = 0;
     std::uint64_t epoch = 0;
     std::uint32_t q = 0;
-    std::uint32_t tag = 0;
     IoRequest req;
     IoCallback user_cb;
     IoResult result;
@@ -195,9 +192,9 @@ class BlockLayer : public BlockDevice {
     /// Per queue pair, so nr_queues > 1 splits the contention.
     std::unique_ptr<sim::Resource> lock;
     std::uint32_t outstanding = 0;
-    /// Inflight tag allocator + tag-indexed state records.
-    host::TagSet tags;
-    std::deque<IoState> states;
+    /// In-flight IO state records; with tags_per_queue > 0, at most
+    /// that many are held at once.
+    sim::RecordPool<IoState> ios;
     /// Requests parked on tag exhaustion (fixed tag sets only).
     std::deque<IoRequest> waiters;
     /// Completion ring: device completions awaiting the coalesced
@@ -218,10 +215,11 @@ class BlockLayer : public BlockDevice {
   void FlushCq(std::uint32_t q);
   void FinishIo(IoState* st);
   void RetrySubmit(IoState* st);
-  /// Wraps a dequeued request's completion with the depth-accounting
+  /// Dequeues queue q's next request for the device: records its queue
+  /// wait, claims a depth slot and wraps its completion with the slot's
   /// release (exactly once per device IO — a merged request's fan-out
   /// runs k per-state wrappers but frees one slot).
-  IoRequest WrapDispatchAccounting(std::uint32_t q, IoRequest r);
+  IoRequest TakeNext(std::uint32_t q);
   void DispatchEntry(std::uint32_t q);
   void Dispatch(std::uint32_t q);
   /// Hands a doorbell batch to the device and recycles its buffer.

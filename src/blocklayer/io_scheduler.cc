@@ -44,16 +44,11 @@ bool IoScheduler::TryMerge(IoRequest& request) {
     f->head_blocks = tail.nblocks;
     tail.nblocks += request.nblocks;
     for (auto t : request.tokens) tail.tokens.push_back(t);
-    // The merged IO keeps the head's completion-routing identity.
-    const std::uint16_t queue_id = tail.on_complete.queue_id;
-    const std::uint16_t merged_tag = tail.on_complete.tag;
     f->head = std::move(tail.on_complete);
     f->rest = std::move(request.on_complete);
     tail.on_complete = [this, f](const IoResult& result) {
       FanOut(f, result);
     };
-    tail.on_complete.queue_id = queue_id;
-    tail.on_complete.tag = merged_tag;
     return true;
   }
   return false;

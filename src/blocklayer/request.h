@@ -73,31 +73,9 @@ struct IoResult {
 
 /// Completion callable for one IO: the shared sim::InplaceFunction
 /// (inline captures, slab fallback, const-callable, may fire more than
-/// once) plus the multi-queue completion-routing context — which
-/// software queue the IO belongs to (`queue_id`) and its inflight tag
-/// (`tag`) — so lower layers (the SSD's completion path) can attribute a
-/// completion to its queue without a map lookup. Both default to "none"
-/// for IOs submitted outside the mq block layer and travel with moves.
-class IoCallback : public sim::InplaceFunction<void(const IoResult&)> {
- public:
-  static constexpr std::uint16_t kNoQueue = 0xffff;
-  static constexpr std::uint16_t kNoTag = 0xffff;
-
-  using InplaceFunction::InplaceFunction;
-  IoCallback() = default;
-  IoCallback(IoCallback&&) noexcept = default;
-  IoCallback& operator=(IoCallback&&) noexcept = default;
-
-  IoCallback& operator=(std::nullptr_t) {
-    InplaceFunction::operator=(nullptr);
-    queue_id = kNoQueue;
-    tag = kNoTag;
-    return *this;
-  }
-
-  std::uint16_t queue_id = kNoQueue;
-  std::uint16_t tag = kNoTag;
-};
+/// once — the merge scheduler fans one completion out to every request
+/// it absorbed).
+using IoCallback = sim::InplaceFunction<void(const IoResult&)>;
 
 /// Bounded EIO retry for reads in BlockLayer and DirectDriver,
 /// mirroring the kernel's per-bio retry count: a read completing with

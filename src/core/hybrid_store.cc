@@ -17,28 +17,12 @@ HybridStore::HybridStore(sim::Simulator* sim,
       log_region_start_(log_region_start),
       log_region_blocks_(log_region_blocks) {}
 
-void HybridStore::set_tracer(trace::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    track_ = tracer_->RegisterTrack(trace::kPidHost, "sync-persist");
-  }
-}
-
 void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
-                              StatusCb cb, trace::Ctx ctx) {
+                              StatusCb cb) {
   Persist* p = persists_.Acquire();
-  p->start = sim_->Now();
   p->cb = std::move(cb);
   counters_.Increment("sync_persists");
   counters_.Add("sync_bytes", record.size());
-  // Trace identity of this persist: inherit the caller's span or mint
-  // one, and record the whole commit-critical path as a kApp span when
-  // it completes. Classic mode threads the span through the write+flush
-  // below, so the trace shows what the block stack cost the commit.
-  p->span = ctx.span;
-  if (tracer_ != nullptr && tracer_->enabled() && p->span == 0) {
-    p->span = tracer_->NewSpan();
-  }
   if (pcm_log_ != nullptr) {
     pcm_log_->Append(record, [this, p](StatusOr<Lsn> r) {
       FinishPersist(p, r.ok() ? Status::Ok() : r.status());
@@ -63,7 +47,6 @@ void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
   // Commit-critical: jumps lazy page flushes under a priority scheduler
   // (ref [13]).
   write.priority = 1;
-  write.span = p->span;
   write.on_complete = [this, p](const blocklayer::IoResult& wr) {
     OnLogWritten(p, wr);
   };
@@ -72,16 +55,12 @@ void HybridStore::SyncPersist(const std::vector<std::uint8_t>& record,
 
 void HybridStore::OnLogWritten(Persist* p, const blocklayer::IoResult& wr) {
   if (!wr.status.ok()) {
-    sync_latency_.Record(sim_->Now() - p->start);
-    StatusCb cb = std::move(p->cb);
-    persists_.Release(p);
-    cb(wr.status);
+    FinishPersist(p, wr.status);
     return;
   }
   blocklayer::IoRequest flush;
   flush.op = blocklayer::IoOp::kFlush;
   flush.nblocks = 1;
-  flush.span = p->span;
   flush.on_complete = [this, p](const blocklayer::IoResult& fr) {
     OnLogFlushed(p, fr);
   };
@@ -101,11 +80,6 @@ void HybridStore::OnLogFlushed(Persist* p, const blocklayer::IoResult& fr) {
 }
 
 void HybridStore::FinishPersist(Persist* p, Status st) {
-  sync_latency_.Record(sim_->Now() - p->start);
-  if (tracer_ != nullptr && p->span != 0) {
-    tracer_->Record(trace::Stage::kApp, trace::Origin::kHostWrite, p->span,
-                    0, track_, p->start, sim_->Now());
-  }
   StatusCb cb = std::move(p->cb);
   persists_.Release(p);
   cb(std::move(st));

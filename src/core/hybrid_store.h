@@ -6,15 +6,12 @@
 #include <vector>
 
 #include "blocklayer/block_device.h"
-#include "common/histogram.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "core/pcm_log.h"
 #include "sim/inplace_callback.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
-#include "trace/tracer.h"
 
 namespace postblock::core {
 
@@ -50,17 +47,8 @@ class HybridStore {
   bool vision_mode() const { return pcm_log_ != nullptr; }
 
   /// Durably persists one record; callback fires when it would survive
-  /// power loss. `ctx` is the caller's trace identity (a WAL commit,
-  /// say); with a tracer attached the whole persist — including the
-  /// block-device write+flush of classic mode — becomes one kApp span.
-  /// The record is copied before this returns.
-  void SyncPersist(const std::vector<std::uint8_t>& record, StatusCb cb,
-                   trace::Ctx ctx = {});
-
-  /// Attaches latency attribution: sync persists are recorded on a
-  /// "sync-persist" track, and classic-mode log IOs carry the persist's
-  /// span down the block stack.
-  void set_tracer(trace::Tracer* tracer);
+  /// power loss. The record is copied before this returns.
+  void SyncPersist(const std::vector<std::uint8_t>& record, StatusCb cb);
 
   /// Recovery's view: re-reads the classic log region through the data
   /// path and returns the longest intact prefix of durable records. A
@@ -75,7 +63,6 @@ class HybridStore {
   /// Resets the log after a checkpoint. Durable when the callback fires.
   void TruncateLog(StatusCb cb);
 
-  const Histogram& sync_latency() const { return sync_latency_; }
   const Counters& counters() const { return counters_; }
 
  private:
@@ -83,8 +70,6 @@ class HybridStore {
   /// buffer keeps its capacity; the log write, the flush and the PCM
   /// append complete through {this, persist*} captures.
   struct Persist {
-    SimTime start = 0;
-    trace::SpanId span = 0;
     Lba lba = 0;
     std::uint64_t token = 0;
     std::vector<std::uint8_t> record;  // classic mode only
@@ -99,7 +84,7 @@ class HybridStore {
 
   void OnLogWritten(Persist* p, const blocklayer::IoResult& wr);
   void OnLogFlushed(Persist* p, const blocklayer::IoResult& fr);
-  /// Records the span, releases `p` and delivers `st` to its callback.
+  /// Releases `p` and delivers `st` to its callback.
   void FinishPersist(Persist* p, Status st);
 
   sim::Simulator* sim_;
@@ -125,11 +110,7 @@ class HybridStore {
   std::vector<ClassicLogSlot> classic_slots_;
   sim::RecordPool<Persist> persists_;
 
-  Histogram sync_latency_;
   Counters counters_;
-
-  trace::Tracer* tracer_ = nullptr;
-  std::uint32_t track_ = 0;  // "sync-persist" (host pid)
 };
 
 }  // namespace postblock::core

@@ -19,7 +19,6 @@ void PcmLog::Append(const std::vector<std::uint8_t>& payload, AppendCb cb) {
   std::memcpy(item->store.data() + kHeaderBytes, payload.data(),
               payload.size());
   item->cb = std::move(cb);
-  item->enqueued_at = sim_->Now();
   queue_.push_back(item);
   PumpQueue();
 }
@@ -56,7 +55,6 @@ void PcmLog::PumpQueue() {
 
 void PcmLog::OnStored(PendingAppend* item, Status st) {
   store_in_flight_ = false;
-  append_latency_.Record(sim_->Now() - item->enqueued_at);
   AppendCb cb = std::move(item->cb);
   const Lsn lsn = item->lsn;
   appends_.Release(item);

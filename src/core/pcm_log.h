@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -64,7 +63,6 @@ class PcmLog {
   /// append leaves the previous terminator in place).
   void ResetAfterCrash();
 
-  const Histogram& append_latency() const { return append_latency_; }
   const Counters& counters() const { return counters_; }
 
  private:
@@ -76,7 +74,6 @@ class PcmLog {
   struct PendingAppend {
     std::vector<std::uint8_t> store;
     AppendCb cb;
-    SimTime enqueued_at = 0;
     Lsn lsn = 0;
   };
 
@@ -97,7 +94,6 @@ class PcmLog {
   /// The truncating store: one header of zeroes.
   std::vector<std::uint8_t> zero_header_;
   bool store_in_flight_ = false;
-  Histogram append_latency_;
   Counters counters_;
 };
 

@@ -60,11 +60,11 @@ bool DecodeBatch(const std::vector<std::uint8_t>& bytes, WalBatch* out) {
   return true;
 }
 
-void Wal::Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx) {
+void Wal::Commit(const WalBatch& batch, StatusCb cb) {
   counters_.Increment("commits");
   counters_.Add("ops_logged", batch.ops.size());
   EncodeBatchInto(batch, &encoded_);
-  store_->SyncPersist(encoded_, std::move(cb), ctx);
+  store_->SyncPersist(encoded_, std::move(cb));
 }
 
 void Wal::RecoverVerified(BatchesCb cb) {

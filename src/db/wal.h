@@ -41,11 +41,10 @@ class Wal {
 
   explicit Wal(core::HybridStore* store) : store_(store) {}
 
-  /// Appends a commit record; callback fires when durable. `ctx` links
-  /// the commit to a trace span (see core::HybridStore::SyncPersist).
-  /// The record is encoded into a buffer the log reuses, so a commit
-  /// stream makes no per-commit allocation here.
-  void Commit(const WalBatch& batch, StatusCb cb, trace::Ctx ctx = {});
+  /// Appends a commit record; callback fires when durable. The record
+  /// is encoded into a buffer the log reuses, so a commit stream makes
+  /// no per-commit allocation here.
+  void Commit(const WalBatch& batch, StatusCb cb);
 
   /// Media-verified recovery: re-reads the log from the device and
   /// replays only the intact prefix — a log page lost to an

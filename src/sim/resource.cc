@@ -1,6 +1,5 @@
 #include "sim/resource.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -19,21 +18,14 @@ void Resource::AccrueBusy() const {
   busy_since_ = sim_->Now();
 }
 
-void Resource::RecordWait(SimTime wait) {
-  ++wait_count_;
-  wait_total_ns_ += wait;
-  wait_max_ns_ = std::max(wait_max_ns_, wait);
-}
-
 void Resource::Acquire(Grant on_grant) {
   if (in_use_ < capacity_) {
     AccrueBusy();
     ++in_use_;
-    RecordWait(0);
     on_grant();
     return;
   }
-  waiters_.push_back(Waiter{std::move(on_grant), sim_->Now()});
+  waiters_.push_back(std::move(on_grant));
 }
 
 void Resource::Release() {
@@ -59,14 +51,10 @@ void Resource::Release() {
 void Resource::GrantNextReady() {
   // Exactly one grant event is in flight per ready_ entry, and events
   // fire in schedule order, so the front entry is this event's waiter.
-  GrantTo(ready_.pop_front());
-}
-
-void Resource::GrantTo(Waiter w) {
-  // The slot was carried over from the releasing holder; in_use_ is
+  // Its slot was carried over from the releasing holder; in_use_ is
   // already counted.
-  RecordWait(sim_->Now() - w.enqueued_at);
-  w.grant();
+  const Grant grant = ready_.pop_front();
+  grant();
 }
 
 void Resource::UseFor(SimTime duration, InplaceCallback done) {

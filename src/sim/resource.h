@@ -15,9 +15,9 @@ namespace postblock::sim {
 
 /// A FCFS-shared resource with `capacity` concurrent slots (default 1).
 /// Models a flash channel bus, a LUN (serial command execution), a CPU
-/// core, etc. Tracks utilization and queueing delay so benches can tell
-/// *which* resource bound a workload (the paper's channel-bound vs
-/// chip-bound distinction, Figure 1).
+/// core, etc. Tracks utilization so benches can tell *which* resource
+/// bound a workload (the paper's channel-bound vs chip-bound
+/// distinction, Figure 1).
 ///
 /// Grants are InplaceCallback (no heap traffic for pointer-sized
 /// captures) and waiters live in recycled ring buffers. Each release
@@ -56,49 +56,34 @@ class Resource {
 
   /// Total slot-nanoseconds the resource was held.
   std::uint64_t busy_ns() const;
-  /// Queueing delay (time between Acquire and grant) over every grant:
-  /// how many, their sum and their maximum, in ns.
-  std::uint64_t wait_count() const { return wait_count_; }
-  std::uint64_t wait_total_ns() const { return wait_total_ns_; }
-  std::uint64_t wait_max_ns() const { return wait_max_ns_; }
   /// Fraction of [0, Now()] the resource was busy (capacity-weighted).
   double Utilization() const;
 
  private:
-  struct Waiter {
-    Grant grant;
-    SimTime enqueued_at = 0;
-  };
-
   struct UseOp {
     Resource* res = nullptr;
     SimTime duration = 0;
     InplaceCallback done;
   };
 
-  void GrantTo(Waiter w);
   void GrantNextReady();
 
   Simulator* sim_;
   std::string name_;
   int capacity_;
   int in_use_ = 0;
-  Ring<Waiter> waiters_;
+  Ring<Grant> waiters_;
   /// Waiters whose slot has been carried over by Release(), each
   /// awaiting its own grant event. Granted strictly in release order
   /// (one event per entry, scheduled by the release that carried it).
-  Ring<Waiter> ready_;
+  Ring<Grant> ready_;
 
   RecordPool<UseOp> use_ops_;
 
   mutable std::uint64_t busy_ns_ = 0;
   mutable SimTime busy_since_ = 0;  // last time in_use_ changed
-  std::uint64_t wait_count_ = 0;
-  std::uint64_t wait_total_ns_ = 0;
-  std::uint64_t wait_max_ns_ = 0;
 
   void AccrueBusy() const;
-  void RecordWait(SimTime wait);
 };
 
 }  // namespace postblock::sim

@@ -369,13 +369,6 @@ void Device::OnPageDone(IoRecord* rec, std::uint32_t gen,
       break;
   }
   counters_.Increment("completions");
-  // Completion routing: a multi-queue submitter stamps its software
-  // queue id on the callback; attribute the CQ post to that queue.
-  const std::uint16_t qid = request.on_complete.queue_id;
-  if (qid != blocklayer::IoCallback::kNoQueue) {
-    if (cq_posts_.size() <= qid) cq_posts_.resize(qid + 1, 0);
-    ++cq_posts_[qid];
-  }
   if (rec->root && tracer_ != nullptr) {
     tracer_->Record(trace::Stage::kIo, blocklayer::OriginOf(request.op),
                     request.span, 0, dev_track_, rec->submit_t,

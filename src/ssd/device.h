@@ -84,12 +84,6 @@ class Device : public blocklayer::BlockDevice {
   /// move lands. Dropped on any other FTL: it issues no names to move.
   void SetMigrationHandler(host::MigrationHandler handler) override;
 
-  /// Completions routed to multi-queue submitters, per software queue
-  /// (read from IoCallback::queue_id). 0 for queues never seen.
-  std::uint64_t cq_posts(std::uint16_t queue_id) const {
-    return queue_id < cq_posts_.size() ? cq_posts_[queue_id] : 0;
-  }
-
   // --- Introspection ------------------------------------------------
   /// The firmware's event loop (the controller shard's in sharded mode).
   sim::Simulator* sim() { return sim_; }
@@ -193,11 +187,6 @@ class Device : public blocklayer::BlockDevice {
   Counters counters_;
 
   sim::RecordPool<IoRecord> io_records_;
-
-  /// Per-software-queue completion counts (indexed by the submitting
-  /// queue's IoCallback::queue_id; grows on demand). Deliberately not a
-  /// Counters entry so default counter dumps are unchanged.
-  std::vector<std::uint64_t> cq_posts_;
 
   trace::Tracer* tracer_ = nullptr;  // == config_.tracer
   std::uint32_t dev_track_ = 0;      // "ssd-device" (host pid)

@@ -2,7 +2,7 @@
 // every layer (SimpleBlockDevice, Hdd, ssd::Device, BlockLayer,
 // DirectDriver, vbd::Frontend, HostMap), with capability answers held
 // to behaviour, both vocabularies sent to one device of each FTL kind,
-// plus TagSet and IoCallback units.
+// plus IoCallback units.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,7 +19,6 @@
 #include "db/host_map.h"
 #include "hdd/hdd.h"
 #include "host/command.h"
-#include "host/tag_set.h"
 #include "sim/simulator.h"
 #include "ssd/device.h"
 #include "vbd/backend.h"
@@ -56,35 +55,6 @@ ssd::Config SmallConfig(ssd::FtlKind ftl) {
   return c;
 }
 
-// --- TagSet ---------------------------------------------------------------
-
-TEST(TagSetTest, FixedSetGrantsAscendingAndBackpressures) {
-  host::TagSet tags(3);
-  EXPECT_EQ(tags.capacity(), 3u);
-  EXPECT_EQ(tags.Acquire(), 0u);
-  EXPECT_EQ(tags.Acquire(), 1u);
-  EXPECT_EQ(tags.Acquire(), 2u);
-  EXPECT_TRUE(tags.exhausted());
-  EXPECT_EQ(tags.Acquire(), host::TagSet::kNoTag);
-  EXPECT_EQ(tags.in_use(), 3u);
-  tags.Release(1);
-  EXPECT_FALSE(tags.exhausted());
-  EXPECT_EQ(tags.Acquire(), 1u);  // LIFO recycle: hottest tag first
-  EXPECT_EQ(tags.high_water(), 3u);
-}
-
-TEST(TagSetTest, ElasticSetNeverFails) {
-  host::TagSet tags;  // capacity 0
-  EXPECT_EQ(tags.capacity(), 0u);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(tags.Acquire(), i);
-  }
-  EXPECT_FALSE(tags.exhausted());
-  tags.Release(42);
-  EXPECT_EQ(tags.Acquire(), 42u);  // recycled before growing
-  EXPECT_EQ(tags.high_water(), 100u);
-}
-
 // --- IoCallback -----------------------------------------------------------
 
 TEST(IoCallbackTest, SmallCapturesStayInline) {
@@ -107,20 +77,6 @@ TEST(IoCallbackTest, LargeCapturesAreBoxedAndStillWork) {
   EXPECT_FALSE(cb.stored_inline());
   cb(IoResult{Status::Ok(), {}});
   EXPECT_EQ(seen, 7u);
-}
-
-TEST(IoCallbackTest, MoveCarriesQueueRoutingContext) {
-  IoCallback cb([](const IoResult&) {});
-  cb.queue_id = 3;
-  cb.tag = 17;
-  IoCallback moved = std::move(cb);
-  EXPECT_EQ(moved.queue_id, 3);
-  EXPECT_EQ(moved.tag, 17);
-  IoCallback assigned;
-  assigned = std::move(moved);
-  EXPECT_EQ(assigned.queue_id, 3);
-  EXPECT_EQ(assigned.tag, 17);
-  assigned(IoResult{Status::Ok(), {}});  // target survived both moves
 }
 
 TEST(IoCallbackTest, AcceptsMoveOnlyCaptures) {

@@ -1,8 +1,8 @@
 // Unit tests for InplaceFunction (InplaceCallback is its void()
 // instance) and its CallbackSlab fallback: inline storage for small
 // captures, move-only semantics, slab boxing for oversized captures,
-// argument-taking signatures, IoCallback's routing context, and
-// compile-time guards that the hot-path capture sizes keep fitting.
+// argument-taking signatures, and compile-time guards that the
+// hot-path capture sizes keep fitting.
 
 #include <array>
 #include <cstdint>
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blocklayer/request.h"
 #include "common/status.h"
 #include "sim/inplace_callback.h"
 #include "sim/simulator.h"
@@ -253,30 +252,6 @@ TEST(InplaceFunctionTest, BoxedStatusCallbacksRecycleSlabChunks) {
   EXPECT_EQ(hits, 100);
   EXPECT_EQ(after.chunk_allocs, before.chunk_allocs);  // all reuses
   EXPECT_EQ(after.chunk_reuses, before.chunk_reuses + 100);
-}
-
-TEST(InplaceFunctionTest, IoCallbackKeepsRoutingContextAcrossMoves) {
-  using blocklayer::IoCallback;
-  int fired = 0;
-  IoCallback cb = [&fired](const blocklayer::IoResult&) { ++fired; };
-  EXPECT_EQ(cb.queue_id, IoCallback::kNoQueue);
-  EXPECT_EQ(cb.tag, IoCallback::kNoTag);
-  cb.queue_id = 3;
-  cb.tag = 17;
-  IoCallback moved = std::move(cb);
-  EXPECT_EQ(moved.queue_id, 3);
-  EXPECT_EQ(moved.tag, 17);
-  IoCallback assigned;
-  assigned = std::move(moved);
-  EXPECT_EQ(assigned.queue_id, 3);
-  EXPECT_EQ(assigned.tag, 17);
-  ASSERT_TRUE(static_cast<bool>(assigned));
-  assigned(blocklayer::IoResult{});
-  EXPECT_EQ(fired, 1);
-  assigned = nullptr;
-  EXPECT_FALSE(static_cast<bool>(assigned));
-  EXPECT_EQ(assigned.queue_id, IoCallback::kNoQueue);
-  EXPECT_EQ(assigned.tag, IoCallback::kNoTag);
 }
 
 }  // namespace

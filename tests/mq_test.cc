@@ -141,7 +141,7 @@ TEST(MqTagTest, ExhaustionParksAndResumesWithoutLoss) {
   // Only 2 tags: 6 of the 8 submissions parked.
   EXPECT_EQ(layer.counters().Get("tag_waits"), 6u);
   EXPECT_EQ(layer.tag_waiters(0), 6u);
-  EXPECT_TRUE(layer.tags(0).exhausted());
+  EXPECT_EQ(layer.tags_in_use(0), 2u);
   sim.Run();
   // Every parked request was resumed and completed; state bounded by
   // the tag capacity, nothing leaked.
@@ -379,9 +379,7 @@ TEST(MqDoorbellTest, BatchedDispatchAmortizesDeviceAdmission) {
   EXPECT_EQ(dev.counters().Get("doorbell_cmds"), 64u);
   EXPECT_EQ(dev.counters().Get("doorbell_rings"),
             layer.counters().Get("doorbells"));
-  // Completion routing: the device attributed every completion to the
-  // single software queue.
-  EXPECT_EQ(dev.cq_posts(0), 64u);
+  EXPECT_EQ(dev.counters().Get("completions"), 64u);
 }
 
 // --- Scheduler merge window / streams -------------------------------------

@@ -217,16 +217,6 @@ TEST(ResourceTest, UtilizationTracksBusyFraction) {
   EXPECT_NEAR(r.Utilization(), 0.5, 1e-9);
 }
 
-TEST(ResourceTest, WaitHistogramRecordsQueueing) {
-  Simulator sim;
-  Resource r(&sim, "r");
-  r.UseFor(100, [] {});
-  r.UseFor(100, [] {});
-  sim.Run();
-  EXPECT_EQ(r.wait_count(), 2u);
-  EXPECT_EQ(r.wait_max_ns(), 100u);
-}
-
 TEST(ResourceTest, SameTimestampReleasesInterleaveWithOtherEvents) {
   // Two holders of a capacity-2 resource release at the same timestamp
   // with an unrelated event scheduled between the two releases. Each
